@@ -1,9 +1,10 @@
 """Exact dense linear algebra over the two-element field.
 
 Vectors are Python ints used as bit masks (bit k = coordinate k), so a row
-operation is a single word-wide XOR regardless of width.  Every subspace is
-stored in reduced row-echelon form; that form is unique for a given span,
-so two subspaces are equal iff their bases are identical bit for bit.
+operation is a single word-wide XOR regardless of width.  Ranks and spans
+use forward elimination only; ``GF2Subspace`` and ``reduced_echelon`` keep
+the reduced row-echelon form, unique for a span, so equal subspaces have
+bit-identical bases.
 """
 
 from __future__ import annotations
@@ -30,41 +31,50 @@ def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def _pivots(vectors: Iterable[int]) -> dict[int, int]:
+    """Forward elimination: rows spanning the input, keyed by their low bit."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            p = _low_bit(v)
+            r = pivots.get(p)
+            if r is None:
+                pivots[p] = v
+                break
+            v ^= r
+    return pivots
+
+
 def reduced_echelon(vectors: Iterable[int]) -> tuple[int, ...]:
     """Reduced row-echelon basis of the span, pivot columns ascending."""
-    rows: list[tuple[int, int]] = []  # (pivot column, vector)
-    for v in vectors:
-        for p, r in rows:
-            if (v >> p) & 1:
-                v ^= r
-        if v:
-            p = _low_bit(v)
-            rows = [(q, r ^ v if (r >> p) & 1 else r) for q, r in rows]
-            rows.append((p, v))
-    rows.sort()
-    return tuple(r for _, r in rows)
+    pivots = _pivots(vectors)
+    done = 0  # pivot columns of the rows already reduced
+    for p in sorted(pivots, reverse=True):
+        # those rows are reduced, so each XOR clears one pivot bit, sets none
+        x = pivots[p] & done
+        while x:
+            pivots[p] ^= pivots[_low_bit(x)]
+            x &= x - 1
+        done |= 1 << p
+    return tuple(pivots[p] for p in sorted(pivots))
 
 
 def span_dim(vectors: Iterable[int]) -> int:
     """Dimension of the span of the given bit vectors."""
-    return len(reduced_echelon(vectors))
+    return len(_pivots(vectors))
 
 
 def kernel_vectors(row_bits: Sequence[int], cols: int) -> list[int]:
-    """Basis of ``{x : row & x has even parity for every row}``, echelonized."""
-    basis = reduced_echelon(row_bits)
-    pivots = [_low_bit(r) for r in basis]
-    pivot_set = set(pivots)
-    out = []
-    for j in range(cols):
-        if j in pivot_set:
-            continue
-        v = 1 << j
-        for p, r in zip(pivots, basis):
-            if (r >> j) & 1:
-                v |= 1 << p
-        out.append(v)
-    return list(reduced_echelon(out))
+    """Basis of ``{x : row & x has even parity for every row}``, one vector
+    per free column j < cols, in ascending j; not echelonized."""
+    pivots = {_low_bit(r): r for r in reduced_echelon(row_bits)}
+    kernel = {j: 1 << j for j in range(cols) if j not in pivots}
+    for p, r in pivots.items():
+        x = r ^ (1 << p)
+        while x:
+            kernel[_low_bit(x)] |= 1 << p
+            x &= x - 1
+    return list(kernel.values())
 
 
 @dataclass(frozen=True)
@@ -112,9 +122,6 @@ class GF2Matrix:
 
     def entry(self, i: int, j: int) -> int:
         return (self.row_bits[i] >> j) & 1
-
-    def to_rows(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def column_bits(self) -> tuple[int, ...]:
         """Columns as bit vectors over the row index."""
@@ -169,33 +176,18 @@ class GF2Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, v: int) -> int:
-        """Residual of v after elimination against the basis."""
-        for r in self.basis:
-            if (v >> _low_bit(r)) & 1:
-                v ^= r
-        return v
-
     def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    def contains_subspace(self, other: GF2Subspace) -> bool:
-        return all(self.contains(v) for v in other.basis)
-
-    def sum(self, other: GF2Subspace) -> GF2Subspace:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return GF2Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
+        return span_dim(self.basis + (v,)) == self.dim
 
 
 def rank(m: GF2Matrix) -> int:
     """GF(2) rank; the input is not modified."""
-    return len(reduced_echelon(m.row_bits))
+    return len(_pivots(m.row_bits))
 
 
 def kernel_basis(m: GF2Matrix) -> GF2Subspace:
     """Right kernel {v : m v = 0}, echelonized; dim = cols - rank."""
-    return GF2Subspace(m.cols, tuple(kernel_vectors(m.row_bits, m.cols)))
+    return GF2Subspace.from_vectors(m.cols, kernel_vectors(m.row_bits, m.cols))
 
 
 def image_basis(m: GF2Matrix) -> GF2Subspace:

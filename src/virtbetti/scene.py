@@ -221,6 +221,11 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
 
 def scene_from_dict(data: Mapping) -> Scene:
     """Build and validate a Scene from its JSON dictionary."""
+    if not isinstance(data, Mapping):
+        raise SceneError(
+            f"scene must be a JSON object, not {type(data).__name__}",
+            found=type(data).__name__,
+        )
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SceneError(
             f"unsupported schema_version {data.get('schema_version')!r}",

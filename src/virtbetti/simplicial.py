@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Hashable, Iterable, Sequence
 
 from .errors import NotFaceClosed, TooManySimplices, UnknownVertex
@@ -67,13 +68,14 @@ def _closure_of(maximal: Iterable[Sequence[Vertex]]) -> set[frozenset]:
         if not fs:
             continue
         for k in range(1, len(fs) + 1):
-            for face in combinations(sorted(fs, key=repr), k):
-                faces.add(frozenset(face))
-            if len(faces) > 4 * MAX_SIMPLICES:
+            # bound the faces this size would add before building any of them
+            if len(faces) + comb(len(fs), k) > 4 * MAX_SIMPLICES:
                 raise TooManySimplices(
                     "face closure exceeds the supported size",
                     limit=MAX_SIMPLICES,
                 )
+            for face in combinations(sorted(fs, key=repr), k):
+                faces.add(frozenset(face))
     return faces
 
 

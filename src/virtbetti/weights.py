@@ -180,7 +180,12 @@ def check_conditions(
     return report
 
 
-_KEY_RE = re.compile(r"^w(\d)_?(\d)$")
+_KEY_RE = re.compile(r"^w(\d+)_(\d+)$|^w(\d)(\d)$")
+
+
+def _entry_name(i: int, j: int) -> str:
+    """``w21`` for single-digit indices, ``w10_2`` once either has two digits."""
+    return f"w{i}{j}" if i < 10 and j < 10 else f"w{i}_{j}"
 
 
 @dataclass(frozen=True)
@@ -218,13 +223,13 @@ class LinearConstraint:
                     f"cannot parse entry name {key!r} (use e.g. 'w21' or 'w2_1')",
                     key=key,
                 )
-            i, j = int(match.group(1)), int(match.group(2))
+            i, j = (int(g) for g in match.groups() if g is not None)
             coeffs.append(((i, j), int(coeff)))
         return cls(tuple(coeffs), op, int(rhs), str(data.get("note", "")))
 
     def to_dict(self) -> dict:
         return {
-            "lhs": {f"w{i}{j}": c for (i, j), c in self.coeffs},
+            "lhs": {_entry_name(i, j): c for (i, j), c in self.coeffs},
             "op": self.op,
             "rhs": self.rhs,
             "note": self.note,
@@ -247,7 +252,7 @@ class LinearConstraint:
     def describe(self) -> str:
         terms = []
         for (i, j), coeff in self.coeffs:
-            name = f"w{i}{j}"
+            name = _entry_name(i, j)
             terms.append(name if coeff == 1 else f"{coeff}*{name}")
         body = " + ".join(terms) if terms else "0"
         text = f"{body} {self.op} {self.rhs}"

@@ -117,6 +117,17 @@ def test_weights_with_constraints(capsys, tmp_path):
     assert "INFEASIBLE (violates: w21 >= 3 (pairwise classes independent))" in out
 
 
+def test_scene_file_that_is_a_list_is_a_scene_error(capsys, tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "betti", "torus", "--scene", str(path))
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)
+    assert error["code"] == "scene-error"
+    assert set(error) == {"code", "message", "context"}
+
+
 def test_weights_diagonal_input(capsys):
     code, out, _ = run(capsys, "weights", "torus")
     assert code == 0

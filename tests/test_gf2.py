@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gf2_oracle
 from virtbetti.errors import ContainmentViolation
 from virtbetti.gf2 import (
     GF2Matrix,
     GF2Subspace,
     image_basis,
     kernel_basis,
+    kernel_vectors,
     quotient_dim,
     rank,
     reduced_echelon,
+    span_dim,
 )
 
 # boundary matrix of the hollow triangle: rows = vertices, cols = edges
@@ -157,3 +160,69 @@ def test_echelon_spans_input(vectors):
         for j, p in enumerate(pivots):
             if i != j:
                 assert not (r >> p) & 1
+
+
+# -- the elimination kernel against the insertion-time oracle ---------------
+
+
+@st.composite
+def bit_rows(draw):
+    """(cols, rows): zero, dense and sparse rows, duplicates and sums of
+    earlier rows, in shuffled order; cols runs past one 64-bit word."""
+    cols = draw(st.integers(min_value=0, max_value=130))
+    dense = st.integers(min_value=0, max_value=(1 << cols) - 1)
+    rows = draw(st.lists(dense, max_size=6))
+    if cols:
+        bits = st.lists(st.integers(min_value=0, max_value=cols - 1), max_size=4)
+        rows += [sum(1 << b for b in set(bs))
+                 for bs in draw(st.lists(bits, max_size=20))]
+    rows += [0] * draw(st.integers(min_value=0, max_value=2))
+    if rows:
+        picks = st.lists(st.sampled_from(rows), min_size=1, max_size=3)
+        for pick in draw(st.lists(picks, max_size=6)):
+            v = 0
+            for r in pick:
+                v ^= r
+            rows.append(v)
+    return cols, draw(st.permutations(rows))
+
+
+@st.composite
+def masked_bit_rows(draw):
+    """Rows cut to a prefix of their columns, as spectral._z_space cuts them."""
+    cols, rows = draw(bit_rows())
+    size = draw(st.integers(min_value=0, max_value=cols))
+    mask = (1 << size) - 1
+    return size, [r & mask for r in rows]
+
+
+@given(st.one_of(bit_rows(), masked_bit_rows()))
+@settings(max_examples=200)
+def test_reduced_echelon_matches_oracle(matrix):
+    _, rows = matrix
+    assert reduced_echelon(rows) == gf2_oracle.reduced_echelon(rows)
+
+
+@given(st.one_of(bit_rows(), masked_bit_rows()))
+@settings(max_examples=200)
+def test_rank_and_span_dim_match_oracle(matrix):
+    cols, rows = matrix
+    expected = len(gf2_oracle.reduced_echelon(rows))
+    assert span_dim(rows) == expected
+    assert rank(GF2Matrix(len(rows), cols, tuple(rows))) == expected
+
+
+@given(st.one_of(bit_rows(), masked_bit_rows()))
+@settings(max_examples=200)
+def test_kernel_vectors_match_oracle(matrix):
+    cols, rows = matrix
+    kernel = kernel_vectors(rows, cols)
+    for v in kernel:
+        assert 0 < v < 1 << cols
+        for r in rows:
+            assert (r & v).bit_count() % 2 == 0
+    assert len(kernel) == cols - len(gf2_oracle.reduced_echelon(rows))
+    # equal spans have equal reduced echelon bases
+    assert tuple(gf2_oracle.reduced_echelon(kernel)) == tuple(
+        gf2_oracle.kernel_vectors(rows, cols)
+    )

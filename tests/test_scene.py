@@ -120,6 +120,11 @@ def test_load_rejects_bad_json(tmp_path):
         load_scene(str(path))
 
 
+def test_non_object_scene_is_a_scene_error():
+    with pytest.raises(SceneError):
+        scene_from_dict([1, 2])
+
+
 def test_load_missing_file():
     with pytest.raises(SceneError):
         load_scene("/no/such/file.json")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from virtbetti import models
@@ -60,6 +62,14 @@ def test_empty_complex_is_valid():
 def test_size_guardrail():
     with pytest.raises(TooManySimplices):
         SimplicialComplex.from_maximal(tuple(range(25)), [tuple(range(25))])
+
+
+def test_size_guardrail_fires_before_enumerating():
+    # 40 vertices: its 658,008 faces of size 5 alone exceed 4 * MAX_SIMPLICES
+    start = time.perf_counter()
+    with pytest.raises(TooManySimplices):
+        SimplicialComplex.from_maximal(tuple(range(40)), [tuple(range(40))])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_betti_circle():

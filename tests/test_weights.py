@@ -187,6 +187,16 @@ def test_constraint_dict_round_trip():
     assert LinearConstraint.from_dict(c.to_dict()) == c
 
 
+def test_constraint_names_at_degree_ten_and_above():
+    c = LinearConstraint((((10, 2), 1), ((11, 0), 2), ((10, 10), -1), ((2, 1), 1)), "<=", 4)
+    assert set(c.to_dict()["lhs"]) == {"w10_2", "w11_0", "w10_10", "w21"}
+    assert c.describe() == "w21 + w10_2 + -1*w10_10 + 2*w11_0 <= 4"
+    assert LinearConstraint.from_dict(c.to_dict()) == c
+    # a run of three digits could split two ways, so it is not a name
+    with pytest.raises(MalformedConstraint):
+        LinearConstraint.from_dict({"lhs": {"w110": 1}, "op": ">=", "rhs": 0})
+
+
 def test_mv_profile_vs_virtual_betti_surface(surface_ss):
     verdict = mv_profile_vs_virtual_betti(surface_ss.filtration_profile(), [4, -1, 3])
     assert not verdict.holds
