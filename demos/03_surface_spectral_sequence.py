@@ -7,7 +7,7 @@ converges to the cohomology of the union; its first two pages remember the
 virtual Betti numbers and its limit does not.
 """
 
-from virtbetti.cli import _arrangement_virtual_betti, _page_table
+from virtbetti.cli import _page_table
 from virtbetti.fixtures import builtin_scene
 from virtbetti.spectral import MVSpectralSequence, row_alternating_sums
 from virtbetti.weights import mv_profile_vs_virtual_betti
@@ -21,7 +21,7 @@ print("  b =", tuple(total.betti_mod2()), " chi =", total.euler_characteristic()
 for name, piece in arr.pieces:
     print(f"  piece {name}: b = {tuple(piece.as_complex().betti_mod2())}")
 
-beta = _arrangement_virtual_betti(arr)
+beta = arr.virtual_betti()
 print()
 print("Virtual Betti numbers by inclusion-exclusion over the pieces:")
 print("  beta =", beta)

@@ -26,7 +26,7 @@ from .polynomial import IntPolynomial
 from .scene import Scene, load_scene
 from .scissor import evaluate_beta, evaluate_chi_c
 from .spectral import MVSpectralSequence, SpectralPage, row_alternating_sums
-from .stratified import beta_of_stratified, inclusion_exclusion
+from .stratified import beta_of_stratified
 from .weights import (
     LinearConstraint,
     constraint_filter,
@@ -73,10 +73,8 @@ def _scene_from_args(args) -> Scene:
     return builtin_scene()
 
 
-def _virtual_betti_lines(name: str, beta: IntPolynomial, chi_c: int | None,
-                         want_chi: bool) -> list[str]:
+def _virtual_betti_lines(beta: IntPolynomial, chi_c: int | None, want_chi: bool) -> list[str]:
     lines = [f"beta: {beta.to_text()}"]
-    degree = beta.degree
     if not beta.is_zero():
         for i, c in enumerate(beta.coeffs):
             lines.append(f"beta_{i}: {c}")
@@ -110,7 +108,7 @@ def _vbetti_target(scene: Scene, name: str, strict: bool):
         )
         return beta, None, warnings
     if name in scene.arrangements:
-        beta = _arrangement_virtual_betti(scene.arrangements[name])
+        beta = scene.arrangements[name].virtual_betti()
         return beta, None, []
     raise UnknownName(
         f"{name!r} is not an expression, stratification or arrangement",
@@ -119,33 +117,6 @@ def _vbetti_target(scene: Scene, name: str, strict: bool):
             set(scene.expressions) | set(scene.stratifications) | set(scene.arrangements)
         ),
     )
-
-
-def _arrangement_virtual_betti(arrangement) -> IntPolynomial:
-    """Inclusion-exclusion over the Poincare polynomials of all intersections.
-
-    Meaningful when the pieces and all their intersections are compact
-    nonsingular models (a normal-crossing style cover).
-    """
-    from itertools import combinations
-
-    pieces = [
-        (name, sub.as_complex().poincare_polynomial())
-        for name, sub in arrangement.pieces
-    ]
-    subs = [sub for _, sub in arrangement.pieces]
-    inters = {}
-    for size in range(2, len(subs) + 1):
-        for subset in combinations(range(len(subs)), size):
-            acc = subs[subset[0]]
-            for i in subset[1:]:
-                acc = acc.intersection(subs[i])
-            inters[frozenset(subset)] = (
-                acc.as_complex().poincare_polynomial()
-                if acc.simplices
-                else IntPolynomial.zero()
-            )
-    return inclusion_exclusion(pieces, inters)
 
 
 def cmd_vbetti(args) -> int:
@@ -164,7 +135,7 @@ def cmd_vbetti(args) -> int:
             payload["chi_c"] = beta.evaluate(-1) if chi is None else chi
         print(json.dumps(payload))
     else:
-        for line in _virtual_betti_lines(args.name, beta, chi, args.chi_c):
+        for line in _virtual_betti_lines(beta, chi, args.chi_c):
             print(line)
     return EXIT_OK
 
@@ -175,7 +146,7 @@ def cmd_mvss(args) -> int:
     ss = MVSpectralSequence(arrangement)
     upto = max(args.pages, ss.infinity_index)
     pages = ss.pages(upto)
-    beta = _arrangement_virtual_betti(arrangement)
+    beta = arrangement.virtual_betti()
     profile = ss.filtration_profile()
     verdict = mv_profile_vs_virtual_betti(profile, list(beta.coeffs))
     cert = ss.stabilization_certificate()

@@ -39,6 +39,10 @@ class TooManySimplices(VirtBettiError):
     code = "too-many-simplices"
 
 
+class TooManyPieces(VirtBettiError):
+    code = "too-many-pieces"
+
+
 class UnknownAtom(VirtBettiError):
     code = "unknown-atom"
 

@@ -40,7 +40,6 @@ from .stratified import (
     StratumRecord,
     beta_of_stratified,
     beta_of_stratum,
-    inclusion_exclusion,
     refinement_check,
 )
 from .weights import (
@@ -341,22 +340,6 @@ def _check(out: list[CheckResult], fixture: str, check: str, passed: bool, detai
     out.append(CheckResult(fixture, check, bool(passed), detail))
 
 
-def _surface_virtual_betti(scene: Scene) -> IntPolynomial:
-    """Inclusion-exclusion over the pieces of the surface arrangement."""
-    arr = scene.arrangement("surface-443")
-    pieces = [
-        (name, sub.as_complex().poincare_polynomial()) for name, sub in arr.pieces
-    ]
-    subs = {p: dict(arr.pieces)[p] for p in ("X1", "X2", "X3")}
-    inters = {}
-    inters[frozenset({0, 1})] = subs["X1"].intersection(subs["X2"]).as_complex().poincare_polynomial()
-    inters[frozenset({0, 2})] = subs["X1"].intersection(subs["X3"]).as_complex().poincare_polynomial()
-    inters[frozenset({1, 2})] = subs["X2"].intersection(subs["X3"]).as_complex().poincare_polynomial()
-    triple = subs["X1"].intersection(subs["X2"]).intersection(subs["X3"])
-    inters[frozenset({0, 1, 2})] = triple.as_complex().poincare_polynomial()
-    return inclusion_exclusion(pieces, inters)
-
-
 # -- fixtures ------------------------------------------------------------------
 
 
@@ -455,7 +438,7 @@ def _fx_surface_homology(scene: Scene) -> list[CheckResult]:
 def _fx_surface_virtual(scene: Scene) -> list[CheckResult]:
     out: list[CheckResult] = []
     want = _poly("4 - t + 3*t^2")
-    incl = _surface_virtual_betti(scene)
+    incl = scene.arrangement("surface-443").virtual_betti()
     _check(out, "surface-443-virtual", "inclusion-exclusion gives 4 - t + 3*t^2",
            incl == want, incl.to_text())
     strat = beta_of_stratified(scene.stratification("surface-443"), strict=True)

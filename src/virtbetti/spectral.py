@@ -8,29 +8,37 @@ simplicial coboundary.  The two differentials commute and each squares to
 zero, so their sum is a differential on the total complex, and the
 filtration by column produces the pages.
 
-Pages are computed with the standard subspace formulas
+Pages are read off one column reduction of the total differential D.
+Basis vectors of degree n are ordered by descending filtration p, so every
+F_p is a coordinate prefix.  Reducing the columns of D left to right pairs
+each nonzero reduced column x with its lowest entry low(x), the entry of
+least filtration; the pair's gap is p(low(x)) - p(x).  A pair with gap r
+is one rank of the differential d_r, so it lives on E_0..E_r and is gone
+from E_{r+1} on; an unpaired vector lives forever.  Hence
 
-    Z_r(p, n)   = { x in F_p T^n : D x in F_{p+r} T^(n+1) }
-    dim E_r^{p,q} = dim((Z_r + F_{p+1}) / F_{p+1})
-                  - dim((D Z_{r-1}(p-r+1) + F_{p+1}) / F_{p+1})
+    dim E_r^{p,q} = #{vectors at (p, q) unpaired or paired with gap >= r}
+    rank d_r^{p,q} = #{pairs starting at (p, q) with gap exactly r}
 
-realized over GF(2) with echelon arithmetic.  Basis vectors of degree n
-are ordered by descending filtration, so every F_p is a coordinate prefix
-and quotienting by it is a bit mask.
+(Edelsbrunner-Letscher-Zomorodian 2002; Basu-Parida 2017).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from math import inf
 from typing import Mapping, Sequence
 
-from .errors import ConvergenceMismatch, NotACover
-from .gf2 import kernel_vectors, span_dim
+from .errors import ConvergenceMismatch, NotACover, TooManyPieces
+from .polynomial import IntPolynomial
 from .simplicial import BettiVector, SimplicialComplex, Subcomplex
+from .stratified import inclusion_exclusion
 
 __all__ = [
     "Arrangement",
+    "MAX_PIECES",
     "SpectralPage",
     "FiltrationProfile",
     "StabilizationCertificate",
@@ -40,6 +48,10 @@ __all__ = [
     "mv_filtration",
     "row_alternating_sums",
 ]
+
+# The MV build and inclusion-exclusion both enumerate all 2^m - 1 subsets
+# of the m pieces.
+MAX_PIECES = 16
 
 
 @dataclass(frozen=True)
@@ -52,6 +64,12 @@ class Arrangement:
     def __post_init__(self):
         if not self.pieces:
             raise NotACover("an arrangement needs at least one piece")
+        if len(self.pieces) > MAX_PIECES:
+            raise TooManyPieces(
+                f"an arrangement has at most {MAX_PIECES} pieces",
+                pieces=len(self.pieces),
+                limit=MAX_PIECES,
+            )
         union = frozenset()
         for name, piece in self.pieces:
             if piece.parent is not self.total:
@@ -68,6 +86,22 @@ class Arrangement:
     @property
     def names(self) -> list[str]:
         return [name for name, _ in self.pieces]
+
+    def virtual_betti(self) -> IntPolynomial:
+        """Inclusion-exclusion over the Poincare polynomials of the pieces
+        and of all their intersections.
+
+        Meaningful when the pieces and all their intersections are compact
+        nonsingular models (a normal-crossing style cover).
+        """
+        subs = [sub for _, sub in self.pieces]
+        polys = {}
+        for size in range(2, len(subs) + 1):
+            for subset in combinations(range(len(subs)), size):
+                meet = reduce(Subcomplex.intersection, (subs[i] for i in subset))
+                polys[frozenset(subset)] = meet.as_complex().poincare_polynomial()
+        pieces = [(name, sub.as_complex().poincare_polynomial()) for name, sub in self.pieces]
+        return inclusion_exclusion(pieces, polys)
 
 
 @dataclass(frozen=True)
@@ -135,8 +169,8 @@ class MVSpectralSequence:
         self.arrangement = arrangement
         self._m = len(arrangement.pieces)
         self._build_double_complex()
-        self._z_cache: dict[tuple[int, int, int], list[int]] = {}
         self._page_cache: dict[int, SpectralPage] = {}
+        self._pair()
 
     # -- double complex ----------------------------------------------------
 
@@ -172,17 +206,6 @@ class MVSpectralSequence:
             self._basis[n] = entries
             self._position[n] = {e: i for i, e in enumerate(entries)}
 
-        # prefix sizes: number of entries with filtration >= p
-        self._prefix: dict[int, list[int]] = {}
-        for n, entries in self._basis.items():
-            counts = [0] * (m + 1)
-            for p, _, _ in entries:
-                counts[p] += 1
-            sizes = [0] * (m + 2)
-            for p in range(m, -1, -1):
-                sizes[p] = sizes[p + 1] + counts[p]
-            self._prefix[n] = sizes
-
         # columns of the horizontal, vertical and total differentials
         self._cols_h: dict[int, list[int]] = {}
         self._cols_v: dict[int, list[int]] = {}
@@ -190,7 +213,6 @@ class MVSpectralSequence:
         for n, entries in self._basis.items():
             pos_next = self._position.get(n + 1, {})
             cols_h = []
-            cols_v = []
             for p, subset, s in entries:
                 h = 0
                 members = set(subset)
@@ -200,12 +222,14 @@ class MVSpectralSequence:
                     bigger = tuple(sorted(subset + (j,)))
                     if s in inters[bigger]:
                         h |= 1 << pos_next[(p + 1, bigger, s)]
-                v = 0
-                for t in inters[subset]:
-                    if len(t) == len(s) + 1 and set(s) < set(t):
-                        v |= 1 << pos_next[(p, subset, t)]
                 cols_h.append(h)
-                cols_v.append(v)
+            # the vertical differential sends each simplex to its cofaces:
+            # set the bit of t in the column of every facet of t
+            cols_v = [0] * len(entries)
+            for i, (p, subset, t) in enumerate(self._basis.get(n + 1, [])):
+                if len(t) > 1:
+                    for facet in combinations(t, len(t) - 1):
+                        cols_v[self._position[n][(p, subset, facet)]] |= 1 << i
             self._cols_h[n] = cols_h
             self._cols_v[n] = cols_v
             self._cols[n] = [h ^ v for h, v in zip(cols_h, cols_v)]
@@ -236,15 +260,6 @@ class MVSpectralSequence:
                     return False
         return True
 
-    # -- filtration machinery ----------------------------------------------
-
-    def _prefix_size(self, n: int, p: int) -> int:
-        sizes = self._prefix.get(n)
-        if sizes is None:
-            return 0
-        p = max(0, min(p, self._m + 1))
-        return sizes[p]
-
     @staticmethod
     def _apply(cols: Sequence[int], x: int) -> int:
         out = 0
@@ -254,75 +269,50 @@ class MVSpectralSequence:
             x &= x - 1
         return out
 
-    def _z_space(self, r: int, p: int, n: int) -> list[int]:
-        """Basis of Z_r(p, n) = {x in F_p T^n : D x in F_{p+r} T^{n+1}}."""
-        key = (r, p, n)
-        cached = self._z_cache.get(key)
-        if cached is not None:
-            return cached
-        size = self._prefix_size(n, p)
-        if size == 0:
-            self._z_cache[key] = []
-            return []
-        keep_from = self._prefix_size(n + 1, p + r)
-        rows = []
-        mask = (1 << size) - 1
-        next_basis_len = self.dim_total(n + 1)
-        if next_basis_len:
-            transposed = self._rows(n)
-            rows = [transposed[i] & mask for i in range(keep_from, next_basis_len)]
-        vectors = kernel_vectors(rows, size)
-        self._z_cache[key] = vectors
-        return vectors
-
-    def _rows(self, n: int) -> list[int]:
-        cache = getattr(self, "_rows_cache", None)
-        if cache is None:
-            cache = {}
-            self._rows_cache = cache
-        if n not in cache:
-            cols = self._cols.get(n, [])
-            out = [0] * self.dim_total(n + 1)
-            for j, c in enumerate(cols):
-                while c:
-                    i = (c & -c).bit_length() - 1
-                    out[i] |= 1 << j
-                    c &= c - 1
-            cache[n] = out
-        return cache[n]
-
-    def _d_of_z(self, r: int, p: int, n: int) -> list[int]:
-        """D-images (degree n+1) of a basis of Z_r(p, n)."""
-        size = self._prefix_size(n, p)
-        if size == 0:
-            return []
-        cols = self._cols.get(n, [])
-        if r <= 0:
-            return [cols[j] for j in range(size)]
-        return [self._apply(cols, z) for z in self._z_space(r, p, n)]
-
     # -- pages ---------------------------------------------------------------
 
+    def _pair(self):
+        """Reduce the total differential once and record its persistence pairs.
+
+        Columns are reduced left to right (descending filtration) against a
+        {low: reduced column} dict, where low is the highest set bit: the
+        entry of least filtration.  A nonzero reduced column pairs its basis
+        vector x with low; the gap p(low) - p(x) is the r of the d_r the pair
+        is one rank of.  Unpaired vectors get gap inf.
+        """
+        lifetimes: dict[tuple[int, int], Counter] = {}
+        self._pair_counts: Counter = Counter()
+        gaps = {n: [inf] * len(entries) for n, entries in self._basis.items()}
+        for n, cols in self._cols.items():
+            entries, upper = self._basis[n], self._basis.get(n + 1, [])
+            reduced: dict[int, int] = {}
+            for j, col in enumerate(cols):
+                while col:
+                    low = col.bit_length() - 1
+                    if low not in reduced:
+                        reduced[low] = col
+                        p = entries[j][0]
+                        gap = upper[low][0] - p
+                        gaps[n][j] = gaps[n + 1][low] = gap
+                        self._pair_counts[(p, n - p, gap)] += 1
+                        break
+                    col ^= reduced[low]
+        for n, entries in self._basis.items():
+            for (p, _, _), gap in zip(entries, gaps[n]):
+                lifetimes.setdefault((p, n - p), Counter())[gap] += 1
+        self._lifetimes = lifetimes
+
     def entry_dim(self, r: int, p: int, q: int) -> int:
+        """Vectors at (p, q) that are unpaired or whose pair has gap >= r."""
         if r < 1 or p < 0 or q < 0:
             raise ValueError("page index must be >= 1 and (p, q) nonnegative")
-        n = p + q
-        k = self._prefix_size(n, p + 1)
-        strip = ~((1 << k) - 1)
-        numerator = [z & strip for z in self._z_space(r, p, n)]
-        denominator = [v & strip for v in self._d_of_z(r - 1, p - r + 1, n - 1)]
-        return span_dim(numerator) - span_dim(denominator)
+        lives = self._lifetimes.get((p, q), {})
+        return sum(count for gap, count in lives.items() if gap >= r)
 
     def d_rank(self, r: int, p: int, q: int) -> int:
-        """Rank of the induced differential E_r^{p,q} -> E_r^{p+r, q-r+1}."""
-        n = p + q
-        target_p = p + r
-        k = self._prefix_size(n + 1, target_p + 1)
-        strip = ~((1 << k) - 1)
-        images = [self._apply(self._cols.get(n, []), z) & strip
-                  for z in self._z_space(r, p, n)]
-        boundary = [v & strip for v in self._d_of_z(r - 1, p + 1, n)]
-        return span_dim(images + boundary) - span_dim(boundary)
+        """Rank of the induced differential E_r^{p,q} -> E_r^{p+r, q-r+1}:
+        the pairs that start at (p, q) with gap exactly r."""
+        return self._pair_counts[(p, q, r)]
 
     def page(self, r: int) -> SpectralPage:
         if r in self._page_cache:

@@ -1,0 +1,121 @@
+"""Reference Mayer-Vietoris pages for the tests: the subspace formulas.
+
+    Z_r(p, n)   = { x in F_p T^n : D x in F_{p+r} T^(n+1) }
+    dim E_r^{p,q} = dim((Z_r + F_{p+1}) / F_{p+1})
+                  - dim((D Z_{r-1}(p-r+1) + F_{p+1}) / F_{p+1})
+
+This is how ``virtbetti.spectral`` computed every page entry before it read
+the pages off persistence pairs.  Each function takes an
+``MVSpectralSequence`` and uses only its ``_basis`` and ``_cols`` (and, for
+the vertical differential, its intersections), so the pages it gives are
+independent of the pairing.  Basis vectors of degree n are ordered by
+descending filtration, so every F_p is a coordinate prefix and quotienting
+by it is a bit mask.
+"""
+
+from __future__ import annotations
+
+from virtbetti.gf2 import kernel_vectors, span_dim
+
+
+def _prefix_size(ss, n: int, p: int) -> int:
+    """Number of degree-n basis vectors with filtration >= p."""
+    return sum(1 for pp, _, _ in ss._basis.get(n, []) if pp >= p)
+
+
+def _rows(ss, n: int) -> list[int]:
+    """Rows of the degree-n total differential (the transpose of its columns)."""
+    out = [0] * len(ss._basis.get(n + 1, []))
+    for j, c in enumerate(ss._cols.get(n, [])):
+        while c:
+            i = (c & -c).bit_length() - 1
+            out[i] |= 1 << j
+            c &= c - 1
+    return out
+
+
+def _z_space(ss, r: int, p: int, n: int) -> list[int]:
+    """Basis of Z_r(p, n) = {x in F_p T^n : D x in F_{p+r} T^{n+1}}."""
+    size = _prefix_size(ss, n, p)
+    if size == 0:
+        return []
+    keep_from = _prefix_size(ss, n + 1, p + r)
+    mask = (1 << size) - 1
+    rows = [row & mask for row in _rows(ss, n)[keep_from:]]
+    return kernel_vectors(rows, size)
+
+
+def _d_of_z(ss, r: int, p: int, n: int) -> list[int]:
+    """D-images (degree n+1) of a basis of Z_r(p, n)."""
+    size = _prefix_size(ss, n, p)
+    if size == 0:
+        return []
+    cols = ss._cols.get(n, [])
+    if r <= 0:
+        return cols[:size]
+    return [ss._apply(cols, z) for z in _z_space(ss, r, p, n)]
+
+
+def entry_dim(ss, r: int, p: int, q: int) -> int:
+    n = p + q
+    strip = ~((1 << _prefix_size(ss, n, p + 1)) - 1)
+    numerator = [z & strip for z in _z_space(ss, r, p, n)]
+    denominator = [v & strip for v in _d_of_z(ss, r - 1, p - r + 1, n - 1)]
+    return span_dim(numerator) - span_dim(denominator)
+
+
+def d_rank(ss, r: int, p: int, q: int) -> int:
+    """Rank of the induced differential E_r^{p,q} -> E_r^{p+r, q-r+1}."""
+    n = p + q
+    strip = ~((1 << _prefix_size(ss, n + 1, p + r + 1)) - 1)
+    cols = ss._cols.get(n, [])
+    images = [ss._apply(cols, z) & strip for z in _z_space(ss, r, p, n)]
+    boundary = [v & strip for v in _d_of_z(ss, r - 1, p + 1, n)]
+    return span_dim(images + boundary) - span_dim(boundary)
+
+
+def page_dims(ss, r: int) -> dict[tuple[int, int], int]:
+    """Nonzero entries of E_r."""
+    dims = {}
+    for p in range(ss._m):
+        for q in range(ss.arrangement.total.dim + 1):
+            d = entry_dim(ss, r, p, q)
+            if d:
+                dims[(p, q)] = d
+    return dims
+
+
+def stable_from(ss) -> tuple[int, tuple[int, ...]]:
+    """First page from which every differential vanishes and the pages agree,
+    and the page indices whose ranks were checked zero."""
+    m = ss._m
+    r_inf = max(1, m)
+    zero_from = r_inf
+    for r in range(r_inf - 1, 0, -1):
+        all_zero = all(
+            d_rank(ss, r, p, q) == 0
+            for p in range(m)
+            for q in range(ss.arrangement.total.dim + 1)
+        )
+        if all_zero and page_dims(ss, r) == page_dims(ss, r + 1):
+            zero_from = r
+        else:
+            break
+    return zero_from, tuple(range(zero_from, r_inf))
+
+
+def vertical_columns(ss) -> dict[int, list[int]]:
+    """Columns of the vertical differential, found by scanning each
+    intersection for the cofaces of every simplex."""
+    out = {}
+    for n, entries in ss._basis.items():
+        pos_next = ss._position.get(n + 1, {})
+        cols = []
+        for p, subset, s in entries:
+            v = 0
+            for t in ss.intersection_complex(subset):
+                if len(t) == len(s) + 1 and set(s) < set(t):
+                    v |= 1 << pos_next[(p, subset, t)]
+            cols.append(v)
+        out[n] = cols
+    return out

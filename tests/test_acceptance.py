@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 
-from virtbetti.cli import _arrangement_virtual_betti
 from virtbetti.gf2 import GF2Matrix, kernel_basis, rank
 from virtbetti.polynomial import IntPolynomial, parse_polynomial
 from virtbetti.scissor import (
@@ -100,7 +99,7 @@ def test_criterion_5_chi_c_equals_beta_at_minus_one(scene):
 def test_criterion_6_surface_three_routes(scene):
     b = scene.complex("surface-443").betti_mod2()
     assert tuple(b) == (1, 1, 8)
-    incl = _arrangement_virtual_betti(scene.arrangement("surface-443"))
+    incl = scene.arrangement("surface-443").virtual_betti()
     assert incl == P("4 - t + 3*t^2")
     strat = beta_of_stratified(scene.stratification("surface-443"), strict=True)
     assert strat == P("4 - t + 3*t^2")

@@ -292,3 +292,25 @@ def test_quiet_suppresses_warnings(capsys, tmp_path):
     path.write_text(json.dumps(data))
     _, _, err = run(capsys, "vbetti", "mislabelled", "--scene", str(path), "--quiet")
     assert err == ""
+
+
+def test_too_many_pieces_in_a_scene_file_is_a_structured_error(capsys, tmp_path):
+    # a 17-gon covered by its 17 edges: one piece over the bound
+    n = 17
+    verts = [f"v{i}" for i in range(n)]
+    edges = [[verts[i], verts[(i + 1) % n]] for i in range(n)]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "complexes": {"polygon": {"vertices": verts, "maximal_simplices": edges}},
+        "arrangements": {"edges": {
+            "total": "polygon",
+            "pieces": [{"name": f"e{i}", "maximal_simplices": [e]} for i, e in enumerate(edges)],
+        }},
+    }))
+    code, out, err = run(capsys, "mvss", "edges", "--scene", str(path))
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)
+    assert error["code"] == "too-many-pieces"
+    assert error["context"] == {"pieces": 17, "limit": 16}

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import time
+
+import mv_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virtbetti import models
-from virtbetti.errors import NotACover
+from virtbetti.errors import NotACover, TooManyPieces
 from virtbetti.simplicial import SimplicialComplex
 from virtbetti.spectral import (
+    MAX_PIECES,
     Arrangement,
     MVSpectralSequence,
     compute_pages,
@@ -160,12 +166,10 @@ def test_compute_pages_function(scene):
 
 def test_beta_diagnostic_on_normal_crossing_covers(scene, surface_ss):
     # rows of E_1 and E_2 alternate-sum to the inclusion-exclusion values
-    from virtbetti.cli import _arrangement_virtual_betti
-
     for name, ss in (("surface-443", surface_ss),
                      ("tangent-circles", MVSpectralSequence(scene.arrangement("tangent-circles"))),
                      ("two-circles", MVSpectralSequence(scene.arrangement("two-circles")))):
-        beta = _arrangement_virtual_betti(scene.arrangement(name))
+        beta = scene.arrangement(name).virtual_betti()
         want = [beta.coefficient(q) for q in range(ss.page(1).max_q() + 1)]
         assert row_alternating_sums(ss.page(1)) == want
         assert row_alternating_sums(ss.page(2)) == want
@@ -211,3 +215,68 @@ def test_euler_invariance_across_fixture_covers(scene):
         eulers = {p.euler() for p in pages}
         assert len(eulers) == 1
         assert eulers.pop() == ss.arrangement.total.euler_characteristic()
+
+
+def test_too_many_pieces_is_rejected_before_any_work():
+    # the bound is checked first, before the union check and long before
+    # any of the 2^17 - 1 subsets is enumerated
+    circle = models.circle(MAX_PIECES + 1)
+    pieces = tuple(
+        (f"e{i}", circle.subcomplex(maximal=[(f"v{i}", f"v{(i + 1) % (MAX_PIECES + 1)}")]))
+        for i in range(MAX_PIECES + 1)
+    )
+    start = time.perf_counter()
+    with pytest.raises(TooManyPieces) as info:
+        Arrangement(circle, pieces)
+    assert time.perf_counter() - start < 0.1
+    assert info.value.code == "too-many-pieces"
+    assert info.value.context == {"pieces": MAX_PIECES + 1, "limit": MAX_PIECES}
+
+
+@st.composite
+def covered_complexes(draw):
+    """A complex on at most 8 vertices with simplices of at most 4 vertices,
+    closed-covered by 1-5 pieces.  Each piece is generated by its own
+    simplices and the complex is their union, so pieces meet in shared
+    faces; about one cover in fifteen has a nonzero d_2."""
+    verts = [f"v{i}" for i in range(8)]
+
+    def simplex():
+        k = draw(st.sampled_from((2, 3, 3, 4)))
+        return draw(st.lists(st.sampled_from(verts), min_size=k, max_size=k, unique=True))
+
+    generators = [
+        [simplex() for _ in range(draw(st.sampled_from(range(2, 7))))]
+        for _ in range(draw(st.sampled_from(range(1, 6))))
+    ]
+    maximal = [s for gens in generators for s in gens]
+    used = [v for v in verts if any(v in s for s in maximal)]
+    total = SimplicialComplex.from_maximal(used, maximal)
+    return Arrangement(total, tuple(
+        (f"X{k}", total.subcomplex(maximal=gens)) for k, gens in enumerate(generators)
+    ))
+
+
+def assert_matches_oracle(ss):
+    m = len(ss.arrangement.pieces)
+    for r in range(1, m + 3):
+        assert ss.page(r).dims == mv_oracle.page_dims(ss, r)
+        for p in range(m):
+            for q in range(ss.arrangement.total.dim + 1):
+                assert ss.d_rank(r, p, q) == mv_oracle.d_rank(ss, r, p, q)
+    cert = ss.stabilization_certificate()
+    stable_from, checked = mv_oracle.stable_from(ss)
+    assert (cert.stable_from, cert.column_bound, cert.checked_zero_ranks) == (
+        stable_from, m, checked)
+    assert ss._cols_v == mv_oracle.vertical_columns(ss)
+
+
+@given(covered_complexes())
+@settings(max_examples=200, deadline=None)
+def test_pairing_matches_subspace_formulas(arr):
+    assert_matches_oracle(MVSpectralSequence(arr))
+
+
+@pytest.mark.parametrize("name", ["surface-443", "tangent-circles", "two-circles", "circle-alone"])
+def test_pairing_matches_subspace_formulas_on_fixtures(scene, name):
+    assert_matches_oracle(MVSpectralSequence(scene.arrangement(name)))
