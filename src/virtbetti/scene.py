@@ -163,6 +163,16 @@ def _expr_to_dict(expr: ScissorExpr) -> dict:
     raise TypeError(f"not a scissor expression: {expr!r}")
 
 
+def _object(value: Any, path: str) -> Mapping:
+    """The value itself if it is a JSON object; a SceneError otherwise."""
+    if not isinstance(value, Mapping):
+        raise SceneError(
+            f"{path} must be a JSON object, not {type(value).__name__}",
+            found=type(value).__name__,
+        )
+    return value
+
+
 def _subcomplex_from(parent: SimplicialComplex, maximal: list, path: str) -> Subcomplex:
     try:
         return parent.subcomplex(maximal=[tuple(s) for s in maximal])
@@ -172,7 +182,7 @@ def _subcomplex_from(parent: SimplicialComplex, maximal: list, path: str) -> Sub
 
 def _strat_model_from_dict(data: Mapping, scene: Scene, raw_strats: Mapping,
                            resolving: set[str], path: str):
-    kind = data.get("kind")
+    kind = _object(data, path + ", model").get("kind")
     if kind == "compact":
         return CompactModel(scene.complex(data["complex"]))
     if kind == "declared":
@@ -201,17 +211,19 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
     if name in resolving:
         raise SceneError(f"stratifications reference each other in a cycle at {name!r}")
     resolving.add(name)
-    raw = raw_strats[name]
+    path = f"stratification {name!r}"
+    raw = _object(raw_strats[name], path)
     strata = []
     for s in raw.get("strata", []):
+        s = _object(s, path + ", stratum")
         model = _strat_model_from_dict(
             s.get("model", {}), scene, raw_strats, resolving,
-            f"stratification {name!r}, stratum {s.get('name')!r}",
+            f"{path}, stratum {s.get('name')!r}",
         )
         strata.append(StratumRecord(s["name"], int(s["dim"]), model))
     frontier = {
         src: frozenset(targets)
-        for src, targets in raw.get("frontier", {}).items()
+        for src, targets in _object(raw.get("frontier", {}), path + ", frontier").items()
     }
     spec = StratifiedSpec(name, tuple(strata), frontier)
     scene.stratifications[name] = spec
@@ -221,11 +233,7 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
 
 def scene_from_dict(data: Mapping) -> Scene:
     """Build and validate a Scene from its JSON dictionary."""
-    if not isinstance(data, Mapping):
-        raise SceneError(
-            f"scene must be a JSON object, not {type(data).__name__}",
-            found=type(data).__name__,
-        )
+    _object(data, "scene")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SceneError(
             f"unsupported schema_version {data.get('schema_version')!r}",

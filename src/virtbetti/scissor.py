@@ -190,46 +190,35 @@ def atoms_used(expr: ScissorExpr) -> set[str]:
     return out
 
 
+def _evaluate(expr: ScissorExpr, registry: AtomRegistry, value, zero):
+    """Fold the tree into a ring: atoms map through ``value``, Empty to ``zero``."""
+    def walk(node):
+        if isinstance(node, Atom):
+            return value(registry.lookup(node.name))
+        if isinstance(node, DisjointUnion):
+            return walk(node.left) + walk(node.right)
+        if isinstance(node, Product):
+            return walk(node.left) * walk(node.right)
+        if isinstance(node, ClosedDifference):
+            return walk(node.total) - walk(node.closed_part)
+        if isinstance(node, Blowup):
+            return walk(node.base) - walk(node.center) + walk(node.exceptional)
+        if isinstance(node, Empty):
+            return zero
+        raise TypeError(f"not a scissor expression: {node!r}")
+
+    return walk(expr)
+
+
 def evaluate_beta(expr: ScissorExpr, registry: AtomRegistry) -> IntPolynomial:
     """Virtual Poincare polynomial of the expression."""
-    if isinstance(expr, Atom):
-        return registry.lookup(expr.name).beta
-    if isinstance(expr, DisjointUnion):
-        return evaluate_beta(expr.left, registry) + evaluate_beta(expr.right, registry)
-    if isinstance(expr, Product):
-        return evaluate_beta(expr.left, registry) * evaluate_beta(expr.right, registry)
-    if isinstance(expr, ClosedDifference):
-        return evaluate_beta(expr.total, registry) - evaluate_beta(expr.closed_part, registry)
-    if isinstance(expr, Blowup):
-        return (
-            evaluate_beta(expr.base, registry)
-            - evaluate_beta(expr.center, registry)
-            + evaluate_beta(expr.exceptional, registry)
-        )
-    if isinstance(expr, Empty):
-        return IntPolynomial.zero()
-    raise TypeError(f"not a scissor expression: {expr!r}")
+    return _evaluate(expr, registry, lambda atom: atom.beta, IntPolynomial.zero())
 
 
 def evaluate_chi_c(expr: ScissorExpr, registry: AtomRegistry) -> int:
-    """Compactly-supported Euler characteristic, recursed independently over Z."""
-    if isinstance(expr, Atom):
-        return registry.lookup(expr.name).chi_c
-    if isinstance(expr, DisjointUnion):
-        return evaluate_chi_c(expr.left, registry) + evaluate_chi_c(expr.right, registry)
-    if isinstance(expr, Product):
-        return evaluate_chi_c(expr.left, registry) * evaluate_chi_c(expr.right, registry)
-    if isinstance(expr, ClosedDifference):
-        return evaluate_chi_c(expr.total, registry) - evaluate_chi_c(expr.closed_part, registry)
-    if isinstance(expr, Blowup):
-        return (
-            evaluate_chi_c(expr.base, registry)
-            - evaluate_chi_c(expr.center, registry)
-            + evaluate_chi_c(expr.exceptional, registry)
-        )
-    if isinstance(expr, Empty):
-        return 0
-    raise TypeError(f"not a scissor expression: {expr!r}")
+    """Compactly-supported Euler characteristic, computed over Z from each
+    atom's own chi_c, independently of the polynomials."""
+    return _evaluate(expr, registry, lambda atom: atom.chi_c, 0)
 
 
 def check_blowup_relation(

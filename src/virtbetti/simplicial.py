@@ -4,8 +4,10 @@ Geometry is never represented: a complex is a face-closed family of vertex
 subsets, and the correspondence between a variety and its combinatorial
 model is the caller's responsibility.  Simplices are stored as tuples
 sorted by the position of each vertex in the complex's vertex order, and
-boundary matrices are built in lexicographic simplex order, so every
-matrix and every Betti computation is reproducible.
+coboundary matrices are built in lexicographic simplex order, so every
+matrix and every Betti computation is reproducible.  One routine computes
+Betti numbers: the relative cohomology of a pair (K, L); ordinary homology
+is the pair (K, empty), since over a field dim H^q(K) = dim H_q(K).
 """
 
 from __future__ import annotations
@@ -188,28 +190,14 @@ class SimplicialComplex:
         return t in self._simplices
 
     def boundary_matrix(self, d: int) -> GF2Matrix:
-        """Mod-2 boundary from d-chains to (d-1)-chains, lexicographic bases."""
-        cols = self.simplices_of_dim(d)
-        rows = self.simplices_of_dim(d - 1)
-        row_pos = {s: i for i, s in enumerate(rows)}
-        bits = [0] * len(rows)
-        for j, s in enumerate(cols):
-            if len(s) == 1:
-                continue
-            for face in combinations(s, len(s) - 1):
-                bits[row_pos[face]] ^= 1 << j
-        return GF2Matrix(len(rows), len(cols), tuple(bits))
+        """Mod-2 boundary from d-chains to (d-1)-chains, lexicographic bases:
+        the transpose of the coboundary of the pair (self, empty)."""
+        return PairSpace(self, self.subcomplex()).relative_coboundary_matrix(d - 1).transpose()
 
     def betti_mod2(self) -> BettiVector:
-        """dim_GF(2) of each homology group (= cohomology over a field)."""
-        if not self._simplices:
-            return BettiVector(())
-        dims = []
-        ranks = [rank(self.boundary_matrix(d)) for d in range(self.dim + 2)]
-        counts = self.simplex_counts()
-        for d in range(self.dim + 1):
-            dims.append(counts[d] - ranks[d] - ranks[d + 1])
-        return BettiVector(dims)
+        """dim_GF(2) of each homology group: over a field it equals the
+        cohomology of the pair (self, empty)."""
+        return PairSpace(self, self.subcomplex()).betti_compact_supports()
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * n for d, n in enumerate(self.simplex_counts()))
@@ -334,17 +322,14 @@ class PairSpace:
         return GF2Matrix(len(rows), len(cols), tuple(bits))
 
     def betti_compact_supports(self) -> BettiVector:
-        """dim H^i(total, boundary; GF(2)) for each i."""
+        """dim H^q(total, boundary; GF(2)) for each q."""
         top = self.total.dim
-        if top < 0:
-            return BettiVector(())
-        counts = [len(self.relative_simplices_of_dim(d)) for d in range(top + 1)]
+        # rank delta^{q-1} at index q, rank delta^q at index q+1
         ranks = [rank(self.relative_coboundary_matrix(q)) for q in range(-1, top + 1)]
-        dims = []
-        for q in range(top + 1):
-            # rank delta^{q-1} at index q, rank delta^q at index q+1
-            dims.append(counts[q] - ranks[q + 1] - ranks[q])
-        return BettiVector(dims)
+        return BettiVector(
+            len(self.relative_simplices_of_dim(q)) - ranks[q] - ranks[q + 1]
+            for q in range(top + 1)
+        )
 
     def euler_compact_supports(self) -> int:
         """Alternating sum of relative simplex counts; equals the alternating

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 from itertools import combinations
 from math import inf
 from typing import Mapping, Sequence
@@ -49,8 +49,8 @@ __all__ = [
     "row_alternating_sums",
 ]
 
-# The MV build and inclusion-exclusion both enumerate all 2^m - 1 subsets
-# of the m pieces.
+# The MV build reads only the nerve, but inclusion-exclusion still sums over
+# all 2^m - 1 subsets of the m pieces (those outside the nerve add zero).
 MAX_PIECES = 16
 
 
@@ -87,21 +87,45 @@ class Arrangement:
     def names(self) -> list[str]:
         return [name for name, _ in self.pieces]
 
+    @cached_property
+    def nerve(self) -> dict[tuple[int, ...], frozenset]:
+        """{ascending piece indices: simplices of their intersection} for
+        every nonempty intersection, ordered by size, then lexicographically.
+
+        A subset is extended by a larger index only while its intersection
+        is nonempty, so no superset of an empty intersection is ever formed.
+        """
+        nerve: dict[tuple[int, ...], frozenset] = {}
+        level = {(i,): piece.simplices for i, (_, piece) in enumerate(self.pieces)}
+        while level:
+            level = {subset: meet for subset, meet in level.items() if meet}
+            nerve.update(level)
+            level = {
+                subset + (j,): meet & self.pieces[j][1].simplices
+                for subset, meet in level.items()
+                for j in range(subset[-1] + 1, len(self.pieces))
+            }
+        return nerve
+
     def virtual_betti(self) -> IntPolynomial:
         """Inclusion-exclusion over the Poincare polynomials of the pieces
-        and of all their intersections.
+        and of all their intersections; an empty intersection adds zero.
 
         Meaningful when the pieces and all their intersections are compact
         nonsingular models (a normal-crossing style cover).
         """
-        subs = [sub for _, sub in self.pieces]
-        polys = {}
-        for size in range(2, len(subs) + 1):
-            for subset in combinations(range(len(subs)), size):
-                meet = reduce(Subcomplex.intersection, (subs[i] for i in subset))
-                polys[frozenset(subset)] = meet.as_complex().poincare_polynomial()
-        pieces = [(name, sub.as_complex().poincare_polynomial()) for name, sub in self.pieces]
-        return inclusion_exclusion(pieces, polys)
+        m, zero = len(self.pieces), IntPolynomial.zero()
+        polys = {
+            subset: Subcomplex(self.total, meet).as_complex().poincare_polynomial()
+            for subset, meet in self.nerve.items()
+        }
+        pieces = [(name, polys.get((i,), zero)) for i, (name, _) in enumerate(self.pieces)]
+        intersections = {
+            frozenset(subset): polys.get(subset, zero)
+            for size in range(2, m + 1)
+            for subset in combinations(range(m), size)
+        }
+        return inclusion_exclusion(pieces, intersections)
 
 
 @dataclass(frozen=True)
@@ -176,18 +200,8 @@ class MVSpectralSequence:
 
     def _build_double_complex(self):
         total = self.arrangement.total
-        pieces = [sc for _, sc in self.arrangement.pieces]
         m = self._m
-
-        inters: dict[tuple[int, ...], frozenset] = {}
-        for size in range(1, m + 1):
-            for subset in combinations(range(m), size):
-                if size == 1:
-                    inters[subset] = pieces[subset[0]].simplices
-                else:
-                    inters[subset] = inters[subset[:-1]] & pieces[subset[-1]].simplices
-
-        self._intersections = inters
+        inters = self.arrangement.nerve
         max_dim = total.dim
         # basis entries per total degree n, ordered by descending filtration p
         self._basis: dict[int, list[tuple[int, tuple[int, ...], tuple]]] = {}
@@ -199,10 +213,10 @@ class MVSpectralSequence:
                 q = n - p
                 if q > max_dim:
                     continue
-                for subset in combinations(range(m), p + 1):
-                    simp = [s for s in inters[subset] if len(s) == q + 1]
-                    simp.sort(key=total.sort_key)
-                    entries.extend((p, subset, s) for s in simp)
+                for subset, meet in inters.items():
+                    if len(subset) == p + 1:
+                        simp = sorted((s for s in meet if len(s) == q + 1), key=total.sort_key)
+                        entries.extend((p, subset, s) for s in simp)
             self._basis[n] = entries
             self._position[n] = {e: i for i, e in enumerate(entries)}
 
@@ -220,7 +234,7 @@ class MVSpectralSequence:
                     if j in members:
                         continue
                     bigger = tuple(sorted(subset + (j,)))
-                    if s in inters[bigger]:
+                    if s in inters.get(bigger, ()):
                         h |= 1 << pos_next[(p + 1, bigger, s)]
                 cols_h.append(h)
             # the vertical differential sends each simplex to its cofaces:
@@ -243,7 +257,8 @@ class MVSpectralSequence:
         return sum(1 for pp, _, _ in entries if pp == p)
 
     def intersection_complex(self, subset: tuple[int, ...]) -> frozenset:
-        return self._intersections[tuple(sorted(subset))]
+        """Simplices of the pieces' intersection; empty outside the nerve."""
+        return self.arrangement.nerve.get(tuple(sorted(subset)), frozenset())
 
     def differentials_square_to_zero(self) -> bool:
         """d_h^2 = 0, d_v^2 = 0 and d_h d_v = d_v d_h on every basis vector."""

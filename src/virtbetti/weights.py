@@ -210,13 +210,15 @@ class LinearConstraint:
     @classmethod
     def from_dict(cls, data: Mapping) -> LinearConstraint:
         try:
-            raw = data["lhs"]
-            op = data["op"]
-            rhs = data["rhs"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedConstraint(f"constraint needs lhs/op/rhs: {exc}") from None
+            lhs = {key: int(coeff) for key, coeff in data["lhs"].items()}
+            op, rhs = data["op"], int(data["rhs"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise MalformedConstraint(
+                f"constraint needs an lhs object of integer coefficients, an op "
+                f"and an integer rhs: {exc}"
+            ) from None
         coeffs = []
-        for key, coeff in sorted(raw.items()):
+        for key, coeff in sorted(lhs.items()):
             match = _KEY_RE.match(key)
             if not match:
                 raise MalformedConstraint(
@@ -224,8 +226,8 @@ class LinearConstraint:
                     key=key,
                 )
             i, j = (int(g) for g in match.groups() if g is not None)
-            coeffs.append(((i, j), int(coeff)))
-        return cls(tuple(coeffs), op, int(rhs), str(data.get("note", "")))
+            coeffs.append(((i, j), coeff))
+        return cls(tuple(coeffs), op, rhs, str(data.get("note", "")))
 
     def to_dict(self) -> dict:
         return {

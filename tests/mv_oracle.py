@@ -11,11 +11,20 @@ the vertical differential, its intersections), so the pages it gives are
 independent of the pairing.  Basis vectors of degree n are ordered by
 descending filtration, so every F_p is a coordinate prefix and quotienting
 by it is a bit mask.
+
+It also keeps the arrangement's old all-subsets routes: the table of every
+subset's intersection, empty or not, and the virtual polynomial that
+intersects the pieces of each subset afresh.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import combinations
+
 from virtbetti.gf2 import kernel_vectors, span_dim
+from virtbetti.simplicial import Subcomplex
+from virtbetti.stratified import inclusion_exclusion
 
 
 def _prefix_size(ss, n: int, p: int) -> int:
@@ -119,3 +128,30 @@ def vertical_columns(ss) -> dict[int, list[int]]:
             cols.append(v)
         out[n] = cols
     return out
+
+
+def intersections(arrangement) -> dict[tuple[int, ...], frozenset]:
+    """Every nonempty index subset's intersection, empty ones included,
+    ordered by size, then lexicographically."""
+    pieces = [sc for _, sc in arrangement.pieces]
+    inters: dict[tuple[int, ...], frozenset] = {}
+    for size in range(1, len(pieces) + 1):
+        for subset in combinations(range(len(pieces)), size):
+            if size == 1:
+                inters[subset] = pieces[subset[0]].simplices
+            else:
+                inters[subset] = inters[subset[:-1]] & pieces[subset[-1]].simplices
+    return inters
+
+
+def virtual_betti(arrangement):
+    """Inclusion-exclusion over the Poincare polynomials of the pieces and
+    of all their intersections, each intersection built from the pieces."""
+    subs = [sub for _, sub in arrangement.pieces]
+    polys = {}
+    for size in range(2, len(subs) + 1):
+        for subset in combinations(range(len(subs)), size):
+            meet = reduce(Subcomplex.intersection, (subs[i] for i in subset))
+            polys[frozenset(subset)] = meet.as_complex().poincare_polynomial()
+    pieces = [(name, sub.as_complex().poincare_polynomial()) for name, sub in arrangement.pieces]
+    return inclusion_exclusion(pieces, polys)

@@ -128,6 +128,28 @@ def test_scene_file_that_is_a_list_is_a_scene_error(capsys, tmp_path):
     assert set(error) == {"code", "message", "context"}
 
 
+def test_stratum_that_is_not_an_object_is_a_scene_error(capsys, tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"schema_version": 1, "stratifications": {"s": {"strata": ["x"]}}}))
+    code, out, err = run(capsys, "vbetti", "s", "--scene", str(path))
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)
+    assert error["code"] == "scene-error"
+    assert set(error) == {"code", "message", "context"}
+
+
+def test_malformed_constraints_file_is_a_structured_error(capsys, tmp_path):
+    constraints = tmp_path / "c.json"
+    for bad in ([{"lhs": ["w21"], "op": ">=", "rhs": 3}],
+                [{"lhs": {"w21": "x"}, "op": ">=", "rhs": 3}]):
+        constraints.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "weights", "surface-443", "--constraints", str(constraints))
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["code"] == "malformed-constraint"
+
+
 def test_weights_diagonal_input(capsys):
     code, out, _ = run(capsys, "weights", "torus")
     assert code == 0

@@ -13,6 +13,13 @@ GOLDEN = {
     ("fixtures", "--json"): "2c6e4f78b65f55bbf9903292c83febd2",
     ("mvss", "surface-443"): "f980687f5518e2eb09724d0322fe769d",
     ("weights", "surface-443"): "29733280a18999d177390c4d9bb3ae46",
+    ("vbetti", "circle-alone", "--json"): "a596216970ab4454d94d632ed3bf314d",
+    ("vbetti", "surface-443", "--json"): "c4c92c7b79338ec31706badcc77f96eb",
+    ("vbetti", "tangent-circles", "--json"): "5e770ae3ff866d6e0960b002e74bb0a1",
+    ("vbetti", "two-circles", "--json"): "b342357b693f8b8ced11eccd4db40b56",
+    ("betti", "projective-plane", "--json"): "90959bd8c882d8097b7f69cdee69d48d",
+    ("betti", "surface-443", "--json"): "be7e549d23d4a56ebb0b8551980d7105",
+    ("betti", "torus", "--json"): "d2480f5469189631da09c70e78a8e7ef",
 }
 
 

@@ -125,6 +125,18 @@ def test_non_object_scene_is_a_scene_error():
         scene_from_dict([1, 2])
 
 
+@pytest.mark.parametrize("stratifications", [
+    {"s": ["x"]},
+    {"s": {"strata": ["x"]}},
+    {"s": {"strata": [{"name": "a", "dim": 0, "model": "x"}]}},
+    {"s": {"strata": [], "frontier": ["x"]}},
+], ids=["stratification", "stratum", "model", "frontier"])
+def test_non_object_stratification_parts_are_scene_errors(stratifications):
+    with pytest.raises(SceneError) as info:
+        scene_from_dict({"schema_version": 1, "stratifications": stratifications})
+    assert "must be a JSON object" in info.value.message
+
+
 def test_load_missing_file():
     with pytest.raises(SceneError):
         load_scene("/no/such/file.json")

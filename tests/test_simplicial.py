@@ -5,6 +5,9 @@ from __future__ import annotations
 import time
 
 import pytest
+import simplicial_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virtbetti import models
 from virtbetti.errors import NotFaceClosed, TooManySimplices, UnknownVertex
@@ -147,6 +150,43 @@ def test_boundary_matrices_are_deterministic():
     a = models.torus_minimal().boundary_matrix(1)
     b = models.torus_minimal().boundary_matrix(1)
     assert a == b
+
+
+@st.composite
+def complexes_with_subcomplexes(draw):
+    """A complex on at most 7 vertices in a random vertex order, with
+    simplices of at most 4 vertices and maybe isolated vertices, and a
+    subcomplex generated by a few of its simplices."""
+    verts = draw(st.permutations([f"v{i}" for i in range(7)]))
+    maximal = draw(st.lists(
+        st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True), max_size=8))
+    isolated = draw(st.lists(st.sampled_from(verts), max_size=2))
+    used = [v for v in verts if v in isolated or any(v in s for s in maximal)]
+    k = SimplicialComplex.from_maximal(used, maximal)
+    simplices = sorted(k.simplices, key=k.sort_key)
+    boundary = draw(st.lists(st.sampled_from(simplices), max_size=4)) if simplices else []
+    return k, k.subcomplex(maximal=boundary)
+
+
+def assert_matches_row_wise_oracle(k, boundary):
+    assert k.betti_mod2() == simplicial_oracle.betti_mod2(k)
+    for d in range(-1, k.dim + 3):
+        assert k.boundary_matrix(d) == simplicial_oracle.boundary_matrix(k, d)
+    pair = PairSpace(k, boundary)
+    assert pair.betti_compact_supports() == simplicial_oracle.betti_compact_supports(pair)
+
+
+@given(complexes_with_subcomplexes())
+@settings(max_examples=200, deadline=None)
+def test_homology_matches_row_wise_oracle(case):
+    assert_matches_row_wise_oracle(*case)
+
+
+def test_homology_matches_row_wise_oracle_on_scene_pairs(scene):
+    for k in scene.complexes.values():
+        assert_matches_row_wise_oracle(k, k.subcomplex())
+    for pair in scene.pairs.values():
+        assert_matches_row_wise_oracle(pair.total, pair.boundary)
 
 
 # -- pairs -------------------------------------------------------------------

@@ -233,6 +233,23 @@ def test_too_many_pieces_is_rejected_before_any_work():
     assert info.value.context == {"pieces": MAX_PIECES + 1, "limit": MAX_PIECES}
 
 
+def test_sixteen_edge_circle_cover_has_a_32_entry_nerve():
+    # sixteen arcs and the sixteen points where neighbours meet; no three meet
+    circle = models.circle(16)
+    pieces = tuple(
+        (f"e{i}", circle.subcomplex(maximal=[(f"v{i}", f"v{(i + 1) % 16}")]))
+        for i in range(16)
+    )
+    arr = Arrangement(circle, pieces)
+    assert len(arr.nerve) == 32
+    assert sorted(len(s) for s in arr.nerve) == [1] * 16 + [2] * 16
+    ss = MVSpectralSequence(arr)
+    assert ss.intersection_complex((0, 1)) == frozenset({("v1",)})
+    assert ss.intersection_complex((0, 2)) == frozenset()
+    assert ss.intersection_complex((15, 0)) == frozenset({("v0",)})
+    assert tuple(ss.converged_betti()) == (1, 1)
+
+
 @st.composite
 def covered_complexes(draw):
     """A complex on at most 8 vertices with simplices of at most 4 vertices,
@@ -269,6 +286,11 @@ def assert_matches_oracle(ss):
     assert (cert.stable_from, cert.column_bound, cert.checked_zero_ranks) == (
         stable_from, m, checked)
     assert ss._cols_v == mv_oracle.vertical_columns(ss)
+    arr = ss.arrangement
+    table = mv_oracle.intersections(arr)
+    assert list(arr.nerve.items()) == [(s, meet) for s, meet in table.items() if meet]
+    assert all(ss.intersection_complex(s) == meet for s, meet in table.items())
+    assert arr.virtual_betti() == mv_oracle.virtual_betti(arr)
 
 
 @given(covered_complexes())

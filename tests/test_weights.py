@@ -180,6 +180,12 @@ def test_malformed_constraints_are_rejected():
         LinearConstraint((((1, 0), 1),), "!?", 0)
     with pytest.raises(MalformedConstraint):
         LinearConstraint.from_dict({"lhs": {"nope": 1}, "op": ">=", "rhs": 0})
+    with pytest.raises(MalformedConstraint):
+        LinearConstraint.from_dict({"lhs": ["w21"], "op": ">=", "rhs": 3})
+    with pytest.raises(MalformedConstraint):
+        LinearConstraint.from_dict({"lhs": {"w21": "x"}, "op": ">=", "rhs": 3})
+    with pytest.raises(MalformedConstraint):
+        LinearConstraint.from_dict({"lhs": {"w21": 1}, "op": ">=", "rhs": "x"})
 
 
 def test_constraint_dict_round_trip():
