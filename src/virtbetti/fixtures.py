@@ -146,17 +146,17 @@ def builtin_scene() -> Scene:
     pair(
         "surface-sphere1-smooth",
         "surface-sphere1",
-        [list(e) for e in models.maximal_curve_edges(surface, "12", "13")],
+        [list(e) for e in models.maximal_curve_edges("12", "13")],
     )
     pair(
         "surface-sphere2-smooth",
         "surface-sphere2",
-        [list(e) for e in models.maximal_curve_edges(surface, "12", "23")],
+        [list(e) for e in models.maximal_curve_edges("12", "23")],
     )
     pair(
         "surface-torus-smooth",
         "surface-torus",
-        [list(e) for e in models.maximal_curve_edges(surface, "13", "23")],
+        [list(e) for e in models.maximal_curve_edges("13", "23")],
     )
 
     # atoms

@@ -204,7 +204,7 @@ def curve_edges(tag: str) -> list[tuple]:
     return edges
 
 
-def maximal_curve_edges(model: "SurfaceModel", tag_a: str, tag_b: str) -> list[tuple]:
+def maximal_curve_edges(tag_a: str, tag_b: str) -> list[tuple]:
     """Edges of the union of two double-point curves of the surface model."""
     return curve_edges(tag_a) + curve_edges(tag_b)
 
@@ -273,15 +273,9 @@ def surface_model() -> SurfaceModel:
 
     total = SimplicialComplex.from_maximal(verts, torus_tris + s1_tris + s2_tris)
 
-    def curve_sub(arcs: dict) -> Subcomplex:
-        edges = []
-        for path in arcs.values():
-            edges.extend(_path_edges(path))
-        return total.subcomplex(maximal=edges)
-
-    curve12 = curve_sub(a12)
-    curve13 = curve_sub(a13)
-    curve23 = curve_sub(a23)
+    curve12 = total.subcomplex(maximal=curve_edges("12"))
+    curve13 = total.subcomplex(maximal=curve_edges("13"))
+    curve23 = total.subcomplex(maximal=curve_edges("23"))
     torus_sc = total.subcomplex(maximal=torus_tris)
     sphere1 = total.subcomplex(maximal=s1_tris)
     sphere2 = total.subcomplex(maximal=s2_tris)

@@ -2,19 +2,21 @@
 
 Geometry is never represented: a complex is a face-closed family of vertex
 subsets, and the correspondence between a variety and its combinatorial
-model is the caller's responsibility.  Simplices are stored as tuples
-sorted by the position of each vertex in the complex's vertex order, and
-coboundary matrices are built in lexicographic simplex order, so every
-matrix and every Betti computation is reproducible.  One routine computes
-Betti numbers: the relative cohomology of a pair (K, L); ordinary homology
-is the pair (K, empty), since over a field dim H^q(K) = dim H_q(K).
+model is the caller's responsibility.  A vertex list becomes a simplex in
+one way: ``_normalize`` sorts it by the position of each vertex in the
+complex's vertex order, ``_closure`` enumerates the faces of such tuples
+(refusing oversized input before it enumerates anything) and
+``_check_face_closed`` checks a family for missing facets.  Coboundary
+matrices are built in lexicographic simplex order, so every matrix and
+every Betti computation is reproducible.  One routine computes Betti
+numbers: the relative cohomology of a pair (K, L); ordinary homology is
+the pair (K, empty), since over a field dim H^q(K) = dim H_q(K).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 from typing import Hashable, Iterable, Sequence
 
 from .errors import NotFaceClosed, TooManySimplices, UnknownVertex
@@ -63,22 +65,41 @@ class BettiVector(tuple):
         return f"BettiVector({tuple(self)})"
 
 
-def _closure_of(maximal: Iterable[Sequence[Vertex]]) -> set[frozenset]:
-    faces: set[frozenset] = set()
+def _normalize(index: dict, simplex: Sequence[Vertex]) -> Simplex:
+    """The vertices of a simplex, without repeats, in index order."""
+    try:
+        return tuple(sorted(set(simplex), key=index.__getitem__))
+    except KeyError as exc:
+        v = exc.args[0]
+        raise UnknownVertex(f"unknown vertex {v!r}", vertex=repr(v)) from None
+
+
+def _closure(index: dict, maximal: Iterable[Sequence[Vertex]]) -> set[Simplex]:
+    """Every nonempty face of the given simplices, normalized."""
+    faces: set[Simplex] = set()
     for simplex in maximal:
-        fs = frozenset(simplex)
-        if not fs:
+        t = _normalize(index, simplex)
+        if t in faces:  # the family stays face-closed, so its faces are too
             continue
-        for k in range(1, len(fs) + 1):
-            # bound the faces this size would add before building any of them
-            if len(faces) + comb(len(fs), k) > 4 * MAX_SIMPLICES:
-                raise TooManySimplices(
-                    "face closure exceeds the supported size",
-                    limit=MAX_SIMPLICES,
-                )
-            for face in combinations(sorted(fs, key=repr), k):
-                faces.add(frozenset(face))
+        # a simplex of n vertices has 2^n - 1 faces: bound them before building any
+        if len(faces) + (1 << len(t)) - 1 > 4 * MAX_SIMPLICES:
+            raise TooManySimplices("face closure exceeds the supported size", limit=MAX_SIMPLICES)
+        for k in range(1, len(t) + 1):
+            faces.update(combinations(t, k))
     return faces
+
+
+def _check_face_closed(simplices: frozenset) -> None:
+    """Raise unless every facet of every simplex is in the family."""
+    for s in simplices:
+        if len(s) > 1:
+            for face in combinations(s, len(s) - 1):
+                if face not in simplices:
+                    raise NotFaceClosed(
+                        f"simplex {s!r} lacks face {face!r}",
+                        simplex=repr(s),
+                        missing_face=repr(face),
+                    )
 
 
 class SimplicialComplex:
@@ -91,15 +112,8 @@ class SimplicialComplex:
         if len(set(verts)) != len(verts):
             raise UnknownVertex("duplicate vertex in vertex list")
         index = {v: i for i, v in enumerate(verts)}
-        normalized: set[Simplex] = set()
-        for s in simplices:
-            for v in s:
-                if v not in index:
-                    raise UnknownVertex(f"simplex mentions unknown vertex {v!r}", vertex=repr(v))
-            t = tuple(sorted(set(s), key=index.__getitem__))
-            if not t:
-                continue
-            normalized.add(t)
+        normalized = {_normalize(index, s) for s in simplices}
+        normalized.discard(())
         if len(normalized) > MAX_SIMPLICES:
             raise TooManySimplices(
                 f"{len(normalized)} simplices exceed the supported size",
@@ -111,10 +125,7 @@ class SimplicialComplex:
         by_dim: dict[int, list[Simplex]] = {}
         for s in normalized:
             by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {
-            d: sorted(ss, key=lambda s: tuple(index[v] for v in s))
-            for d, ss in sorted(by_dim.items())
-        }
+        self._by_dim = {d: sorted(ss, key=self.sort_key) for d, ss in sorted(by_dim.items())}
         self.validate()
 
     @classmethod
@@ -127,10 +138,9 @@ class SimplicialComplex:
         mentions it, so isolated points are representable.
         """
         verts = tuple(vertices)
-        faces = _closure_of(maximal)
-        for v in verts:
-            faces.add(frozenset((v,)))
-        return cls(verts, [tuple(f) for f in faces])
+        faces = _closure({v: i for i, v in enumerate(verts)}, maximal)
+        faces.update((v,) for v in verts)
+        return cls(verts, faces)
 
     @classmethod
     def empty(cls) -> SimplicialComplex:
@@ -148,7 +158,7 @@ class SimplicialComplex:
         return self._index[v]
 
     def sort_key(self, simplex: Simplex) -> tuple:
-        return tuple(self._index[v] for v in simplex)
+        return tuple(map(self._index.__getitem__, simplex))
 
     @property
     def dim(self) -> int:
@@ -166,15 +176,7 @@ class SimplicialComplex:
 
     def validate(self) -> None:
         """Check face closure and vertex bookkeeping; raises on violation."""
-        for s in self._simplices:
-            if len(s) > 1:
-                for face in combinations(s, len(s) - 1):
-                    if face not in self._simplices:
-                        raise NotFaceClosed(
-                            f"simplex {s!r} lacks face {face!r}",
-                            simplex=repr(s),
-                            missing_face=repr(face),
-                        )
+        _check_face_closed(self._simplices)
         present = {v for s in self._simplices for v in s}
         for v in self._vertices:
             if v not in present:
@@ -184,10 +186,9 @@ class SimplicialComplex:
 
     def contains_simplex(self, s: Sequence[Vertex]) -> bool:
         try:
-            t = tuple(sorted(set(s), key=self._index.__getitem__))
-        except KeyError:
+            return _normalize(self._index, s) in self._simplices
+        except UnknownVertex:
             return False
-        return t in self._simplices
 
     def boundary_matrix(self, d: int) -> GF2Matrix:
         """Mod-2 boundary from d-chains to (d-1)-chains, lexicographic bases:
@@ -210,21 +211,8 @@ class SimplicialComplex:
     def subcomplex(self, simplices: Iterable[Sequence[Vertex]] = (),
                    maximal: Iterable[Sequence[Vertex]] = ()) -> Subcomplex:
         """Face-closed subcomplex from explicit simplices and/or maximal ones."""
-        chosen: set[Simplex] = set()
-        try:
-            for s in simplices:
-                chosen.add(tuple(sorted(set(s), key=self._index.__getitem__)))
-            for s in maximal:
-                fs = set(s)
-                for k in range(1, len(fs) + 1):
-                    for face in combinations(sorted(fs, key=self._index.__getitem__), k):
-                        chosen.add(face)
-        except KeyError as exc:
-            raise UnknownVertex(
-                f"subcomplex mentions unknown vertex {exc.args[0]!r}",
-                vertex=repr(exc.args[0]),
-            ) from None
-        return Subcomplex(self, frozenset(chosen))
+        chosen = {_normalize(self._index, s) for s in simplices}
+        return Subcomplex(self, frozenset(chosen | _closure(self._index, maximal)))
 
     def full_subcomplex(self) -> Subcomplex:
         return Subcomplex(self, self._simplices)
@@ -251,20 +239,13 @@ class Subcomplex:
     simplices: frozenset
 
     def __post_init__(self):
-        for s in self.simplices:
-            if s not in self.parent.simplices:
-                raise UnknownVertex(
-                    f"simplex {s!r} does not belong to the parent complex",
-                    simplex=repr(s),
-                )
-            if len(s) > 1:
-                for face in combinations(s, len(s) - 1):
-                    if face not in self.simplices:
-                        raise NotFaceClosed(
-                            f"subcomplex lacks face {face!r} of {s!r}",
-                            simplex=repr(s),
-                            missing_face=repr(face),
-                        )
+        stray = self.simplices - self.parent.simplices
+        if stray:
+            s = min(stray, key=repr)
+            raise UnknownVertex(
+                f"simplex {s!r} does not belong to the parent complex", simplex=repr(s)
+            )
+        _check_face_closed(self.simplices)
 
     def is_empty(self) -> bool:
         return not self.simplices
@@ -300,23 +281,28 @@ class PairSpace:
 
     total: SimplicialComplex
     boundary: Subcomplex
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.boundary.parent is not self.total:
             raise ValueError("boundary must be a subcomplex of the total complex")
 
-    def relative_simplices_of_dim(self, d: int) -> list[Simplex]:
-        return [s for s in self.total.simplices_of_dim(d) if s not in self.boundary.simplices]
+    def _basis(self, d: int) -> dict[Simplex, int]:
+        """{relative d-simplex: position} in lexicographic order, built once."""
+        if d not in self._bases:
+            skip = self.boundary.simplices
+            rel = [s for s in self.total.simplices_of_dim(d) if s not in skip]
+            self._bases[d] = dict(zip(rel, range(len(rel))))
+        return self._bases[d]
 
     def relative_coboundary_matrix(self, q: int) -> GF2Matrix:
         """Coboundary on relative cochains: rows = (q+1)-simplices, cols = q."""
-        cols = self.relative_simplices_of_dim(q)
-        rows = self.relative_simplices_of_dim(q + 1)
-        col_pos = {s: j for j, s in enumerate(cols)}
+        cols = self._basis(q)
+        rows = self._basis(q + 1)
         bits = [0] * len(rows)
         for i, s in enumerate(rows):
             for face in combinations(s, len(s) - 1):
-                j = col_pos.get(face)
+                j = cols.get(face)
                 if j is not None:
                     bits[i] ^= 1 << j
         return GF2Matrix(len(rows), len(cols), tuple(bits))
@@ -327,7 +313,7 @@ class PairSpace:
         # rank delta^{q-1} at index q, rank delta^q at index q+1
         ranks = [rank(self.relative_coboundary_matrix(q)) for q in range(-1, top + 1)]
         return BettiVector(
-            len(self.relative_simplices_of_dim(q)) - ranks[q] - ranks[q + 1]
+            len(self._basis(q)) - ranks[q] - ranks[q + 1]
             for q in range(top + 1)
         )
 
@@ -335,9 +321,7 @@ class PairSpace:
         """Alternating sum of relative simplex counts; equals the alternating
         sum of relative cohomology dimensions."""
         top = self.total.dim
-        return sum(
-            (-1) ** d * len(self.relative_simplices_of_dim(d)) for d in range(top + 1)
-        )
+        return sum((-1) ** d * len(self._basis(d)) for d in range(top + 1))
 
 
 def disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
@@ -393,11 +377,12 @@ def product_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialCom
 
 
 def maximal_simplices(k: SimplicialComplex, simplices: Iterable[Simplex] | None = None) -> list[Simplex]:
-    """Inclusion-maximal simplices of a complex (or of a simplex set), in
-    lexicographic order by the complex's vertex indexing."""
+    """Inclusion-maximal simplices of a complex (or of a face-closed set of
+    its simplices), in lexicographic order by the complex's vertex indexing.
+
+    In a face-closed family a simplex lies in a larger one exactly when it
+    is a facet of some member, so the maximal ones are the non-facets.
+    """
     pool = k.simplices if simplices is None else frozenset(simplices)
-    out = []
-    for s in sorted(pool, key=lambda s: (-len(s), k.sort_key(s))):
-        if not any(set(s) < set(m) for m in out):
-            out.append(s)
-    return sorted(out, key=k.sort_key)
+    facets = {f for s in pool for f in combinations(s, len(s) - 1)}
+    return sorted(pool - facets, key=k.sort_key)

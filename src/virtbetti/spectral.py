@@ -34,7 +34,6 @@ from typing import Mapping, Sequence
 from .errors import ConvergenceMismatch, NotACover, TooManyPieces
 from .polynomial import IntPolynomial
 from .simplicial import BettiVector, SimplicialComplex, Subcomplex
-from .stratified import inclusion_exclusion
 
 __all__ = [
     "Arrangement",
@@ -49,8 +48,8 @@ __all__ = [
     "row_alternating_sums",
 ]
 
-# The MV build reads only the nerve, but inclusion-exclusion still sums over
-# all 2^m - 1 subsets of the m pieces (those outside the nerve add zero).
+# The MV build and inclusion-exclusion both walk the nerve, which holds all
+# 2^m - 1 subsets of the m pieces when every piece shares a simplex.
 MAX_PIECES = 16
 
 
@@ -108,24 +107,18 @@ class Arrangement:
         return nerve
 
     def virtual_betti(self) -> IntPolynomial:
-        """Inclusion-exclusion over the Poincare polynomials of the pieces
-        and of all their intersections; an empty intersection adds zero.
+        """Inclusion-exclusion over the nerve: the sum of
+        (-1)^(|S|+1) P(X_S) over every nonempty intersection X_S, since an
+        empty intersection adds zero.
 
         Meaningful when the pieces and all their intersections are compact
         nonsingular models (a normal-crossing style cover).
         """
-        m, zero = len(self.pieces), IntPolynomial.zero()
-        polys = {
-            subset: Subcomplex(self.total, meet).as_complex().poincare_polynomial()
-            for subset, meet in self.nerve.items()
-        }
-        pieces = [(name, polys.get((i,), zero)) for i, (name, _) in enumerate(self.pieces)]
-        intersections = {
-            frozenset(subset): polys.get(subset, zero)
-            for size in range(2, m + 1)
-            for subset in combinations(range(m), size)
-        }
-        return inclusion_exclusion(pieces, intersections)
+        total = IntPolynomial.zero()
+        for subset, meet in self.nerve.items():
+            poly = Subcomplex(self.total, meet).as_complex().poincare_polynomial()
+            total = total + poly if len(subset) % 2 else total - poly
+        return total
 
 
 @dataclass(frozen=True)

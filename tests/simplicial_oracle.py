@@ -8,6 +8,11 @@ from the ranks, b_d = #d-simplices - rank d_d - rank d_{d+1}.  For a pair
 (K, L) the simplices of L are dropped from every basis, which gives the
 relative chain complex; over a field its homology has the dimensions of
 the relative cohomology.
+
+It also keeps the old ways from vertex lists to simplices: a face closure
+that builds frozensets and sorts them by ``repr``, a subcomplex closure
+that sorts each maximal simplex by vertex index, and ``maximal_simplices``
+by comparing every simplex with every maximal one found so far.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from virtbetti.gf2 import GF2Matrix, rank
-from virtbetti.simplicial import BettiVector, PairSpace, SimplicialComplex
+from virtbetti.simplicial import BettiVector, PairSpace, SimplicialComplex, Subcomplex
 
 
 def boundary_matrix(k: SimplicialComplex, d: int, removed: frozenset = frozenset()) -> GF2Matrix:
@@ -50,3 +55,42 @@ def betti_compact_supports(pair: PairSpace) -> BettiVector:
     """Relative homology of the pair, which over GF(2) has the dimensions
     of its relative cohomology."""
     return betti_mod2(pair.total, pair.boundary.simplices)
+
+
+def closure_of(maximal) -> set[frozenset]:
+    """Every nonempty face of the given vertex lists, as frozensets."""
+    faces: set[frozenset] = set()
+    for simplex in maximal:
+        fs = frozenset(simplex)
+        for k in range(1, len(fs) + 1):
+            for face in combinations(sorted(fs, key=repr), k):
+                faces.add(frozenset(face))
+    return faces
+
+
+def from_maximal(vertices, maximal) -> SimplicialComplex:
+    """The complex generated by ``maximal`` plus a 0-simplex per vertex."""
+    verts = tuple(vertices)
+    faces = closure_of(maximal) | {frozenset((v,)) for v in verts}
+    return SimplicialComplex(verts, [tuple(f) for f in faces])
+
+
+def subcomplex(k: SimplicialComplex, simplices=(), maximal=()) -> Subcomplex:
+    """The subcomplex of k holding ``simplices`` and every face of ``maximal``."""
+    chosen = {tuple(sorted(set(s), key=k.vertex_index)) for s in simplices}
+    for s in maximal:
+        ordered = sorted(set(s), key=k.vertex_index)
+        for size in range(1, len(ordered) + 1):
+            chosen.update(combinations(ordered, size))
+    return Subcomplex(k, frozenset(chosen))
+
+
+def maximal_simplices(k: SimplicialComplex, simplices=None) -> list:
+    """Inclusion-maximal simplices of k (or of a simplex set), sorted by
+    k's vertex indexing."""
+    pool = k.simplices if simplices is None else frozenset(simplices)
+    out = []
+    for s in sorted(pool, key=lambda s: (-len(s), k.sort_key(s))):
+        if not any(set(s) < set(m) for m in out):
+            out.append(s)
+    return sorted(out, key=k.sort_key)

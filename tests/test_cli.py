@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import time
+
+import pytest
 
 from virtbetti.cli import main
 from virtbetti.scene import dump_scene
@@ -336,3 +339,28 @@ def test_too_many_pieces_in_a_scene_file_is_a_structured_error(capsys, tmp_path)
     error = json.loads(err)
     assert error["code"] == "too-many-pieces"
     assert error["context"] == {"pieces": 17, "limit": 16}
+
+
+@pytest.mark.parametrize("where", ["pair", "arrangement"])
+def test_huge_simplex_in_a_scene_file_is_refused_cheaply(capsys, tmp_path, where):
+    # 40 isolated vertices, and a subcomplex spanned by the 40-vertex simplex
+    # on them: its 2^40 - 1 faces must be refused before any is built
+    verts = [f"v{i}" for i in range(40)]
+    data = {
+        "schema_version": 1,
+        "complexes": {"points": {"vertices": verts, "maximal_simplices": []}},
+    }
+    if where == "pair":
+        data["pairs"] = {"huge": {"total": "points", "boundary_maximal": [verts]}}
+    else:
+        data["arrangements"] = {"huge": {
+            "total": "points", "pieces": [{"name": "all", "maximal_simplices": [verts]}],
+        }}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "betti", "points", "--scene", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["code"] == "scene-error"

@@ -1,5 +1,6 @@
-"""Byte-for-byte CLI output gate: the stdout of these commands must not
-change when the engine underneath is rewritten."""
+"""Byte-for-byte output gate: the stdout of these commands, and the bytes
+of the built-in scene as dumped to a file, must not change when the engine
+underneath is rewritten."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import hashlib
 import pytest
 
 from virtbetti.cli import main
+from virtbetti.fixtures import builtin_scene
+from virtbetti.scene import dump_scene
 
 GOLDEN = {
     ("fixtures", "--json"): "2c6e4f78b65f55bbf9903292c83febd2",
@@ -22,9 +25,17 @@ GOLDEN = {
     ("betti", "torus", "--json"): "d2480f5469189631da09c70e78a8e7ef",
 }
 
+SCENE_DUMP_MD5 = "8eb48027d1df28b94219e4e0c17ed09d"
+
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
 def test_stdout_md5(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.md5(out.encode("utf-8")).hexdigest() == GOLDEN[argv]
+
+
+def test_builtin_scene_dump_md5(tmp_path):
+    path = tmp_path / "scene.json"
+    dump_scene(builtin_scene(), str(path))
+    assert hashlib.md5(path.read_bytes()).hexdigest() == SCENE_DUMP_MD5

@@ -17,6 +17,7 @@ from virtbetti.simplicial import (
     PairSpace,
     SimplicialComplex,
     disjoint_union,
+    maximal_simplices,
     product_complex,
 )
 
@@ -68,7 +69,7 @@ def test_size_guardrail():
 
 
 def test_size_guardrail_fires_before_enumerating():
-    # 40 vertices: its 658,008 faces of size 5 alone exceed 4 * MAX_SIMPLICES
+    # 40 vertices: its 2^40 - 1 faces exceed 4 * MAX_SIMPLICES
     start = time.perf_counter()
     with pytest.raises(TooManySimplices):
         SimplicialComplex.from_maximal(tuple(range(40)), [tuple(range(40))])
@@ -156,7 +157,8 @@ def test_boundary_matrices_are_deterministic():
 def complexes_with_subcomplexes(draw):
     """A complex on at most 7 vertices in a random vertex order, with
     simplices of at most 4 vertices and maybe isolated vertices, and a
-    subcomplex generated by a few of its simplices."""
+    subcomplex generated by a few of its simplices.  Returns the vertex and
+    generator lists with the complex and the subcomplex they build."""
     verts = draw(st.permutations([f"v{i}" for i in range(7)]))
     maximal = draw(st.lists(
         st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True), max_size=8))
@@ -165,7 +167,9 @@ def complexes_with_subcomplexes(draw):
     k = SimplicialComplex.from_maximal(used, maximal)
     simplices = sorted(k.simplices, key=k.sort_key)
     boundary = draw(st.lists(st.sampled_from(simplices), max_size=4)) if simplices else []
-    return k, k.subcomplex(maximal=boundary)
+    # reversed generators: the subcomplex must not depend on their vertex order
+    boundary = [s[::-1] for s in boundary]
+    return used, maximal, k, boundary, k.subcomplex(maximal=boundary)
 
 
 def assert_matches_row_wise_oracle(k, boundary):
@@ -179,7 +183,13 @@ def assert_matches_row_wise_oracle(k, boundary):
 @given(complexes_with_subcomplexes())
 @settings(max_examples=200, deadline=None)
 def test_homology_matches_row_wise_oracle(case):
-    assert_matches_row_wise_oracle(*case)
+    used, maximal, k, boundary, sub = case
+    assert k == simplicial_oracle.from_maximal(used, maximal)
+    assert sub == simplicial_oracle.subcomplex(k, maximal=boundary)
+    assert maximal_simplices(k) == simplicial_oracle.maximal_simplices(k)
+    assert maximal_simplices(k, sub.simplices) == simplicial_oracle.maximal_simplices(
+        k, sub.simplices)
+    assert_matches_row_wise_oracle(k, sub)
 
 
 def test_homology_matches_row_wise_oracle_on_scene_pairs(scene):
