@@ -2,9 +2,10 @@
 
 Given b and beta, a candidate weight profile is a nonnegative triangular
 array whose diagonals sum to the Betti numbers and whose rows alternate-sum
-to the virtual Betti numbers.  Enumerating all of them (they are tiny)
-and then intersecting with linear constraints reproduces the obstruction
-arguments for the normal-crossing surface.
+to the virtual Betti numbers.  Listing all of them (a pruned search finds
+each one, here in a handful of steps) and then intersecting with linear
+constraints reproduces the obstruction arguments for the normal-crossing
+surface.
 """
 
 from virtbetti.fixtures import builtin_scene

@@ -43,6 +43,10 @@ class TooManyPieces(VirtBettiError):
     code = "too-many-pieces"
 
 
+class WeightSearchTooLarge(VirtBettiError):
+    code = "weight-search-too-large"
+
+
 class UnknownAtom(VirtBettiError):
     code = "unknown-atom"
 

@@ -7,20 +7,23 @@ constrained by
     (-1)^j sum_i (-1)^i w(i, j) = beta_j   (row alternating sums are the
                                             virtual Betti numbers)
 
-Solutions are enumerated exhaustively (entries are bounded by b_i, and all
-instances are tiny), so the enumeration is its own completeness proof.
-Further conditions enter only as linear constraints on the entries, each
-carrying a provenance note.
+Every solution is found by a depth-first search that cuts a branch only
+when its entries can no longer meet some diagonal or row equation (each
+later entry bounded by its b_i), so the list is complete; a budget on the
+entries placed refuses systems too large to list.  Forced entries count
+too, which bounds time and memory but also refuses any b of 317 or more
+entries, whose diagonals i < n alone hold more than the budget.  Further conditions
+enter only as linear constraints on the entries, each carrying a
+provenance note.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MalformedConstraint, Verdict
+from .errors import MalformedConstraint, Verdict, WeightSearchTooLarge
 from .spectral import FiltrationProfile
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "LinearConstraint",
     "FilterResult",
     "solve_weight_system",
+    "MAX_WEIGHT_NODES",
     "check_conditions",
     "constraint_filter",
     "mv_profile_vs_virtual_betti",
@@ -105,28 +109,78 @@ class WeightArray:
         return lines
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+# Entries the search may place before it refuses, forced ones included:
+# counting only the branching ones would let each branch run down a long
+# forced tail unbounded.  Every built-in, demo and benchmark system places
+# a few hundred at most; at some 200,000 entries a second the refusal comes
+# a fraction of a second into the search.
+MAX_WEIGHT_NODES = 50_000
 
 
 def solve_weight_system(inp: WeightSystemInput) -> list[WeightArray]:
     """All nonnegative solutions of the diagonal/row system, sorted
-    lexicographically by the (i, j)-flattened entries; [] means infeasible."""
-    n = inp.n
+    lexicographically by the (i, j)-flattened entries; [] means infeasible.
+
+    A depth-first search places w(i, j) for the diagonals i < n in flat
+    (i, j) order, trying values in ascending order, so solutions come out
+    sorted.  Each entry is clipped to what is left of its diagonal and to
+    what keeps its row target reachable by the later diagonals, whose
+    entries lie in [0, b_i']; the last entry of a diagonal is what is left
+    of it, and the row targets force the whole last diagonal.  Raises
+    WeightSearchTooLarge once more than MAX_WEIGHT_NODES entries are placed.
+    """
+    n, b, beta = inp.n, inp.b, inp.beta
+    # Adding up the row equations with signs (-1)^j gives
+    # sum_i (-1)^i b_i = sum_j (-1)^j beta_j.  Given that identity, the last
+    # diagonal forced by the rows always sums to b_n.
+    if sum((-1) ** i * (x - y) for i, (x, y) in enumerate(zip(b, beta))):
+        return []
+    # reach[i][p]: sum of b_i' over i' > i with i' = p mod 2, the most that
+    # the diagonals after i add to (or take from) a row's signed sum
+    reach = [[0, 0] for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        reach[i] = list(reach[i + 1])
+        reach[i][(i + 1) % 2] += b[i + 1]
+    target = list(beta)  # what each row's signed sum still needs
+    left = list(b)  # what each diagonal still needs
+    stack: list[tuple[int, int, int, int]] = []  # (i, j, value, largest value allowed)
     solutions = []
-    row_choices = [sorted(_compositions(inp.b[i], i + 1)) for i in range(n + 1)]
-    for rows in iter_product(*row_choices):
-        arr = WeightArray(tuple(rows))
-        if arr.row_alternating_sums() == list(inp.beta):
-            solutions.append(arr)
-    solutions.sort(key=WeightArray.flat)
-    return solutions
+    nodes = 0
+    i = j = 0
+    while True:
+        if i < n:
+            # after w(i, j) = value, target[j] -/+ value must lie in [-down, up]
+            up, down = reach[i][j % 2], reach[i][1 - j % 2]
+            if (i - j) % 2 == 0:
+                lo, hi = target[j] - up, target[j] + down
+            else:
+                lo, hi = -down - target[j], up - target[j]
+            lo, hi = max(lo, 0, left[i] if j == i else 0), min(hi, left[i])
+        else:
+            last = [target[k] if (n - k) % 2 == 0 else -target[k] for k in range(n + 1)]
+            if min(last) >= 0:
+                flat = [entry[2] for entry in stack] + last
+                solutions.append(WeightArray(tuple(
+                    tuple(flat[d * (d + 1) // 2:(d + 1) * (d + 2) // 2]) for d in range(n + 1)
+                )))
+            lo, hi = 1, 0
+        while lo > hi:  # back to the deepest entry that can still be raised
+            if not stack:
+                return solutions
+            i, j, value, hi = stack.pop()
+            target[j] += value if (i - j) % 2 == 0 else -value
+            left[i] += value
+            lo = value + 1
+        nodes += 1
+        if nodes > MAX_WEIGHT_NODES:
+            raise WeightSearchTooLarge(
+                f"the weight-profile search places more than {MAX_WEIGHT_NODES} entries",
+                b=list(b), nodes=nodes, limit=MAX_WEIGHT_NODES,
+            )
+        target[j] -= lo if (i - j) % 2 == 0 else -lo
+        left[i] -= lo
+        stack.append((i, j, lo, hi))
+        i, j = (i, j + 1) if j < i else (i + 1, 0)
 
 
 def check_conditions(

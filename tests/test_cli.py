@@ -10,6 +10,7 @@ import pytest
 from virtbetti.cli import main
 from virtbetti.scene import dump_scene
 from virtbetti.fixtures import builtin_scene
+from virtbetti.weights import MAX_WEIGHT_NODES
 
 
 def run(capsys, *argv):
@@ -339,6 +340,25 @@ def test_too_many_pieces_in_a_scene_file_is_a_structured_error(capsys, tmp_path)
     error = json.loads(err)
     assert error["code"] == "too-many-pieces"
     assert error["context"] == {"pieces": 17, "limit": 16}
+
+
+def test_hostile_weight_input_in_a_scene_file_is_refused(capsys, tmp_path):
+    # beta planted by ((1,), (40, 60), (300, 300, 400), (20, 30, 25, 25))
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "weight_inputs": {"hostile": {"b": [1, 100, 1000, 100], "beta": [241, -210, 375, 25]}},
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weights", "hostile", "--json", "--scene", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)
+    assert error["code"] == "weight-search-too-large"
+    assert error["context"] == {
+        "b": [1, 100, 1000, 100], "nodes": MAX_WEIGHT_NODES + 1, "limit": MAX_WEIGHT_NODES,
+    }
 
 
 @pytest.mark.parametrize("where", ["pair", "arrangement"])

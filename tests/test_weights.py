@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import product as iter_product
+from math import comb
 
 import pytest
+import weights_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from virtbetti.errors import MalformedConstraint
+from virtbetti.errors import MalformedConstraint, WeightSearchTooLarge
 from virtbetti.weights import (
+    MAX_WEIGHT_NODES,
     LinearConstraint,
     WeightArray,
     WeightSystemInput,
@@ -110,6 +116,63 @@ def test_degree_three_brute_force_agreement():
         beta = tuple(rng.randint(-2, 2) for _ in range(4))
         inp = WeightSystemInput(b, beta)
         assert solve_weight_system(inp) == brute_force_solutions(inp)
+
+
+@st.composite
+def weight_systems(draw):
+    """Systems with n <= 4 and b_i <= 6, each b_i capped so that the oracle
+    builds at most 3,000 arrays.  beta is planted as the row sums of a random
+    array, or drawn at random: as it comes (mostly failing the Euler identity
+    sum (-1)^i b_i = sum (-1)^j beta_j) or with beta_0 set to satisfy it."""
+    n = draw(st.integers(0, 4))
+    b, size = [], 1
+    for i in range(n + 1):
+        top = max(x for x in range(7) if size * comb(x + i, i) <= 3000)
+        b.append(draw(st.integers(0, top)))
+        size *= comb(b[-1] + i, i)
+    if draw(st.booleans()):
+        rows = []
+        for i, total in enumerate(b):
+            cuts = sorted(draw(st.lists(st.integers(0, total), min_size=i, max_size=i)))
+            bounds = [0, *cuts, total]
+            rows.append(tuple(bounds[k + 1] - bounds[k] for k in range(i + 1)))
+        beta = WeightArray(tuple(rows)).row_alternating_sums()
+    else:
+        beta = draw(st.lists(st.integers(-8, 8), min_size=n + 1, max_size=n + 1))
+        if draw(st.booleans()):
+            beta[0] += sum((-1) ** i * (x - y) for i, (x, y) in enumerate(zip(b, beta)))
+    return WeightSystemInput(tuple(b), tuple(beta))
+
+
+@given(weight_systems())
+@example(WeightSystemInput((0, 0, 2), (2, -1, -1)))  # only w22 = beta_2 = -1 fails
+@settings(max_examples=300, deadline=None)
+def test_search_matches_product_oracle(inp):
+    assert solve_weight_system(inp) == weights_oracle.solve_weight_system(inp)
+
+
+def test_search_refuses_a_hostile_system_within_its_budget():
+    # about 9 * 10^12 candidate arrays: the search must stop at its budget,
+    # in well under 2 s
+    rows = ((1,), (40, 60), (300, 300, 400), (20, 30, 25, 25))
+    inp = WeightSystemInput((1, 100, 1000, 100), tuple(WeightArray(rows).row_alternating_sums()))
+    start = time.perf_counter()
+    with pytest.raises(WeightSearchTooLarge) as info:
+        solve_weight_system(inp)
+    assert time.perf_counter() - start < 2.0
+    assert info.value.code == "weight-search-too-large"
+    assert info.value.context == {
+        "b": [1, 100, 1000, 100], "nodes": MAX_WEIGHT_NODES + 1, "limit": MAX_WEIGHT_NODES,
+    }
+
+
+def test_budget_counts_forced_entries():
+    # b = beta = 0 has one solution and every entry is forced; top degree n
+    # places n(n+1)/2 entries, 49,770 for n = 315 and 50,086 for n = 316
+    zeros = WeightSystemInput((0,) * 316, (0,) * 316)
+    assert solve_weight_system(zeros) == [WeightArray(tuple((0,) * (i + 1) for i in range(316)))]
+    with pytest.raises(WeightSearchTooLarge):
+        solve_weight_system(WeightSystemInput((0,) * 317, (0,) * 317))
 
 
 def test_check_conditions_rejects_unknown_flag():
