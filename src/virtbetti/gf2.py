@@ -18,6 +18,7 @@ __all__ = [
     "GF2Matrix",
     "GF2Subspace",
     "rank",
+    "pivot_rows",
     "kernel_basis",
     "image_basis",
     "quotient_dim",
@@ -31,7 +32,7 @@ def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _pivots(vectors: Iterable[int]) -> dict[int, int]:
+def pivot_rows(vectors: Iterable[int]) -> dict[int, int]:
     """Forward elimination: rows spanning the input, keyed by their low bit."""
     pivots: dict[int, int] = {}
     for v in vectors:
@@ -47,7 +48,7 @@ def _pivots(vectors: Iterable[int]) -> dict[int, int]:
 
 def reduced_echelon(vectors: Iterable[int]) -> tuple[int, ...]:
     """Reduced row-echelon basis of the span, pivot columns ascending."""
-    pivots = _pivots(vectors)
+    pivots = pivot_rows(vectors)
     done = 0  # pivot columns of the rows already reduced
     for p in sorted(pivots, reverse=True):
         # those rows are reduced, so each XOR clears one pivot bit, sets none
@@ -61,7 +62,7 @@ def reduced_echelon(vectors: Iterable[int]) -> tuple[int, ...]:
 
 def span_dim(vectors: Iterable[int]) -> int:
     """Dimension of the span of the given bit vectors."""
-    return len(_pivots(vectors))
+    return len(pivot_rows(vectors))
 
 
 def kernel_vectors(row_bits: Sequence[int], cols: int) -> list[int]:
@@ -153,12 +154,15 @@ class GF2Subspace:
     basis: tuple[int, ...]
 
     def __post_init__(self):
-        if tuple(reduced_echelon(self.basis)) != self.basis:
-            raise ValueError("basis is not in reduced row-echelon form")
         limit = 1 << self.ambient_dim
-        for v in self.basis:
-            if not 0 < v < limit:
+        above, later = limit, 0  # from the last row: next row's pivot, later pivots
+        for v in reversed(self.basis):
+            if not 0 <= v < limit:
                 raise ValueError("basis vector outside ambient space")
+            low = v & -v  # pivots (low bits) ascend, no row holds a later one's
+            if not 0 < low < above or v & later:
+                raise ValueError("basis is not in reduced row-echelon form")
+            above, later = low, later | low
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[int]) -> GF2Subspace:
@@ -182,7 +186,7 @@ class GF2Subspace:
 
 def rank(m: GF2Matrix) -> int:
     """GF(2) rank; the input is not modified."""
-    return len(_pivots(m.row_bits))
+    return len(pivot_rows(m.row_bits))
 
 
 def kernel_basis(m: GF2Matrix) -> GF2Subspace:

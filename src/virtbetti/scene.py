@@ -163,26 +163,33 @@ def _expr_to_dict(expr: ScissorExpr) -> dict:
     raise TypeError(f"not a scissor expression: {expr!r}")
 
 
-def _object(value: Any, path: str) -> Mapping:
-    """The value itself if it is a JSON object; a SceneError otherwise."""
-    if not isinstance(value, Mapping):
+def _json(value: Any, path: str, kind: str = "object") -> Any:
+    """The value itself if it is a JSON ``kind``; a SceneError otherwise."""
+    if not isinstance(value, Mapping if kind == "object" else (list, tuple)):
         raise SceneError(
-            f"{path} must be a JSON object, not {type(value).__name__}",
+            f"{path} must be a JSON {kind}, not {type(value).__name__}",
             found=type(value).__name__,
         )
     return value
 
 
-def _subcomplex_from(parent: SimplicialComplex, maximal: list, path: str) -> Subcomplex:
+def _simplices(value: Any, path: str) -> list[tuple]:
+    """A JSON array of simplices, each a JSON array of vertices (not a string)."""
+    return [tuple(_json(s, f"{path}[{i}]", "array"))
+            for i, s in enumerate(_json(value, path, "array"))]
+
+
+def _subcomplex_from(parent: SimplicialComplex, maximal: Any, path: str) -> Subcomplex:
+    maximal = _simplices(maximal, path)
     try:
-        return parent.subcomplex(maximal=[tuple(s) for s in maximal])
+        return parent.subcomplex(maximal=maximal)
     except VirtBettiError as exc:
         raise SceneError(f"{path}: {exc.message}", **exc.context) from None
 
 
 def _strat_model_from_dict(data: Mapping, scene: Scene, raw_strats: Mapping,
                            resolving: set[str], path: str):
-    kind = _object(data, path + ", model").get("kind")
+    kind = _json(data, path + ", model").get("kind")
     if kind == "compact":
         return CompactModel(scene.complex(data["complex"]))
     if kind == "declared":
@@ -212,10 +219,10 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
         raise SceneError(f"stratifications reference each other in a cycle at {name!r}")
     resolving.add(name)
     path = f"stratification {name!r}"
-    raw = _object(raw_strats[name], path)
+    raw = _json(raw_strats[name], path)
     strata = []
     for s in raw.get("strata", []):
-        s = _object(s, path + ", stratum")
+        s = _json(s, path + ", stratum")
         model = _strat_model_from_dict(
             s.get("model", {}), scene, raw_strats, resolving,
             f"{path}, stratum {s.get('name')!r}",
@@ -223,7 +230,7 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
         strata.append(StratumRecord(s["name"], int(s["dim"]), model))
     frontier = {
         src: frozenset(targets)
-        for src, targets in _object(raw.get("frontier", {}), path + ", frontier").items()
+        for src, targets in _json(raw.get("frontier", {}), path + ", frontier").items()
     }
     spec = StratifiedSpec(name, tuple(strata), frontier)
     scene.stratifications[name] = spec
@@ -233,7 +240,7 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
 
 def scene_from_dict(data: Mapping) -> Scene:
     """Build and validate a Scene from its JSON dictionary."""
-    _object(data, "scene")
+    _json(data, "scene")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SceneError(
             f"unsupported schema_version {data.get('schema_version')!r}",
@@ -242,16 +249,16 @@ def scene_from_dict(data: Mapping) -> Scene:
     scene = Scene()
     try:
         for name in sorted(data.get("complexes", {})):
-            spec = data["complexes"][name]
+            spec, path = data["complexes"][name], f"complex {name!r}"
             scene.complexes[name] = SimplicialComplex.from_maximal(
-                tuple(spec["vertices"]),
-                [tuple(s) for s in spec["maximal_simplices"]],
+                _json(spec["vertices"], path + ", vertices", "array"),
+                _simplices(spec["maximal_simplices"], path + ", maximal_simplices"),
             )
         for name in sorted(data.get("pairs", {})):
             spec = data["pairs"][name]
             total = scene.complex(spec["total"])
             boundary = _subcomplex_from(
-                total, spec.get("boundary_maximal", []), f"pair {name!r}"
+                total, spec.get("boundary_maximal", []), f"pair {name!r}, boundary_maximal"
             )
             scene.pairs[name] = PairSpace(total, boundary)
         for name in sorted(data.get("atoms", {})):
@@ -281,7 +288,8 @@ def scene_from_dict(data: Mapping) -> Scene:
             total = scene.complex(spec["total"])
             pieces = tuple(
                 (p["name"], _subcomplex_from(
-                    total, p["maximal_simplices"], f"arrangement {name!r}, piece {p['name']!r}"
+                    total, p["maximal_simplices"],
+                    f"arrangement {name!r}, piece {p['name']!r}, maximal_simplices",
                 ))
                 for p in spec["pieces"]
             )

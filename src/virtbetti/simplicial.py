@@ -6,21 +6,21 @@ model is the caller's responsibility.  A vertex list becomes a simplex in
 one way: ``_normalize`` sorts it by the position of each vertex in the
 complex's vertex order, ``_closure`` enumerates the faces of such tuples
 (refusing oversized input before it enumerates anything) and
-``_check_face_closed`` checks a family for missing facets.  Coboundary
-matrices are built in lexicographic simplex order, so every matrix and
+``_check_face_closed`` checks a family for missing facets; each face is
+normalized once.  Matrices are built in lexicographic simplex order, so
 every Betti computation is reproducible.  One routine computes Betti
-numbers: the relative cohomology of a pair (K, L); ordinary homology is
-the pair (K, empty), since over a field dim H^q(K) = dim H_q(K).
+numbers, top degree down with clearing: the relative cohomology of a pair
+(K, L); ordinary homology is (K, empty), as over a field dim H^q = dim H_q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Hashable, Iterable, Sequence
+from typing import Container, Hashable, Iterable, Sequence
 
 from .errors import NotFaceClosed, TooManySimplices, UnknownVertex
-from .gf2 import GF2Matrix, rank
+from .gf2 import GF2Matrix, pivot_rows, rank
 from .polynomial import IntPolynomial
 
 __all__ = [
@@ -109,24 +109,8 @@ class SimplicialComplex:
 
     def __init__(self, vertices: Iterable[Vertex], simplices: Iterable[Sequence[Vertex]]):
         verts = tuple(vertices)
-        if len(set(verts)) != len(verts):
-            raise UnknownVertex("duplicate vertex in vertex list")
         index = {v: i for i, v in enumerate(verts)}
-        normalized = {_normalize(index, s) for s in simplices}
-        normalized.discard(())
-        if len(normalized) > MAX_SIMPLICES:
-            raise TooManySimplices(
-                f"{len(normalized)} simplices exceed the supported size",
-                limit=MAX_SIMPLICES,
-            )
-        self._vertices = verts
-        self._index = index
-        self._simplices = frozenset(normalized)
-        by_dim: dict[int, list[Simplex]] = {}
-        for s in normalized:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {d: sorted(ss, key=self.sort_key) for d, ss in sorted(by_dim.items())}
-        self.validate()
+        self._assemble(verts, index, {_normalize(index, s) for s in simplices} - {()})
 
     @classmethod
     def from_maximal(
@@ -138,9 +122,28 @@ class SimplicialComplex:
         mentions it, so isolated points are representable.
         """
         verts = tuple(vertices)
-        faces = _closure({v: i for i, v in enumerate(verts)}, maximal)
+        index = {v: i for i, v in enumerate(verts)}
+        faces = _closure(index, maximal)  # already normalized
         faces.update((v,) for v in verts)
-        return cls(verts, faces)
+        return cls.__new__(cls)._assemble(verts, index, faces)
+
+    def _assemble(self, verts: tuple, index: dict, simplices: set[Simplex]) -> SimplicialComplex:
+        """Every construction ends here: vertex and size checks, sort, validate."""
+        if len(index) < len(verts):
+            v = next(v for i, v in enumerate(verts) if index[v] != i)
+            raise UnknownVertex(f"duplicate vertex {v!r} in vertex list", vertex=repr(v))
+        if len(simplices) > MAX_SIMPLICES:
+            raise TooManySimplices(f"{len(simplices)} simplices exceed the supported size",
+                                   limit=MAX_SIMPLICES)
+        self._vertices = verts
+        self._index = index
+        self._simplices = frozenset(simplices)
+        by_dim: dict[int, list[Simplex]] = {}
+        for s in simplices:
+            by_dim.setdefault(len(s) - 1, []).append(s)
+        self._by_dim = {d: sorted(ss, key=self.sort_key) for d, ss in sorted(by_dim.items())}
+        self.validate()
+        return self
 
     @classmethod
     def empty(cls) -> SimplicialComplex:
@@ -295,12 +298,13 @@ class PairSpace:
             self._bases[d] = dict(zip(rel, range(len(rel))))
         return self._bases[d]
 
-    def relative_coboundary_matrix(self, q: int) -> GF2Matrix:
-        """Coboundary on relative cochains: rows = (q+1)-simplices, cols = q."""
-        cols = self._basis(q)
-        rows = self._basis(q + 1)
+    def relative_coboundary_matrix(self, q: int, cleared: Container[int] = ()) -> GF2Matrix:
+        """Coboundary on relative cochains: rows = (q+1)-simplices, zero at ``cleared``; cols = q."""
+        cols, rows = self._basis(q), self._basis(q + 1)
         bits = [0] * len(rows)
         for i, s in enumerate(rows):
+            if i in cleared:
+                continue
             for face in combinations(s, len(s) - 1):
                 j = cols.get(face)
                 if j is not None:
@@ -308,14 +312,18 @@ class PairSpace:
         return GF2Matrix(len(rows), len(cols), tuple(bits))
 
     def betti_compact_supports(self) -> BettiVector:
-        """dim H^q(total, boundary; GF(2)) for each q."""
+        """dim H^q(total, boundary; GF(2)) for each q, top degree down.  Each
+        pivot row e_j + (higher bits) of delta^q is a boundary, so row j of
+        delta^{q-1} is a sum of later rows: zeroing all such j keeps the rank."""
         top = self.total.dim
-        # rank delta^{q-1} at index q, rank delta^q at index q+1
-        ranks = [rank(self.relative_coboundary_matrix(q)) for q in range(-1, top + 1)]
-        return BettiVector(
-            len(self._basis(q)) - ranks[q] - ranks[q + 1]
-            for q in range(top + 1)
-        )
+        ranks, pivots = [0] * (top + 2), {}  # rank delta^{q-1} at index q
+        for q in range(top - 1, 0, -1):
+            pivots = pivot_rows(self.relative_coboundary_matrix(q, pivots).row_bits)
+            ranks[q + 1] = len(pivots)
+        if top > 0:  # delta^0 clears no further rows: its rank is all it gives
+            ranks[1] = rank(self.relative_coboundary_matrix(0, pivots))
+        return BettiVector(len(self._basis(q)) - ranks[q] - ranks[q + 1]
+                           for q in range(top + 1))
 
     def euler_compact_supports(self) -> int:
         """Alternating sum of relative simplex counts; equals the alternating

@@ -267,6 +267,39 @@ def test_validation_error_exit_3(capsys, tmp_path):
     assert json.loads(err)["code"] in ("scene-error", "unknown-vertex")
 
 
+def test_string_vertex_lists_in_a_scene_file_are_refused(capsys, tmp_path):
+    # not the filled triangle on "a", "b", "c"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "complexes": {"k": {"vertices": "abc", "maximal_simplices": ["abc"]}},
+    }))
+    code, out, err = run(capsys, "betti", "k", "--scene", str(path))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "code": "scene-error",
+        "message": "complex 'k', vertices must be a JSON array, not str",
+        "context": {"found": "str"},
+    }
+
+
+def test_duplicate_vertex_in_a_scene_file_is_named(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "complexes": {"k": {"vertices": ["a", "b", "c", "b"], "maximal_simplices": [["a", "b"]]}},
+    }))
+    code, out, err = run(capsys, "betti", "k", "--scene", str(path))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "code": "unknown-vertex",
+        "message": "duplicate vertex 'b' in vertex list",
+        "context": {"vertex": "'b'"},
+    }
+
+
 def test_strict_flag_turns_degree_warning_into_error(capsys, tmp_path):
     data = {
         "schema_version": 1,

@@ -16,6 +16,7 @@ from virtbetti.gf2 import (
     image_basis,
     kernel_basis,
     kernel_vectors,
+    pivot_rows,
     quotient_dim,
     rank,
     reduced_echelon,
@@ -210,6 +211,10 @@ def test_rank_and_span_dim_match_oracle(matrix):
     expected = len(gf2_oracle.reduced_echelon(rows))
     assert span_dim(rows) == expected
     assert rank(GF2Matrix(len(rows), cols, tuple(rows))) == expected
+    # one row per pivot, keyed by its low bit, spanning the rows
+    pivots = pivot_rows(rows)
+    assert all(r & -r == 1 << p for p, r in pivots.items())
+    assert reduced_echelon(pivots.values()) == gf2_oracle.reduced_echelon(rows)
 
 
 @given(st.one_of(bit_rows(), masked_bit_rows()))
@@ -226,3 +231,46 @@ def test_kernel_vectors_match_oracle(matrix):
     assert tuple(gf2_oracle.reduced_echelon(kernel)) == tuple(
         gf2_oracle.kernel_vectors(rows, cols)
     )
+
+
+@st.composite
+def candidate_bases(draw):
+    """(ambient_dim, basis): random rows, or a reduced echelon basis that is
+    maybe spoiled by a zero row, a repeated row, a swap or an added row."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    rows = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=6))
+    if draw(st.booleans()):
+        rows = list(reduced_echelon(rows))
+        spoil = draw(st.sampled_from(["none", "zero", "repeat", "swap", "add"]))
+        if spoil == "zero":
+            rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), 0)
+        elif rows and spoil == "repeat":
+            i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            rows.insert(i, rows[i])
+        elif len(rows) > 1:
+            i, j = draw(st.lists(st.integers(min_value=0, max_value=len(rows) - 1),
+                                 min_size=2, max_size=2, unique=True))
+            if spoil == "swap":
+                rows[i], rows[j] = rows[j], rows[i]
+            elif spoil == "add":
+                rows[i] ^= rows[j]
+    return n, tuple(rows)
+
+
+@given(candidate_bases())
+@settings(max_examples=300)
+def test_subspace_accepts_exactly_reduced_echelon_bases(case):
+    n, basis = case
+    try:
+        GF2Subspace(n, basis)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (reduced_echelon(basis) == basis)
+
+
+@pytest.mark.parametrize("basis", [(0b1000,), (-1,), (0b1, -0b10)])
+def test_subspace_refuses_vectors_outside_the_ambient_space(basis):
+    with pytest.raises(ValueError, match="outside ambient space"):
+        GF2Subspace(3, basis)

@@ -137,6 +137,32 @@ def test_non_object_stratification_parts_are_scene_errors(stratifications):
     assert "must be a JSON object" in info.value.message
 
 
+@pytest.mark.parametrize("where, value, path", [
+    (("complexes", "circle", "vertices"), "abc", "complex 'circle', vertices"),
+    (("complexes", "circle", "maximal_simplices"), "ab", "complex 'circle', maximal_simplices"),
+    (("complexes", "circle", "maximal_simplices"), ["ab", ["b", "c"]],
+     "complex 'circle', maximal_simplices[0]"),
+    (("pairs", "line", "boundary_maximal"), "a", "pair 'line', boundary_maximal"),
+    (("pairs", "line", "boundary_maximal"), ["a"], "pair 'line', boundary_maximal[0]"),
+    (("arrangements", "whole", "pieces", 0, "maximal_simplices"), "ab",
+     "arrangement 'whole', piece 'X', maximal_simplices"),
+    (("arrangements", "whole", "pieces", 0, "maximal_simplices"), [["a", "b"], "bc"],
+     "arrangement 'whole', piece 'X', maximal_simplices[1]"),
+], ids=["vertices", "maximal", "simplex", "boundary", "boundary-simplex", "piece",
+        "piece-simplex"])
+def test_string_where_an_array_is_expected_is_a_scene_error(where, value, path):
+    # iterating a string would split it into one-character vertex names
+    bad = json.loads(json.dumps(MINIMAL))
+    node = bad
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(bad)
+    assert info.value.message == f"{path} must be a JSON array, not str"
+    assert info.value.context == {"found": "str"}
+
+
 def test_load_missing_file():
     with pytest.raises(SceneError):
         load_scene("/no/such/file.json")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from itertools import combinations
 
 import pytest
 import simplicial_oracle
@@ -178,6 +179,9 @@ def assert_matches_row_wise_oracle(k, boundary):
         assert k.boundary_matrix(d) == simplicial_oracle.boundary_matrix(k, d)
     pair = PairSpace(k, boundary)
     assert pair.betti_compact_supports() == simplicial_oracle.betti_compact_supports(pair)
+    for q in range(-2, k.dim + 2):
+        assert pair.relative_coboundary_matrix(q) == simplicial_oracle.boundary_matrix(
+            k, q + 1, boundary.simplices).transpose()
 
 
 @given(complexes_with_subcomplexes())
@@ -189,6 +193,58 @@ def test_homology_matches_row_wise_oracle(case):
     assert maximal_simplices(k) == simplicial_oracle.maximal_simplices(k)
     assert maximal_simplices(k, sub.simplices) == simplicial_oracle.maximal_simplices(
         k, sub.simplices)
+    assert_matches_row_wise_oracle(k, sub)
+
+
+@st.composite
+def high_dimensional_pairs(draw):
+    """A complex of dimension up to 5 on at most 8 vertices, built from
+    simplices of up to 6 vertices, boundaries of simplices of up to 7 and
+    cones over what is built so far, with a subcomplex generated by a few
+    of its simplices.  Cleared rows reach every degree of such a complex."""
+    verts = draw(st.permutations([f"v{i}" for i in range(8)]))
+    maximal: list[tuple] = []
+    for kind in draw(st.lists(st.sampled_from(["simplex", "boundary", "cone"]),
+                              min_size=1, max_size=4)):
+        if kind == "cone":
+            apex = draw(st.sampled_from(verts))
+            maximal += [(apex,) + tuple(v for v in s if v != apex) for s in maximal
+                        if len(s) < 6 or apex in s]
+            continue
+        size = 6 if kind == "simplex" else 7
+        s = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=size, unique=True))
+        if kind == "boundary" and len(s) > 1:
+            maximal += list(combinations(s, len(s) - 1))
+        else:
+            maximal.append(tuple(s))
+    k = SimplicialComplex.from_maximal(sorted({v for s in maximal for v in s}), maximal)
+    simplices = sorted(k.simplices, key=k.sort_key)
+    boundary = draw(st.lists(st.sampled_from(simplices), max_size=3)) if simplices else []
+    return k, k.subcomplex(maximal=boundary)
+
+
+@given(high_dimensional_pairs())
+@settings(max_examples=150, deadline=None)
+def test_cleared_homology_matches_uncleared_oracle_up_to_dimension_5(case):
+    k, boundary = case
+    assert_matches_row_wise_oracle(k, boundary)
+
+
+@pytest.mark.parametrize("k, boundary, expected", [
+    (SimplicialComplex.empty(), [], ()),
+    (models.points(4), [], (4,)),
+    (models.points(4), [("p2",)], (3,)),
+    (models.points(4), [("p0",), ("p1",), ("p2",), ("p3",)], ()),
+    (models.sphere(5), None, ()),
+    (models.sphere(5), [("v3",)], (0, 0, 0, 0, 0, 1)),
+    (models.torus_minimal(), None, ()),
+    (models.torus_minimal(), [("v0",)], (0, 2, 1)),
+], ids=["empty", "points", "points-minus-one", "points-minus-all", "sphere-minus-all",
+        "sphere-minus-vertex", "torus-minus-all", "torus-minus-vertex"])
+def test_cleared_homology_edge_cases(k, boundary, expected):
+    sub = k.full_subcomplex() if boundary is None else k.subcomplex(maximal=boundary)
+    pair = PairSpace(k, sub)
+    assert tuple(pair.betti_compact_supports()) == expected
     assert_matches_row_wise_oracle(k, sub)
 
 
