@@ -4,7 +4,7 @@ real algebraic varieties: exact GF(2) linear algebra, simplicial
 sequences, and weight-filtration arithmetic."""
 
 from .errors import VirtBettiError, Verdict
-from .gf2 import GF2Matrix, GF2Subspace, image_basis, kernel_basis, quotient_dim, rank
+from .gf2 import GF2Matrix, GF2Subspace, kernel_basis, rank
 from .polynomial import IntPolynomial, NEG_INFINITY, degree_and_leading, parse_polynomial
 from .simplicial import (
     BettiVector,

@@ -23,10 +23,6 @@ class VirtBettiError(Exception):
         return {"code": self.code, "message": self.message, "context": self.context}
 
 
-class ContainmentViolation(VirtBettiError):
-    code = "containment-violation"
-
-
 class NotFaceClosed(VirtBettiError):
     code = "not-face-closed"
 

@@ -1,10 +1,11 @@
 """Exact dense linear algebra over the two-element field.
 
 Vectors are Python ints used as bit masks (bit k = coordinate k), so a row
-operation is a single word-wide XOR regardless of width.  Ranks and spans
-use forward elimination only; ``GF2Subspace`` and ``reduced_echelon`` keep
-the reduced row-echelon form, unique for a span, so equal subspaces have
-bit-identical bases.
+operation is a single word-wide XOR regardless of width.  One forward
+elimination, ``pivot_rows``, serves every caller: the ranks of homology and
+the persistence pairs of the Mayer-Vietoris spectral sequence.
+``GF2Subspace`` and ``reduced_echelon`` keep the reduced row-echelon form,
+unique for a span, so equal subspaces have bit-identical bases.
 """
 
 from __future__ import annotations
@@ -12,16 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ContainmentViolation
-
 __all__ = [
     "GF2Matrix",
     "GF2Subspace",
     "rank",
     "pivot_rows",
     "kernel_basis",
-    "image_basis",
-    "quotient_dim",
     "reduced_echelon",
     "kernel_vectors",
     "span_dim",
@@ -32,12 +29,18 @@ def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def pivot_rows(vectors: Iterable[int]) -> dict[int, int]:
-    """Forward elimination: rows spanning the input, keyed by their low bit."""
-    pivots: dict[int, int] = {}
+def pivot_rows(vectors: Iterable[int], pivots: dict[int, int] | None = None) -> dict[int, int]:
+    """Forward elimination: rows spanning the input, keyed by their low bit.
+
+    Given a dict, the vectors are reduced against its rows and their new
+    pivots are added to it in input order, so feeding the input in several
+    calls that share one dict gives the same dict as one call.
+    """
+    if pivots is None:
+        pivots = {}
     for v in vectors:
         while v:
-            p = _low_bit(v)
+            p = (v & -v).bit_length() - 1
             r = pivots.get(p)
             if r is None:
                 pivots[p] = v
@@ -96,34 +99,6 @@ class GF2Matrix:
             if not 0 <= r < limit:
                 raise ValueError("row data wider than declared column count")
 
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence[int]], cols: int | None = None) -> GF2Matrix:
-        data = [list(row) for row in data]
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        bits = []
-        for row in data:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            v = 0
-            for j, entry in enumerate(row):
-                if entry not in (0, 1):
-                    raise ValueError(f"entry {entry!r} is not a bit")
-                v |= entry << j
-            bits.append(v)
-        return cls(len(data), cols, tuple(bits))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> GF2Matrix:
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> GF2Matrix:
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
     def column_bits(self) -> tuple[int, ...]:
         """Columns as bit vectors over the row index."""
         cols = [0] * self.cols
@@ -168,20 +143,9 @@ class GF2Subspace:
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[int]) -> GF2Subspace:
         return cls(ambient_dim, reduced_echelon(vectors))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> GF2Subspace:
-        return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> GF2Subspace:
-        return cls(ambient_dim, tuple(1 << i for i in range(ambient_dim)))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, v: int) -> bool:
-        return span_dim(self.basis + (v,)) == self.dim
 
 
 def rank(m: GF2Matrix) -> int:
@@ -192,25 +156,3 @@ def rank(m: GF2Matrix) -> int:
 def kernel_basis(m: GF2Matrix) -> GF2Subspace:
     """Right kernel {v : m v = 0}, echelonized; dim = cols - rank."""
     return GF2Subspace.from_vectors(m.cols, kernel_vectors(m.row_bits, m.cols))
-
-
-def image_basis(m: GF2Matrix) -> GF2Subspace:
-    """Column space of m, echelonized; dim = rank."""
-    return GF2Subspace.from_vectors(m.rows, m.column_bits())
-
-
-def quotient_dim(outer: GF2Subspace, inner: GF2Subspace) -> int:
-    """dim(outer/inner); requires inner to be contained in outer."""
-    if outer.ambient_dim != inner.ambient_dim:
-        raise ContainmentViolation(
-            "ambient dimensions differ",
-            outer=outer.ambient_dim,
-            inner=inner.ambient_dim,
-        )
-    for v in inner.basis:
-        if not outer.contains(v):
-            raise ContainmentViolation(
-                "inner subspace is not contained in outer subspace",
-                witness=v,
-            )
-    return outer.dim - inner.dim

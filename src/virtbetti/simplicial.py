@@ -180,9 +180,8 @@ class SimplicialComplex:
     def validate(self) -> None:
         """Check face closure and vertex bookkeeping; raises on violation."""
         _check_face_closed(self._simplices)
-        present = {v for s in self._simplices for v in s}
         for v in self._vertices:
-            if v not in present:
+            if (v,) not in self._simplices:
                 raise NotFaceClosed(
                     f"vertex {v!r} has no singleton simplex", vertex=repr(v)
                 )

@@ -8,13 +8,16 @@ simplicial coboundary.  The two differentials commute and each squares to
 zero, so their sum is a differential on the total complex, and the
 filtration by column produces the pages.
 
-Pages are read off one column reduction of the total differential D.
-Basis vectors of degree n are ordered by descending filtration p, so every
-F_p is a coordinate prefix.  Reducing the columns of D left to right pairs
-each nonzero reduced column x with its lowest entry low(x), the entry of
-least filtration; the pair's gap is p(low(x)) - p(x).  A pair with gap r
-is one rank of the differential d_r, so it lives on E_0..E_r and is gone
-from E_{r+1} on; an unpaired vector lives forever.  Hence
+Pages are read off one column reduction of the total differential D, by
+the elimination kernel ``gf2.pivot_rows``.  Basis vectors of degree n are
+listed by ascending filtration p, so the low bit of a column is its entry
+of least filtration.  The columns are fed to the kernel one filtration
+block at a time, highest p first; each nonzero reduced column x is filed
+under its low bit low(x), and pairs its basis vector with low(x).  The
+pair's gap is p(low(x)) - p(x).  The number of pairs between two levels
+does not depend on the order inside a level.  A pair with gap r is one
+rank of the differential d_r, so it lives on E_0..E_r and is gone from
+E_{r+1} on; an unpaired vector lives forever.  Hence
 
     dim E_r^{p,q} = #{vectors at (p, q) unpaired or paired with gap >= r}
     rank d_r^{p,q} = #{pairs starting at (p, q) with gap exactly r}
@@ -27,11 +30,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby, islice
 from math import inf
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import ConvergenceMismatch, NotACover, TooManyPieces
+from .gf2 import pivot_rows
 from .polynomial import IntPolynomial
 from .simplicial import BettiVector, SimplicialComplex, Subcomplex
 
@@ -196,19 +201,22 @@ class MVSpectralSequence:
         m = self._m
         inters = self.arrangement.nerve
         max_dim = total.dim
-        # basis entries per total degree n, ordered by descending filtration p
+        # basis entries per total degree n: ascending filtration p, and inside
+        # a level the reverse of nerve and simplex order, so that _pair, which
+        # feeds each level from its end, takes the columns in that order
         self._basis: dict[int, list[tuple[int, tuple[int, ...], tuple]]] = {}
         self._position: dict[int, dict[tuple[int, tuple[int, ...], tuple], int]] = {}
         max_n = max_dim + m - 1 if max_dim >= 0 else -1
         for n in range(max_n + 1):
             entries = []
-            for p in range(min(m - 1, n), -1, -1):
+            for p in range(min(m - 1, n) + 1):
                 q = n - p
                 if q > max_dim:
                     continue
-                for subset, meet in inters.items():
+                for subset in reversed(inters):
                     if len(subset) == p + 1:
-                        simp = sorted((s for s in meet if len(s) == q + 1), key=total.sort_key)
+                        simp = sorted((s for s in inters[subset] if len(s) == q + 1),
+                                      key=total.sort_key, reverse=True)
                         entries.extend((p, subset, s) for s in simp)
             self._basis[n] = entries
             self._position[n] = {e: i for i, e in enumerate(entries)}
@@ -280,35 +288,32 @@ class MVSpectralSequence:
     # -- pages ---------------------------------------------------------------
 
     def _pair(self):
-        """Reduce the total differential once and record its persistence pairs.
+        """Reduce the total differential once and count its persistence pairs.
 
-        Columns are reduced left to right (descending filtration) against a
-        {low: reduced column} dict, where low is the highest set bit: the
-        entry of least filtration.  A nonzero reduced column pairs its basis
-        vector x with low; the gap p(low) - p(x) is the r of the d_r the pair
-        is one rank of.  Unpaired vectors get gap inf.
+        Each degree's columns go to ``pivot_rows`` one filtration block at a
+        time, highest p first and, inside a block, from the end of the basis
+        list.  The pivots a block adds, read in the dict's insertion order,
+        are its pairs: each pairs a vector at the block's p with the vector
+        low, the pivot's key, at gap p(low) - p.  One Counter holds every pair
+        as (p, q, gap); each vector's lifetime follows from it, with gap inf
+        for the unpaired.
         """
-        lifetimes: dict[tuple[int, int], Counter] = {}
-        self._pair_counts: Counter = Counter()
-        gaps = {n: [inf] * len(entries) for n, entries in self._basis.items()}
+        pairs: Counter = Counter()
         for n, cols in self._cols.items():
-            entries, upper = self._basis[n], self._basis.get(n + 1, [])
-            reduced: dict[int, int] = {}
-            for j, col in enumerate(cols):
-                while col:
-                    low = col.bit_length() - 1
-                    if low not in reduced:
-                        reduced[low] = col
-                        p = entries[j][0]
-                        gap = upper[low][0] - p
-                        gaps[n][j] = gaps[n + 1][low] = gap
-                        self._pair_counts[(p, n - p, gap)] += 1
-                        break
-                    col ^= reduced[low]
-        for n, entries in self._basis.items():
-            for (p, _, _), gap in zip(entries, gaps[n]):
-                lifetimes.setdefault((p, n - p), Counter())[gap] += 1
-        self._lifetimes = lifetimes
+            upper = [p for p, _, _ in self._basis.get(n + 1, [])]
+            levels = reversed([p for p, _, _ in self._basis[n]])
+            pivots: dict[int, int] = {}
+            for p, block in groupby(zip(levels, reversed(cols)), key=itemgetter(0)):
+                found = len(pivots)
+                pivot_rows((col for _, col in block), pivots)
+                pairs.update((p, n - p, upper[low] - p) for low in islice(pivots, found, None))
+        self._pair_counts = pairs
+        sizes = Counter((p, n - p) for n, entries in self._basis.items() for p, _, _ in entries)
+        self._lifetimes = {key: Counter({inf: size}) for key, size in sizes.items()}
+        for (p, q, gap), count in pairs.items():
+            for key in ((p, q), (p + gap, q + 1 - gap)):
+                self._lifetimes[key][gap] += count
+                self._lifetimes[key][inf] -= count
 
     def entry_dim(self, r: int, p: int, q: int) -> int:
         """Vectors at (p, q) that are unpaired or whose pair has gap >= r."""

@@ -8,9 +8,10 @@ This is how ``virtbetti.spectral`` computed every page entry before it read
 the pages off persistence pairs.  Each function takes an
 ``MVSpectralSequence`` and uses only its ``_basis`` and ``_cols`` (and, for
 the vertical differential, its intersections), so the pages it gives are
-independent of the pairing.  Basis vectors of degree n are ordered by
-descending filtration, so every F_p is a coordinate prefix and quotienting
-by it is a bit mask.
+independent of the pairing.  F_p is the bit mask of the basis vectors whose
+filtration is at least p, read off each basis entry, so the pages do not
+depend on the order of the basis either; quotienting by F_p clears its
+bits.
 
 It also keeps the arrangement's old all-subsets routes: the table of every
 subset's intersection, empty or not, and the virtual polynomial that
@@ -27,9 +28,9 @@ from virtbetti.simplicial import Subcomplex
 from virtbetti.stratified import inclusion_exclusion
 
 
-def _prefix_size(ss, n: int, p: int) -> int:
-    """Number of degree-n basis vectors with filtration >= p."""
-    return sum(1 for pp, _, _ in ss._basis.get(n, []) if pp >= p)
+def _filtration_mask(ss, n: int, p: int) -> int:
+    """F_p in degree n: the bits of the basis vectors with filtration >= p."""
+    return sum(1 << i for i, (pp, _, _) in enumerate(ss._basis.get(n, [])) if pp >= p)
 
 
 def _rows(ss, n: int) -> list[int]:
@@ -45,29 +46,31 @@ def _rows(ss, n: int) -> list[int]:
 
 def _z_space(ss, r: int, p: int, n: int) -> list[int]:
     """Basis of Z_r(p, n) = {x in F_p T^n : D x in F_{p+r} T^{n+1}}."""
-    size = _prefix_size(ss, n, p)
-    if size == 0:
+    support = _filtration_mask(ss, n, p)
+    if support == 0:
         return []
-    keep_from = _prefix_size(ss, n + 1, p + r)
-    mask = (1 << size) - 1
-    rows = [row & mask for row in _rows(ss, n)[keep_from:]]
+    size = len(ss._basis[n])
+    keep = _filtration_mask(ss, n + 1, p + r)
+    # the rows of D outside F_{p+r}, and a unit row per coordinate outside F_p
+    rows = [row for i, row in enumerate(_rows(ss, n)) if not keep >> i & 1]
+    rows += [1 << j for j in range(size) if not support >> j & 1]
     return kernel_vectors(rows, size)
 
 
 def _d_of_z(ss, r: int, p: int, n: int) -> list[int]:
     """D-images (degree n+1) of a basis of Z_r(p, n)."""
-    size = _prefix_size(ss, n, p)
-    if size == 0:
+    support = _filtration_mask(ss, n, p)
+    if support == 0:
         return []
     cols = ss._cols.get(n, [])
     if r <= 0:
-        return cols[:size]
+        return [c for j, c in enumerate(cols) if support >> j & 1]
     return [ss._apply(cols, z) for z in _z_space(ss, r, p, n)]
 
 
 def entry_dim(ss, r: int, p: int, q: int) -> int:
     n = p + q
-    strip = ~((1 << _prefix_size(ss, n, p + 1)) - 1)
+    strip = ~_filtration_mask(ss, n, p + 1)
     numerator = [z & strip for z in _z_space(ss, r, p, n)]
     denominator = [v & strip for v in _d_of_z(ss, r - 1, p - r + 1, n - 1)]
     return span_dim(numerator) - span_dim(denominator)
@@ -76,7 +79,7 @@ def entry_dim(ss, r: int, p: int, q: int) -> int:
 def d_rank(ss, r: int, p: int, q: int) -> int:
     """Rank of the induced differential E_r^{p,q} -> E_r^{p+r, q-r+1}."""
     n = p + q
-    strip = ~((1 << _prefix_size(ss, n + 1, p + r + 1)) - 1)
+    strip = ~_filtration_mask(ss, n + 1, p + r + 1)
     cols = ss._cols.get(n, [])
     images = [ss._apply(cols, z) & strip for z in _z_space(ss, r, p, n)]
     boundary = [v & strip for v in _d_of_z(ss, r - 1, p + 1, n)]

@@ -1,4 +1,4 @@
-"""GF(2) linear algebra: ranks, kernels, images, quotients, canonical bases."""
+"""GF(2) linear algebra: ranks, kernels, the elimination kernel, canonical bases."""
 
 from __future__ import annotations
 
@@ -9,28 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gf2_oracle
-from virtbetti.errors import ContainmentViolation
 from virtbetti.gf2 import (
     GF2Matrix,
     GF2Subspace,
-    image_basis,
     kernel_basis,
     kernel_vectors,
     pivot_rows,
-    quotient_dim,
     rank,
     reduced_echelon,
     span_dim,
 )
 
 # boundary matrix of the hollow triangle: rows = vertices, cols = edges
-HOLLOW_TRIANGLE = GF2Matrix.from_rows(
-    [
-        [1, 1, 0],  # vertex a: edges ab, ac
-        [1, 0, 1],  # vertex b: edges ab, bc
-        [0, 1, 1],  # vertex c: edges ac, bc
-    ]
-)
+# (edges ab, ac, bc are bits 0, 1, 2)
+HOLLOW_TRIANGLE = GF2Matrix(3, 3, (
+    0b011,  # vertex a: edges ab, ac
+    0b101,  # vertex b: edges ab, bc
+    0b110,  # vertex c: edges ac, bc
+))
+IDENTITY_2 = GF2Matrix(2, 2, (0b01, 0b10))
 
 
 def brute_force_rank(m: GF2Matrix) -> int:
@@ -54,8 +51,8 @@ def matrices(max_dim=8):
 
 
 def test_rank_trivial_cases():
-    assert rank(GF2Matrix.zero(0, 0)) == 0
-    assert rank(GF2Matrix.identity(2)) == 2
+    assert rank(GF2Matrix(0, 0, ())) == 0
+    assert rank(IDENTITY_2) == 2
 
 
 def test_rank_hollow_triangle_matches_brute_force():
@@ -85,11 +82,11 @@ def test_kernel_vectors_annihilate(m):
 
 
 def test_kernel_identity_is_zero():
-    assert kernel_basis(GF2Matrix.identity(2)) == GF2Subspace.zero(2)
+    assert kernel_basis(IDENTITY_2) == GF2Subspace(2, ())
 
 
 def test_kernel_of_sum_row():
-    m = GF2Matrix.from_rows([[1, 1]])
+    m = GF2Matrix(1, 2, (0b11,))
     assert kernel_basis(m) == GF2Subspace(2, (0b11,))
 
 
@@ -100,33 +97,6 @@ def test_kernel_hollow_triangle():
     # brute force over all 2^3 vectors
     brute = [v for v in range(8) if HOLLOW_TRIANGLE.matvec(v) == 0]
     assert sorted(brute) == [0, 0b111]
-
-
-def test_image_basis_cases():
-    assert image_basis(GF2Matrix.zero(3, 2)) == GF2Subspace.zero(3)
-    assert image_basis(GF2Matrix.identity(2)) == GF2Subspace.full(2)
-    m = GF2Matrix.from_rows([[1, 1], [1, 1]])
-    assert image_basis(m) == GF2Subspace(2, (0b11,))
-
-
-def test_quotient_dim():
-    full3 = GF2Subspace.full(3)
-    assert quotient_dim(full3, full3) == 0
-    assert quotient_dim(full3, GF2Subspace.zero(3)) == 3
-    outer = GF2Subspace.from_vectors(2, [0b01, 0b10])
-    inner = GF2Subspace.from_vectors(2, [0b11])
-    assert quotient_dim(outer, inner) == 1
-    # brute-force coset count: |outer| / |inner| = 4 / 2 = 2 = 2^1
-    outer_vecs = {0, 0b01, 0b10, 0b11}
-    cosets = {frozenset({v, v ^ 0b11}) for v in outer_vecs}
-    assert len(cosets) == 2
-
-
-def test_quotient_dim_rejects_non_containment():
-    outer = GF2Subspace.from_vectors(3, [0b011])
-    inner = GF2Subspace.from_vectors(3, [0b100])
-    with pytest.raises(ContainmentViolation):
-        quotient_dim(outer, inner)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=255), max_size=10),
@@ -190,7 +160,7 @@ def bit_rows(draw):
 
 @st.composite
 def masked_bit_rows(draw):
-    """Rows cut to a prefix of their columns, as spectral._z_space cuts them."""
+    """Rows cut to a prefix of their columns."""
     cols, rows = draw(bit_rows())
     size = draw(st.integers(min_value=0, max_value=cols))
     mask = (1 << size) - 1
@@ -215,6 +185,18 @@ def test_rank_and_span_dim_match_oracle(matrix):
     pivots = pivot_rows(rows)
     assert all(r & -r == 1 << p for p, r in pivots.items())
     assert reduced_echelon(pivots.values()) == gf2_oracle.reduced_echelon(rows)
+
+
+@given(st.one_of(bit_rows(), masked_bit_rows()), st.data())
+@settings(max_examples=200)
+def test_pivot_rows_fed_in_two_calls_equals_one_call(matrix, data):
+    _, rows = matrix
+    cut = data.draw(st.integers(min_value=0, max_value=len(rows)))
+    shared: dict[int, int] = {}
+    assert pivot_rows(rows[:cut], shared) is shared
+    assert pivot_rows(rows[cut:], shared) is shared
+    # same keys, values and insertion order
+    assert list(shared.items()) == list(pivot_rows(rows).items())
 
 
 @given(st.one_of(bit_rows(), masked_bit_rows()))

@@ -52,6 +52,14 @@ def test_validate_rejects_missing_faces():
     assert "face" in str(err.value)
 
 
+def test_validate_rejects_a_vertex_without_its_singleton():
+    with pytest.raises(NotFaceClosed) as err:
+        SimplicialComplex(("a", "b"), [("a",)])
+    assert err.value.code == "not-face-closed"
+    assert err.value.message == "vertex 'b' has no singleton simplex"
+    assert err.value.context == {"vertex": "'b'"}
+
+
 def test_validate_rejects_unknown_vertex():
     with pytest.raises(UnknownVertex):
         SimplicialComplex(("a",), [("a", "z")])
