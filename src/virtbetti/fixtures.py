@@ -11,11 +11,11 @@ from disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from . import models
+from .errors import Record
 from .polynomial import IntPolynomial, parse_polynomial
 from .scene import Scene
 from .scissor import (
@@ -55,8 +55,7 @@ from .weights import (
 __all__ = ["CheckResult", "builtin_scene", "fixture_names", "run_fixture", "run_fixtures"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     fixture: str
     check: str
     passed: bool

@@ -10,8 +10,9 @@ unique for a span, so equal subspaces have bit-identical bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .errors import Record
 
 __all__ = [
     "GF2Matrix",
@@ -81,8 +82,7 @@ def kernel_vectors(row_bits: Sequence[int], cols: int) -> list[int]:
     return list(kernel.values())
 
 
-@dataclass(frozen=True)
-class GF2Matrix:
+class GF2Matrix(Record):
     """Immutable dense matrix over GF(2); row i is the bit mask row_bits[i]."""
 
     rows: int
@@ -121,8 +121,7 @@ class GF2Matrix:
         return out
 
 
-@dataclass(frozen=True)
-class GF2Subspace:
+class GF2Subspace(Record):
     """Subspace of GF(2)^ambient_dim with canonical reduced-echelon basis."""
 
     ambient_dim: int

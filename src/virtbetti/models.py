@@ -22,10 +22,10 @@ Euler characteristics: spheres 2, torus 0, union 84 - 324 + 248 = 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from .errors import Record
 from .simplicial import SimplicialComplex, Subcomplex
 
 __all__ = [
@@ -209,8 +209,7 @@ def maximal_curve_edges(tag_a: str, tag_b: str) -> list[tuple]:
     return curve_edges(tag_a) + curve_edges(tag_b)
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Record):
     """The assembled surface: total complex plus the named pieces."""
 
     total: SimplicialComplex

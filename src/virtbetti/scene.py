@@ -10,10 +10,9 @@ identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import SceneError, UnknownName, VirtBettiError
+from .errors import Record, SceneError, UnknownName, VirtBettiError
 from .polynomial import parse_polynomial
 from .scissor import (
     Atom,
@@ -41,17 +40,24 @@ __all__ = ["Scene", "scene_from_dict", "scene_to_dict", "load_scene", "dump_scen
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class Scene:
-    """All named objects of one scene file."""
+class Scene(Record):
+    """All named objects of one scene file; unlike other records, mutable."""
 
-    atoms: AtomRegistry = field(default_factory=AtomRegistry)
-    complexes: dict[str, SimplicialComplex] = field(default_factory=dict)
-    pairs: dict[str, PairSpace] = field(default_factory=dict)
-    expressions: dict[str, ScissorExpr] = field(default_factory=dict)
-    stratifications: dict[str, StratifiedSpec] = field(default_factory=dict)
-    arrangements: dict[str, Arrangement] = field(default_factory=dict)
-    weight_inputs: dict[str, WeightSystemInput] = field(default_factory=dict)
+    atoms: AtomRegistry
+    complexes: dict[str, SimplicialComplex]
+    pairs: dict[str, PairSpace]
+    expressions: dict[str, ScissorExpr]
+    stratifications: dict[str, StratifiedSpec]
+    arrangements: dict[str, Arrangement]
+    weight_inputs: dict[str, WeightSystemInput]
+
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        for name in self._fields[len(args):]:  # a field not given starts empty
+            kwargs.setdefault(name, AtomRegistry() if name == "atoms" else {})
+        super().__init__(*args, **kwargs)
 
     def complex(self, name: str) -> SimplicialComplex:
         return _get(self.complexes, name, "complex")
@@ -70,18 +76,6 @@ class Scene:
 
     def weight_input(self, name: str) -> WeightSystemInput:
         return _get(self.weight_inputs, name, "weight input")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Scene)
-            and self.atoms == other.atoms
-            and self.complexes == other.complexes
-            and self.pairs == other.pairs
-            and self.expressions == other.expressions
-            and self.stratifications == other.stratifications
-            and self.arrangements == other.arrangements
-            and self.weight_inputs == other.weight_inputs
-        )
 
 
 def _get(mapping: Mapping[str, Any], name: str, kind: str):

@@ -13,10 +13,9 @@ are not verified geometrically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .errors import UnknownAtom, Verdict
+from .errors import Record, UnknownAtom, Verdict
 from .polynomial import IntPolynomial
 from .simplicial import SimplicialComplex
 
@@ -40,8 +39,7 @@ __all__ = [
 PROVENANCE_KINDS = ("declared", "model", "recursive")
 
 
-@dataclass(frozen=True)
-class AtomRecord:
+class AtomRecord(Record):
     """A named variety class with known invariants.
 
     provenance is "declared" (user-supplied analytically), "model:<name>"
@@ -126,33 +124,28 @@ class AtomRegistry:
         return isinstance(other, AtomRegistry) and self._records == other._records
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
+class DisjointUnion(Record):
     left: "ScissorExpr"
     right: "ScissorExpr"
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
     left: "ScissorExpr"
     right: "ScissorExpr"
 
 
-@dataclass(frozen=True)
-class ClosedDifference:
+class ClosedDifference(Record):
     """[total minus closed_part] with closed_part closed in total (asserted)."""
 
     total: "ScissorExpr"
     closed_part: "ScissorExpr"
 
 
-@dataclass(frozen=True)
-class Blowup:
+class Blowup(Record):
     """Blowup of `base` along `center` with exceptional divisor `exceptional`.
 
     The node denotes the blown-up variety (optionally labelled); its class
@@ -166,8 +159,7 @@ class Blowup:
     label: str | None = None
 
 
-@dataclass(frozen=True)
-class Empty:
+class Empty(Record):
     pass
 
 

@@ -15,11 +15,10 @@ numbers, top degree down with clearing: the relative cohomology of a pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Container, Hashable, Iterable, Sequence
 
-from .errors import NotFaceClosed, TooManySimplices, UnknownVertex
+from .errors import NotFaceClosed, Record, TooManySimplices, UnknownVertex
 from .gf2 import GF2Matrix, pivot_rows, rank
 from .polynomial import IntPolynomial
 
@@ -192,6 +191,11 @@ class SimplicialComplex:
         except UnknownVertex:
             return False
 
+    def standalone(self, simplices: frozenset) -> SimplicialComplex:
+        """Complex on a face-closed subset of the simplices, vertex order restricted."""
+        used = {v for s in simplices for v in s}
+        return SimplicialComplex((v for v in self._vertices if v in used), simplices)
+
     def boundary_matrix(self, d: int) -> GF2Matrix:
         """Mod-2 boundary from d-chains to (d-1)-chains, lexicographic bases:
         the transpose of the coboundary of the pair (self, empty)."""
@@ -233,8 +237,7 @@ class SimplicialComplex:
         return f"<SimplicialComplex {len(self._vertices)} vertices, {len(self._simplices)} simplices, dim {self.dim}>"
 
 
-@dataclass(frozen=True)
-class Subcomplex:
+class Subcomplex(Record):
     """Face-closed subset of a parent complex's simplices."""
 
     parent: SimplicialComplex
@@ -254,9 +257,7 @@ class Subcomplex:
 
     def as_complex(self) -> SimplicialComplex:
         """Standalone complex with the parent's vertex order restricted."""
-        used = {v for s in self.simplices for v in s}
-        verts = tuple(v for v in self.parent.vertices if v in used)
-        return SimplicialComplex(verts, self.simplices)
+        return self.parent.standalone(self.simplices)
 
     def union(self, other: Subcomplex) -> Subcomplex:
         if other.parent is not self.parent:
@@ -272,8 +273,7 @@ class Subcomplex:
         return f"<Subcomplex {len(self.simplices)} simplices>"
 
 
-@dataclass(frozen=True)
-class PairSpace:
+class PairSpace(Record):
     """Compactification pair (total, boundary) modelling |total| - |boundary|.
 
     Cohomology with compact supports of the open part is the relative
@@ -283,7 +283,6 @@ class PairSpace:
 
     total: SimplicialComplex
     boundary: Subcomplex
-    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.boundary.parent is not self.total:
@@ -291,11 +290,12 @@ class PairSpace:
 
     def _basis(self, d: int) -> dict[Simplex, int]:
         """{relative d-simplex: position} in lexicographic order, built once."""
-        if d not in self._bases:
+        bases = self.__dict__.setdefault("_bases", {})  # not a field: no ==, hash or repr
+        if d not in bases:
             skip = self.boundary.simplices
             rel = [s for s in self.total.simplices_of_dim(d) if s not in skip]
-            self._bases[d] = dict(zip(rel, range(len(rel))))
-        return self._bases[d]
+            bases[d] = dict(zip(rel, range(len(rel))))
+        return bases[d]
 
     def relative_coboundary_matrix(self, q: int, cleared: Container[int] = ()) -> GF2Matrix:
         """Coboundary on relative cochains: rows = (q+1)-simplices, zero at ``cleared``; cols = q."""

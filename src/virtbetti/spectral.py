@@ -28,14 +28,13 @@ E_{r+1} on; an unpaired vector lives forever.  Hence
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby, islice
 from math import inf
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .errors import ConvergenceMismatch, NotACover, TooManyPieces
+from .errors import ConvergenceMismatch, NotACover, Record, TooManyPieces
 from .gf2 import pivot_rows
 from .polynomial import IntPolynomial
 from .simplicial import BettiVector, SimplicialComplex, Subcomplex
@@ -58,8 +57,7 @@ __all__ = [
 MAX_PIECES = 16
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Record):
     """A complex together with an ordered closed cover by subcomplexes."""
 
     total: SimplicialComplex
@@ -121,13 +119,12 @@ class Arrangement:
         """
         total = IntPolynomial.zero()
         for subset, meet in self.nerve.items():
-            poly = Subcomplex(self.total, meet).as_complex().poincare_polynomial()
+            poly = self.total.standalone(meet).poincare_polynomial()
             total = total + poly if len(subset) % 2 else total - poly
         return total
 
 
-@dataclass(frozen=True)
-class SpectralPage:
+class SpectralPage(Record):
     """Dimensions of one page; dims holds the nonzero entries only."""
 
     r: int
@@ -146,8 +143,7 @@ class SpectralPage:
         return sum((-1) ** (p + q) * d for (p, q), d in self.dims.items())
 
 
-@dataclass(frozen=True)
-class FiltrationProfile:
+class FiltrationProfile(Record):
     """w(i, j) = dim of the infinity page at column i-j, row j."""
 
     w: Mapping[tuple[int, int], int]
@@ -174,8 +170,7 @@ class FiltrationProfile:
         return out
 
 
-@dataclass(frozen=True)
-class StabilizationCertificate:
+class StabilizationCertificate(Record):
     """Witness that the pages are constant from stable_from on."""
 
     stable_from: int
@@ -221,7 +216,13 @@ class MVSpectralSequence:
             self._basis[n] = entries
             self._position[n] = {e: i for i, e in enumerate(entries)}
 
-        # columns of the horizontal, vertical and total differentials
+        # columns of the horizontal, vertical and total differentials; the
+        # horizontal one restricts a subset's cochains to its nonempty cofaces
+        cofaces = {subset: [] for subset in inters}
+        for bigger, meet in inters.items():
+            if len(bigger) > 1:  # the nerve holds every nonempty subset of a member
+                for i in range(len(bigger)):
+                    cofaces[bigger[:i] + bigger[i + 1:]].append((bigger, meet))
         self._cols_h: dict[int, list[int]] = {}
         self._cols_v: dict[int, list[int]] = {}
         self._cols: dict[int, list[int]] = {}
@@ -230,12 +231,8 @@ class MVSpectralSequence:
             cols_h = []
             for p, subset, s in entries:
                 h = 0
-                members = set(subset)
-                for j in range(m):
-                    if j in members:
-                        continue
-                    bigger = tuple(sorted(subset + (j,)))
-                    if s in inters.get(bigger, ()):
+                for bigger, meet in cofaces[subset]:
+                    if s in meet:
                         h |= 1 << pos_next[(p + 1, bigger, s)]
                 cols_h.append(h)
             # the vertical differential sends each simplex to its cofaces:

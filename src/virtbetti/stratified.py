@@ -15,7 +15,6 @@ are warnings by default and errors in strict mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -25,6 +24,7 @@ from .errors import (
     MissingBoundaryData,
     MissingIntersection,
     NotAPartition,
+    Record,
     Verdict,
 )
 from .polynomial import IntPolynomial
@@ -43,15 +43,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CompactModel:
+class CompactModel(Record):
     """Model of a compact nonsingular stratum (caller's assertion)."""
 
     complex: SimplicialComplex
 
 
-@dataclass(frozen=True)
-class OpenModel:
+class OpenModel(Record):
     """Open nonsingular stratum as a nonsingular compactification pair.
 
     If the complement is not itself compact nonsingular the caller must set
@@ -64,8 +62,7 @@ class OpenModel:
     boundary_strata: "StratifiedSpec | None" = None
 
 
-@dataclass(frozen=True)
-class DeclaredBeta:
+class DeclaredBeta(Record):
     """Directly declared polynomial, for strata known analytically."""
 
     beta: IntPolynomial
@@ -74,15 +71,13 @@ class DeclaredBeta:
 StratumModel = Union[CompactModel, OpenModel, DeclaredBeta]
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(Record):
     name: str
     dim: int
     model: StratumModel
 
 
-@dataclass(frozen=True)
-class StratifiedSpec:
+class StratifiedSpec(Record):
     """A stratification: named strata plus the frontier relation.
 
     The frontier of a stratum must consist of strata of strictly smaller
@@ -91,7 +86,12 @@ class StratifiedSpec:
 
     name: str
     strata: tuple[StratumRecord, ...]
-    frontier: Mapping[str, frozenset[str]] = field(default_factory=dict)
+    frontier: Mapping[str, frozenset[str]]
+
+    def __init__(self, *args, **kwargs):
+        if len(args) < 3:  # no frontier given: a fresh empty one
+            kwargs.setdefault("frontier", {})
+        super().__init__(*args, **kwargs)
 
     def __post_init__(self):
         by_name = {s.name: s for s in self.strata}

@@ -20,10 +20,9 @@ provenance note.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MalformedConstraint, Verdict, WeightSearchTooLarge
+from .errors import MalformedConstraint, Record, Verdict, WeightSearchTooLarge
 from .spectral import FiltrationProfile
 
 __all__ = [
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightSystemInput:
+class WeightSystemInput(Record):
     """Betti numbers b_0..b_n and virtual Betti numbers beta_0..beta_n."""
 
     b: tuple[int, ...]
@@ -59,8 +57,7 @@ class WeightSystemInput:
         return len(self.b) - 1
 
 
-@dataclass(frozen=True)
-class WeightArray:
+class WeightArray(Record):
     """Triangular array rows[i] = (w(i,0), ..., w(i,i))."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -242,8 +239,7 @@ def _entry_name(i: int, j: int) -> str:
     return f"w{i}{j}" if i < 10 and j < 10 else f"w{i}_{j}"
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(Record):
     """Integer linear constraint on the entries, e.g. w21 >= 3."""
 
     coeffs: tuple[tuple[tuple[int, int], int], ...]
@@ -315,8 +311,7 @@ class LinearConstraint:
         return f"{text} ({self.note})" if self.note else text
 
 
-@dataclass(frozen=True)
-class FilterResult:
+class FilterResult(Record):
     survivors: tuple[WeightArray, ...]
     eliminations: tuple[tuple[WeightArray, LinearConstraint], ...]
 

@@ -7,7 +7,7 @@
 This is how ``virtbetti.spectral`` computed every page entry before it read
 the pages off persistence pairs.  Each function takes an
 ``MVSpectralSequence`` and uses only its ``_basis`` and ``_cols`` (and, for
-the vertical differential, its intersections), so the pages it gives are
+the two differentials, its intersections), so the pages it gives are
 independent of the pairing.  F_p is the bit mask of the basis vectors whose
 filtration is at least p, read off each basis entry, so the pages do not
 depend on the order of the basis either; quotienting by F_p clears its
@@ -129,6 +129,25 @@ def vertical_columns(ss) -> dict[int, list[int]]:
                 if len(t) == len(s) + 1 and set(s) < set(t):
                     v |= 1 << pos_next[(p, subset, t)]
             cols.append(v)
+        out[n] = cols
+    return out
+
+
+def horizontal_columns(ss) -> dict[int, list[int]]:
+    """Columns of the horizontal differential, found by trying every piece
+    outside each basis entry's subset against the all-subsets table."""
+    table = intersections(ss.arrangement)
+    out = {}
+    for n, entries in ss._basis.items():
+        pos_next = ss._position.get(n + 1, {})
+        cols = []
+        for p, subset, s in entries:
+            h = 0
+            for j in range(len(ss.arrangement.pieces)):
+                bigger = tuple(sorted(set(subset) | {j}))
+                if j not in subset and s in table[bigger]:
+                    h |= 1 << pos_next[(p + 1, bigger, s)]
+            cols.append(h)
         out[n] = cols
     return out
 

@@ -5,9 +5,13 @@ underneath is rewritten."""
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import virtbetti
 from virtbetti.cli import main
 from virtbetti.fixtures import builtin_scene
 from virtbetti.scene import dump_scene
@@ -39,3 +43,17 @@ def test_builtin_scene_dump_md5(tmp_path):
     path = tmp_path / "scene.json"
     dump_scene(builtin_scene(), str(path))
     assert hashlib.md5(path.read_bytes()).hexdigest() == SCENE_DUMP_MD5
+
+
+def test_fixtures_md5_through_the_module_entry_point():
+    # what users and the benchmark run: a fresh ``python -m virtbetti.cli``
+    # that imports the package this process imported, under the same hash
+    # seed and warning filters
+    package_root = os.path.dirname(os.path.dirname(virtbetti.__file__))
+    argv = ("fixtures", "--json")
+    proc = subprocess.run(
+        [sys.executable, *(f"-W{w}" for w in sys.warnoptions), "-m", "virtbetti.cli", *argv],
+        capture_output=True, env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.md5(proc.stdout).hexdigest() == GOLDEN[argv]

@@ -175,6 +175,20 @@ def test_beta_diagnostic_on_normal_crossing_covers(scene, surface_ss):
         assert row_alternating_sums(ss.page(2)) == want
 
 
+def test_virtual_betti_checks_each_meet_once(scene, monkeypatch):
+    # one face-closure check per nonempty intersection, its complex's validate
+    # (the empty ones check the empty boundary of each homology pair)
+    import virtbetti.simplicial as simplicial
+
+    calls = []
+    check = simplicial._check_face_closed
+    monkeypatch.setattr(simplicial, "_check_face_closed", lambda s: calls.append(s) or check(s))
+    arr = scene.arrangement("surface-443")
+    beta = arr.virtual_betti()
+    assert [s for s in calls if s] == list(arr.nerve.values())
+    assert beta == mv_oracle.virtual_betti(arr)
+
+
 def test_four_piece_cover_of_a_circle():
     # circle covered by its four closed edges; exercises columns up to p = 3
     circle = models.circle(4)
@@ -286,6 +300,7 @@ def assert_matches_oracle(ss):
     assert (cert.stable_from, cert.column_bound, cert.checked_zero_ranks) == (
         stable_from, m, checked)
     assert ss._cols_v == mv_oracle.vertical_columns(ss)
+    assert ss._cols_h == mv_oracle.horizontal_columns(ss)
     arr = ss.arrangement
     table = mv_oracle.intersections(arr)
     assert list(arr.nerve.items()) == [(s, meet) for s, meet in table.items() if meet]
