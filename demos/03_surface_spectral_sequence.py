@@ -7,7 +7,6 @@ converges to the cohomology of the union; its first two pages remember the
 virtual Betti numbers and its limit does not.
 """
 
-from virtbetti.cli import _page_table
 from virtbetti.fixtures import builtin_scene
 from virtbetti.spectral import MVSpectralSequence, row_alternating_sums
 from virtbetti.weights import mv_profile_vs_virtual_betti
@@ -29,7 +28,7 @@ print("  beta =", beta)
 ss = MVSpectralSequence(arr)
 print()
 for r in (1, 2, 3):
-    for line in _page_table(ss.page(r)):
+    for line in ss.page(r).table_lines():
         print(line)
     print("  row alternating sums:", row_alternating_sums(ss.page(r)))
     print()

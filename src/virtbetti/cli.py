@@ -25,7 +25,7 @@ from .fixtures import declared_atoms_used, fixture_names, builtin_scene, run_fix
 from .polynomial import IntPolynomial
 from .scene import Scene, load_scene
 from .scissor import evaluate_beta, evaluate_chi_c
-from .spectral import MVSpectralSequence, SpectralPage, row_alternating_sums
+from .spectral import MVSpectralSequence, row_alternating_sums
 from .stratified import beta_of_stratified
 from .weights import (
     LinearConstraint,
@@ -42,25 +42,6 @@ EXIT_VALIDATION = 3
 
 def _emit_error(exc: VirtBettiError) -> None:
     sys.stderr.write(json.dumps(exc.to_dict(), sort_keys=True) + "\n")
-
-
-def _page_table(page: SpectralPage) -> list[str]:
-    """One line per row q, top row first, columns by filtration p."""
-    lines = [f"E_{page.r}:"]
-    max_q = page.max_q()
-    max_p = page.max_p()
-    labels = [f"p={p}" for p in range(max_p + 1)]
-    width = max(
-        max(len(label) for label in labels),
-        max((len(str(d)) for d in page.dims.values()), default=1),
-    )
-    for q in range(max_q, -1, -1):
-        lines.append(f"  q={q} | " + " ".join(
-            str(page.dim(p, q)).rjust(width) for p in range(max_p + 1)
-        ))
-    lines.append("        " + "-" * ((width + 1) * (max_p + 1) - 1))
-    lines.append("        " + " ".join(label.rjust(width) for label in labels))
-    return lines
 
 
 def _betti_text(b) -> str:
@@ -170,7 +151,7 @@ def cmd_mvss(args) -> int:
         print(json.dumps(payload))
         return EXIT_OK
     for page in pages[: args.pages]:
-        for line in _page_table(page):
+        for line in page.table_lines():
             print(line)
         print(f"  row alternating sums: {row_alternating_sums(page)}")
         print()
@@ -199,7 +180,7 @@ def cmd_weights(args) -> int:
         try:
             with open(args.constraints, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise SceneError(f"cannot read constraints file: {exc}", path=args.constraints)
         if not isinstance(raw, list):
             raise MalformedConstraint("constraints file must hold a JSON list")

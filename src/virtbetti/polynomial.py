@@ -152,7 +152,17 @@ def degree_and_leading(p: IntPolynomial) -> tuple[float | int, int]:
 
 
 def parse_polynomial(text: str) -> IntPolynomial:
-    """Inverse of IntPolynomial.to_text; accepts e.g. ``-2 + 2*t`` or ``t^3``."""
+    """Inverse of IntPolynomial.to_text; accepts e.g. ``-2 + 2*t`` or ``t^3``.
+
+    Raises ValueError for anything but a string, and for an exponent above
+    ``simplicial.MAX_SIMPLICES`` before any coefficient is stored: no complex
+    under that cap has homology so high, and the dense coefficients of a
+    nine-digit power of t would take gigabytes.
+    """
+    from .simplicial import MAX_SIMPLICES  # simplicial imports this module
+
+    if not isinstance(text, str):
+        raise ValueError(f"polynomial text must be a string, not {type(text).__name__}")
     stripped = text.replace(" ", "")
     if not stripped:
         raise ValueError("empty polynomial text")
@@ -177,6 +187,8 @@ def parse_polynomial(text: str) -> IntPolynomial:
             degree = 0
         elif match.group(3) is not None:
             degree = int(match.group(3))
+            if degree > MAX_SIMPLICES:
+                raise ValueError(f"exponent {degree} exceeds {MAX_SIMPLICES} in {text!r}")
         else:
             degree = 1
         coeffs[degree] = coeffs.get(degree, 0) + sign * coeff

@@ -262,6 +262,9 @@ def scene_from_dict(data: Mapping) -> Scene:
             else:
                 beta = parse_polynomial(spec["beta"])
                 chi = spec.get("chi_c")
+                if chi is not None and (not isinstance(chi, int) or isinstance(chi, bool)):
+                    raise SceneError(f"atom {name!r}: chi_c must be an integer, not {chi!r}",
+                                     atom=name)
                 provenance = spec.get("provenance", "declared")
                 if provenance == "recursive":
                     scene.atoms.recursive(name, beta, chi_c=chi)
@@ -298,6 +301,8 @@ def scene_from_dict(data: Mapping) -> Scene:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SceneError(f"malformed scene: {exc}") from exc
+    except RecursionError:
+        raise SceneError("scene nests too deeply") from None
     return scene
 
 
@@ -401,7 +406,7 @@ def load_scene(path: str) -> Scene:
             data = json.load(fh)
     except OSError as exc:
         raise SceneError(f"cannot read scene file: {exc}", path=path) from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
         raise SceneError(f"scene file is not valid JSON: {exc}", path=path) from None
     return scene_from_dict(data)
 

@@ -5,11 +5,12 @@ complex has C^{p,q} = direct sum over (p+1)-fold intersections of their
 simplicial q-cochains, with horizontal differential the (sign-free, mod 2)
 sum of restrictions to deeper intersections and vertical differential the
 simplicial coboundary.  The two differentials commute and each squares to
-zero, so their sum is a differential on the total complex, and the
+zero, so their sum is a differential D on the total complex, and the
 filtration by column produces the pages.
 
-Pages are read off one column reduction of the total differential D, by
-the elimination kernel ``gf2.pivot_rows``.  Basis vectors of degree n are
+D is built once, as one list of columns per total degree, reduced once by
+the elimination kernel ``gf2.pivot_rows``, and dropped: a spectral
+sequence keeps only the persistence pairs.  Basis vectors of degree n are
 listed by ascending filtration p, so the low bit of a column is its entry
 of least filtration.  The columns are fed to the kernel one filtration
 block at a time, highest p first; each nonzero reduced column x is filed
@@ -32,7 +33,7 @@ from functools import cached_property
 from itertools import combinations, groupby, islice
 from math import inf
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ConvergenceMismatch, NotACover, Record, TooManyPieces
 from .gf2 import pivot_rows
@@ -142,6 +143,23 @@ class SpectralPage(Record):
     def euler(self) -> int:
         return sum((-1) ** (p + q) * d for (p, q), d in self.dims.items())
 
+    def table_lines(self) -> list[str]:
+        """One line per row q, top row first, columns by filtration p."""
+        max_q, max_p = self.max_q(), self.max_p()
+        labels = [f"p={p}" for p in range(max_p + 1)]
+        width = max(
+            max(len(label) for label in labels),
+            max((len(str(d)) for d in self.dims.values()), default=1),
+        )
+        lines = [f"E_{self.r}:"]
+        for q in range(max_q, -1, -1):
+            lines.append(f"  q={q} | " + " ".join(
+                str(self.dim(p, q)).rjust(width) for p in range(max_p + 1)
+            ))
+        lines.append("        " + "-" * ((width + 1) * (max_p + 1) - 1))
+        lines.append("        " + " ".join(label.rjust(width) for label in labels))
+        return lines
+
 
 class FiltrationProfile(Record):
     """w(i, j) = dim of the infinity page at column i-j, row j."""
@@ -179,112 +197,62 @@ class StabilizationCertificate(Record):
     detail: str
 
 
+def _double_complex(arrangement: Arrangement) -> tuple[dict[int, list], dict[int, list[int]]]:
+    """The basis and the columns of the total differential D, by degree n = p + q.
+
+    basis[n] lists the entries (p, subset, simplex) by ascending p, and inside
+    a level in the reverse of nerve and simplex order, since ``_pair`` feeds
+    each level from its end.  cols[n][j] is D of basis[n][j], a bit mask over
+    basis[n + 1].  D sends (subset, s) to every entry (subset + one piece, s),
+    the horizontal part, and (subset, s + one vertex), the vertical part; so
+    each entry (subset, t) sets its bit in the column of every entry with one
+    index of subset or one vertex of t dropped.
+    """
+    nerve = arrangement.nerve
+    basis: dict[int, list] = {}
+    for _, level in groupby(nerve, key=len):  # the nerve is ordered by size
+        for subset in reversed(list(level)):
+            p = len(subset) - 1
+            for s in sorted(nerve[subset], key=arrangement.total.sort_key, reverse=True):
+                basis.setdefault(p + len(s) - 1, []).append((p, subset, s))
+    index = {(subset, s): i for entries in basis.values() for i, (_, subset, s) in enumerate(entries)}
+    cols = {n: [0] * len(entries) for n, entries in basis.items()}
+    for n, entries in basis.items():
+        below = cols.get(n - 1)
+        for i, (_, subset, t) in enumerate(entries):
+            bit = 1 << i
+            if len(subset) > 1:  # every subset of a nerve member is a member
+                for k in range(len(subset)):
+                    below[index[subset[:k] + subset[k + 1:], t]] |= bit
+            if len(t) > 1:
+                for facet in combinations(t, len(t) - 1):
+                    below[index[subset, facet]] |= bit
+    return basis, cols
+
+
 class MVSpectralSequence:
     """All pages, differential ranks and the induced filtration for a cover."""
 
     def __init__(self, arrangement: Arrangement):
         self.arrangement = arrangement
         self._m = len(arrangement.pieces)
-        self._build_double_complex()
         self._page_cache: dict[int, SpectralPage] = {}
-        self._pair()
-
-    # -- double complex ----------------------------------------------------
-
-    def _build_double_complex(self):
-        total = self.arrangement.total
-        m = self._m
-        inters = self.arrangement.nerve
-        max_dim = total.dim
-        # basis entries per total degree n: ascending filtration p, and inside
-        # a level the reverse of nerve and simplex order, so that _pair, which
-        # feeds each level from its end, takes the columns in that order
-        self._basis: dict[int, list[tuple[int, tuple[int, ...], tuple]]] = {}
-        self._position: dict[int, dict[tuple[int, tuple[int, ...], tuple], int]] = {}
-        max_n = max_dim + m - 1 if max_dim >= 0 else -1
-        for n in range(max_n + 1):
-            entries = []
-            for p in range(min(m - 1, n) + 1):
-                q = n - p
-                if q > max_dim:
-                    continue
-                for subset in reversed(inters):
-                    if len(subset) == p + 1:
-                        simp = sorted((s for s in inters[subset] if len(s) == q + 1),
-                                      key=total.sort_key, reverse=True)
-                        entries.extend((p, subset, s) for s in simp)
-            self._basis[n] = entries
-            self._position[n] = {e: i for i, e in enumerate(entries)}
-
-        # columns of the horizontal, vertical and total differentials; the
-        # horizontal one restricts a subset's cochains to its nonempty cofaces
-        cofaces = {subset: [] for subset in inters}
-        for bigger, meet in inters.items():
-            if len(bigger) > 1:  # the nerve holds every nonempty subset of a member
-                for i in range(len(bigger)):
-                    cofaces[bigger[:i] + bigger[i + 1:]].append((bigger, meet))
-        self._cols_h: dict[int, list[int]] = {}
-        self._cols_v: dict[int, list[int]] = {}
-        self._cols: dict[int, list[int]] = {}
-        for n, entries in self._basis.items():
-            pos_next = self._position.get(n + 1, {})
-            cols_h = []
-            for p, subset, s in entries:
-                h = 0
-                for bigger, meet in cofaces[subset]:
-                    if s in meet:
-                        h |= 1 << pos_next[(p + 1, bigger, s)]
-                cols_h.append(h)
-            # the vertical differential sends each simplex to its cofaces:
-            # set the bit of t in the column of every facet of t
-            cols_v = [0] * len(entries)
-            for i, (p, subset, t) in enumerate(self._basis.get(n + 1, [])):
-                if len(t) > 1:
-                    for facet in combinations(t, len(t) - 1):
-                        cols_v[self._position[n][(p, subset, facet)]] |= 1 << i
-            self._cols_h[n] = cols_h
-            self._cols_v[n] = cols_v
-            self._cols[n] = [h ^ v for h, v in zip(cols_h, cols_v)]
+        self._pair(*_double_complex(arrangement))
 
     def dim_total(self, n: int) -> int:
-        return len(self._basis.get(n, []))
+        return sum(self.cpq_dim(p, n - p) for p in range(min(n, self._m - 1) + 1))
 
     def cpq_dim(self, p: int, q: int) -> int:
         """Dimension of C^{p,q} in the double complex."""
-        entries = self._basis.get(p + q, [])
-        return sum(1 for pp, _, _ in entries if pp == p)
+        return sum(self._lifetimes.get((p, q), {}).values())
 
     def intersection_complex(self, subset: tuple[int, ...]) -> frozenset:
         """Simplices of the pieces' intersection; empty outside the nerve."""
         return self.arrangement.nerve.get(tuple(sorted(subset)), frozenset())
 
-    def differentials_square_to_zero(self) -> bool:
-        """d_h^2 = 0, d_v^2 = 0 and d_h d_v = d_v d_h on every basis vector."""
-        for n in self._basis:
-            ch, cv = self._cols_h[n], self._cols_v[n]
-            nh = self._cols_h.get(n + 1, [])
-            nv = self._cols_v.get(n + 1, [])
-            for j in range(len(ch)):
-                if self._apply(nh, ch[j]) != 0:
-                    return False
-                if self._apply(nv, cv[j]) != 0:
-                    return False
-                if self._apply(nh, cv[j]) != self._apply(nv, ch[j]):
-                    return False
-        return True
-
-    @staticmethod
-    def _apply(cols: Sequence[int], x: int) -> int:
-        out = 0
-        while x:
-            j = (x & -x).bit_length() - 1
-            out ^= cols[j]
-            x &= x - 1
-        return out
-
     # -- pages ---------------------------------------------------------------
 
-    def _pair(self):
+    def _pair(self, basis: Mapping[int, list], cols: Mapping[int, list[int]]):
         """Reduce the total differential once and count its persistence pairs.
 
         Each degree's columns go to ``pivot_rows`` one filtration block at a
@@ -296,16 +264,16 @@ class MVSpectralSequence:
         for the unpaired.
         """
         pairs: Counter = Counter()
-        for n, cols in self._cols.items():
-            upper = [p for p, _, _ in self._basis.get(n + 1, [])]
-            levels = reversed([p for p, _, _ in self._basis[n]])
+        for n, entries in basis.items():
+            upper = [p for p, _, _ in basis.get(n + 1, [])]
+            levels = reversed([p for p, _, _ in entries])
             pivots: dict[int, int] = {}
-            for p, block in groupby(zip(levels, reversed(cols)), key=itemgetter(0)):
+            for p, block in groupby(zip(levels, reversed(cols[n])), key=itemgetter(0)):
                 found = len(pivots)
                 pivot_rows((col for _, col in block), pivots)
                 pairs.update((p, n - p, upper[low] - p) for low in islice(pivots, found, None))
         self._pair_counts = pairs
-        sizes = Counter((p, n - p) for n, entries in self._basis.items() for p, _, _ in entries)
+        sizes = Counter((p, n - p) for n, entries in basis.items() for p, _, _ in entries)
         self._lifetimes = {key: Counter({inf: size}) for key, size in sizes.items()}
         for (p, q, gap), count in pairs.items():
             for key in ((p, q), (p + gap, q + 1 - gap)):

@@ -417,3 +417,66 @@ def test_huge_simplex_in_a_scene_file_is_refused_cheaply(capsys, tmp_path, where
     assert code == 3
     assert out == ""
     assert json.loads(err)["code"] == "scene-error"
+
+
+def _atom_scene(**spec):
+    return json.dumps({"schema_version": 1, "atoms": {"x": {"beta": "1 + t", **spec}}})
+
+
+def _declared_scene(beta):
+    model = {"kind": "declared", "beta": beta}
+    return json.dumps({"schema_version": 1, "stratifications": {
+        "s": {"strata": [{"name": "a", "dim": 0, "model": model}]}}})
+
+
+# a union of 3,001 points nested 3,000 deep; too deep for json.dumps to write
+DEEP_EXPRESSION = (
+    '{"schema_version": 1, "complexes": {"pt": {"vertices": ["a"], "maximal_simplices": [["a"]]}},'
+    ' "atoms": {"pt": {"model": "pt"}}, "expressions": {"deep": '
+    + '{"op": "union", "right": {"op": "atom", "name": "pt"}, "left": ' * 3000
+    + '{"op": "atom", "name": "pt"}' + "}" * 3000 + "}}"
+)
+
+# (scene file text, constraints file text); one of them is None
+HOSTILE_FILES = {
+    "atom-beta-int": (_atom_scene(beta=3), None),
+    "atom-beta-nine-digit-exponent": (_atom_scene(beta="t^999999999"), None),
+    "declared-beta-int": (_declared_scene(3), None),
+    "declared-beta-nine-digit-exponent": (_declared_scene("1 + t^999999999"), None),
+    "chi-c-string": (_atom_scene(chi_c="a"), None),
+    "chi-c-float": (_atom_scene(chi_c=1.5), None),
+    "chi-c-true": (_atom_scene(chi_c=True), None),
+    "deep-expression": (DEEP_EXPRESSION, None),
+    "deep-constraints": (None, "[" * 3000 + "]" * 3000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_FILES))
+def test_hostile_scene_and_constraints_files_exit_3_in_a_child(tmp_path, case):
+    # a fresh interpreter, so a traceback or a second message would show
+    import os
+    import subprocess
+    import sys
+
+    import virtbetti
+
+    scene, constraints = HOSTILE_FILES[case]
+    if scene is not None:
+        path = tmp_path / "scene.json"
+        path.write_text(scene)
+        argv = ["vbetti", "x", "--chi-c", "--scene", str(path)]
+    else:
+        path = tmp_path / "constraints.json"
+        path.write_text(constraints)
+        argv = ["weights", "surface-443", "--constraints", str(path)]
+    package_root = os.path.dirname(os.path.dirname(virtbetti.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "virtbetti.cli", *argv], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    error = json.loads(proc.stderr)
+    assert set(error) == {"code", "message", "context"}
+    assert error["code"] == "scene-error"

@@ -127,3 +127,18 @@ def test_render_examples():
 def test_coefficients_must_be_integers():
     with pytest.raises(TypeError):
         IntPolynomial([1.5])
+
+
+@pytest.mark.parametrize("bad", [3, None, b"t", ["t"]])
+def test_parse_rejects_non_strings(bad):
+    with pytest.raises(ValueError, match="must be a string"):
+        parse_polynomial(bad)
+
+
+def test_parse_caps_the_exponent_before_building_coefficients():
+    from virtbetti.simplicial import MAX_SIMPLICES
+
+    assert parse_polynomial(f"t^{MAX_SIMPLICES}").degree == MAX_SIMPLICES
+    for bad in (f"t^{MAX_SIMPLICES + 1}", "1 + t^999999999", "t^" + "9" * 4000):
+        with pytest.raises(ValueError):
+            parse_polynomial(bad)

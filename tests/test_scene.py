@@ -197,3 +197,67 @@ def test_boundary_strata_reference(tmp_path):
     scene = scene_from_dict(data)
     beta = beta_of_stratified(scene.stratification("singular-boundary"))
     assert beta.to_text() == "-1 + t"
+
+
+def _with(path, value):
+    """A deep copy of MINIMAL with the node at path set to value."""
+    bad = json.loads(json.dumps(MINIMAL))
+    node = bad
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return bad
+
+
+@pytest.mark.parametrize("path, value", [
+    (("atoms", "exotic", "beta"), ["1", "t"]),
+    (("atoms", "exotic", "beta"), "t^100001"),
+    (("stratifications", "declared"), {"strata": [
+        {"name": "a", "dim": 0, "model": {"kind": "declared", "beta": "1 + t^100001"}}]}),
+], ids=["atom-list", "atom-exponent", "declared-exponent"])
+def test_polynomial_text_is_type_and_size_checked(path, value):
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(_with(path, value))
+    assert "malformed scene" in info.value.message
+
+
+def test_exponent_at_the_simplex_cap_still_loads():
+    scene = scene_from_dict(_with(("atoms", "exotic", "beta"), "t^100000"))
+    assert scene.atoms.lookup("exotic").beta.degree == 100_000
+
+
+@pytest.mark.parametrize("chi_c", ["a", 1.5, True, [4]])
+def test_atom_chi_c_must_be_an_integer(chi_c):
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(_with(("atoms", "exotic", "chi_c"), chi_c))
+    assert info.value.context == {"atom": "exotic"}
+
+
+def test_atom_chi_c_may_be_left_out():
+    bad = _with(("atoms", "exotic", "chi_c"), None)
+    assert scene_from_dict(bad).atoms.lookup("exotic").chi_c == 4  # beta(-1) of 1 + 3t^2
+    del bad["atoms"]["exotic"]["chi_c"]
+    assert scene_from_dict(bad).atoms.lookup("exotic").chi_c == 4
+
+
+def _deep_union(depth):
+    expr = {"op": "atom", "name": "pt"}
+    for _ in range(depth):
+        expr = {"op": "union", "left": expr, "right": {"op": "atom", "name": "pt"}}
+    return expr
+
+
+def test_nesting_deeper_than_the_recursion_limit_is_a_scene_error():
+    # only a dict built in process gets this deep: json.load stops a file first
+    import sys
+
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(_with(("expressions", "deep"), _deep_union(sys.getrecursionlimit())))
+    assert info.value.message == "scene nests too deeply"
+
+
+def test_scene_file_that_is_not_utf8_is_a_scene_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema_version": 1, "x": "\xff"}')
+    with pytest.raises(SceneError):
+        load_scene(str(path))

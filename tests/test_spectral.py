@@ -16,6 +16,8 @@ from virtbetti.spectral import (
     MAX_PIECES,
     Arrangement,
     MVSpectralSequence,
+    SpectralPage,
+    _double_complex,
     compute_pages,
     converged_betti,
     mv_filtration,
@@ -70,12 +72,18 @@ def test_surface_column_dimensions(surface_ss):
 
 
 def test_differentials_square_to_zero(surface_ss):
-    assert surface_ss.differentials_square_to_zero()
+    assert mv_oracle.differentials_square_to_zero(mv_oracle.double_complex(surface_ss.arrangement))
 
 
 def test_differentials_square_to_zero_small_covers():
     for arr in (wedge_of_two_circles(),):
-        assert MVSpectralSequence(arr).differentials_square_to_zero()
+        assert mv_oracle.differentials_square_to_zero(mv_oracle.double_complex(arr))
+
+
+def test_sequence_keeps_no_basis_or_columns(scene):
+    # the basis and D are built, paired and dropped in the constructor
+    ss = MVSpectralSequence(scene.arrangement("surface-443"))
+    assert set(vars(ss)) == {"arrangement", "_m", "_page_cache", "_pair_counts", "_lifetimes"}
 
 
 def test_surface_pages_match_expected_tables(surface_ss):
@@ -198,7 +206,7 @@ def test_four_piece_cover_of_a_circle():
     )
     arr = Arrangement(circle, pieces)
     ss = MVSpectralSequence(arr)
-    assert ss.differentials_square_to_zero()
+    assert mv_oracle.differentials_square_to_zero(mv_oracle.double_complex(arr))
     page1 = ss.page(1)
     assert page1.dim(0, 0) == 4  # four contractible arcs
     assert page1.dim(1, 0) == 4  # four single-point overlaps of adjacent arcs
@@ -289,20 +297,33 @@ def covered_complexes(draw):
 
 
 def assert_matches_oracle(ss):
-    m = len(ss.arrangement.pieces)
-    for r in range(1, m + 3):
-        assert ss.page(r).dims == mv_oracle.page_dims(ss, r)
+    arr = ss.arrangement
+    m = len(arr.pieces)
+    table = mv_oracle.intersections(arr)
+    basis, cols = _double_complex(arr)
+    # each (subset, simplex) of a nonempty intersection once, under its degree
+    # n = p + q, by ascending filtration p
+    entries = [e for level in basis.values() for e in level]
+    assert len(entries) == len(set(entries))
+    assert set(entries) == {(len(s) - 1, s, t) for s, meet in table.items() for t in meet}
+    for n, level in basis.items():
+        assert all(p + len(t) - 1 == n for p, _, t in level)
+        assert [p for p, _, _ in level] == sorted(p for p, _, _ in level)
+        assert ss.dim_total(n) == len(level)
         for p in range(m):
-            for q in range(ss.arrangement.total.dim + 1):
-                assert ss.d_rank(r, p, q) == mv_oracle.d_rank(ss, r, p, q)
+            assert ss.cpq_dim(p, n - p) == sum(1 for pp, _, _ in level if pp == p)
+    dc = mv_oracle.DoubleComplex(arr, basis)
+    assert cols == dc.cols  # the engine's D is the oracle's D_h + D_v, bit for bit
+    assert mv_oracle.differentials_square_to_zero(dc)
+    for r in range(1, m + 3):
+        assert ss.page(r).dims == mv_oracle.page_dims(dc, r)
+        for p in range(m):
+            for q in range(arr.total.dim + 1):
+                assert ss.d_rank(r, p, q) == mv_oracle.d_rank(dc, r, p, q)
     cert = ss.stabilization_certificate()
-    stable_from, checked = mv_oracle.stable_from(ss)
+    stable_from, checked = mv_oracle.stable_from(dc)
     assert (cert.stable_from, cert.column_bound, cert.checked_zero_ranks) == (
         stable_from, m, checked)
-    assert ss._cols_v == mv_oracle.vertical_columns(ss)
-    assert ss._cols_h == mv_oracle.horizontal_columns(ss)
-    arr = ss.arrangement
-    table = mv_oracle.intersections(arr)
     assert list(arr.nerve.items()) == [(s, meet) for s, meet in table.items() if meet]
     assert all(ss.intersection_complex(s) == meet for s, meet in table.items())
     assert arr.virtual_betti() == mv_oracle.virtual_betti(arr)
@@ -317,3 +338,14 @@ def test_pairing_matches_subspace_formulas(arr):
 @pytest.mark.parametrize("name", ["surface-443", "tangent-circles", "two-circles", "circle-alone"])
 def test_pairing_matches_subspace_formulas_on_fixtures(scene, name):
     assert_matches_oracle(MVSpectralSequence(scene.arrangement(name)))
+
+
+def test_page_table_lines():
+    page = SpectralPage(7, {(0, 0): 1, (2, 1): 10})
+    assert page.table_lines() == [
+        "E_7:",
+        "  q=1 |   0   0  10",
+        "  q=0 |   1   0   0",
+        "        -----------",
+        "        p=0 p=1 p=2",
+    ]
