@@ -138,6 +138,17 @@ class UnknownName(VirtBettiError):
     code = "unknown-name"
 
 
+def json_int(value, what: str, error: type[VirtBettiError], **context) -> int:
+    """``value`` if it is a JSON integer (an int, not a bool); ``error`` otherwise.
+
+    Read files are checked, never coerced: ``int()`` would take 1.9 as 1,
+    "1" as 1 and true as 1.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(f"{what} must be an integer, not {value!r}", **context)
+
+
 class Verdict(Record):
     """Outcome of a consistency check: truthiness plus a human-readable reason."""
 

@@ -4,7 +4,9 @@ expressions, stratifications, arrangements and weight inputs.
 Everything is validated on load, before any computation; cross-references
 resolve by name.  Serialization is canonical (sorted names, lexicographic
 maximal simplices, polynomials as text), so load -> dump -> load is the
-identity.
+identity.  The expression grammar (each node's op, child keys and ring
+rule) lives in ``scissor.NODES``; this module reads it and itself names
+only the leaves (``atom``, ``empty``) and a blowup's optional ``label``.
 """
 
 from __future__ import annotations
@@ -12,18 +14,9 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from .errors import Record, SceneError, UnknownName, VirtBettiError
+from .errors import Record, SceneError, UnknownName, VirtBettiError, json_int
 from .polynomial import parse_polynomial
-from .scissor import (
-    Atom,
-    AtomRegistry,
-    Blowup,
-    ClosedDifference,
-    DisjointUnion,
-    Empty,
-    Product,
-    ScissorExpr,
-)
+from .scissor import NODES, OP_OF, Atom, AtomRegistry, Empty, ScissorExpr, children
 from .simplicial import PairSpace, SimplicialComplex, Subcomplex, maximal_simplices
 from .spectral import Arrangement
 from .stratified import (
@@ -104,62 +97,33 @@ def _expr_from_dict(data: Mapping, registry: AtomRegistry, path: str) -> Scissor
         return Atom(name)
     if op == "empty":
         return Empty()
-    if op == "union":
-        return DisjointUnion(
-            _expr_from_dict(data["left"], registry, path + ".left"),
-            _expr_from_dict(data["right"], registry, path + ".right"),
-        )
-    if op == "product":
-        return Product(
-            _expr_from_dict(data["left"], registry, path + ".left"),
-            _expr_from_dict(data["right"], registry, path + ".right"),
-        )
-    if op == "difference":
-        return ClosedDifference(
-            _expr_from_dict(data["total"], registry, path + ".total"),
-            _expr_from_dict(data["closed"], registry, path + ".closed"),
-        )
-    if op == "blowup":
-        return Blowup(
-            base=_expr_from_dict(data["base"], registry, path + ".base"),
-            center=_expr_from_dict(data["center"], registry, path + ".center"),
-            exceptional=_expr_from_dict(data["exceptional"], registry, path + ".exceptional"),
-            label=data.get("label"),
-        )
-    raise SceneError(f"{path}: unknown expression op {op!r}", op=op)
+    if not isinstance(op, str) or op not in NODES:
+        raise SceneError(f"{path}: unknown expression op {op!r}", op=op)
+    cls, keys, _ = NODES[op]
+    kids = [_expr_from_dict(data[key], registry, f"{path}.{key}") for key in keys]
+    return cls(*kids, label=data.get("label")) if op == "blowup" else cls(*kids)
 
 
 def _expr_to_dict(expr: ScissorExpr) -> dict:
+    op = OP_OF.get(type(expr))
+    if op:
+        out = {"op": op, **dict(zip(NODES[op][1], map(_expr_to_dict, children(expr))))}
+        if op == "blowup" and expr.label is not None:
+            out["label"] = expr.label
+        return out
     if isinstance(expr, Atom):
         return {"op": "atom", "name": expr.name}
     if isinstance(expr, Empty):
         return {"op": "empty"}
-    if isinstance(expr, DisjointUnion):
-        return {"op": "union", "left": _expr_to_dict(expr.left), "right": _expr_to_dict(expr.right)}
-    if isinstance(expr, Product):
-        return {"op": "product", "left": _expr_to_dict(expr.left), "right": _expr_to_dict(expr.right)}
-    if isinstance(expr, ClosedDifference):
-        return {
-            "op": "difference",
-            "total": _expr_to_dict(expr.total),
-            "closed": _expr_to_dict(expr.closed_part),
-        }
-    if isinstance(expr, Blowup):
-        out = {
-            "op": "blowup",
-            "base": _expr_to_dict(expr.base),
-            "center": _expr_to_dict(expr.center),
-            "exceptional": _expr_to_dict(expr.exceptional),
-        }
-        if expr.label is not None:
-            out["label"] = expr.label
-        return out
     raise TypeError(f"not a scissor expression: {expr!r}")
+
+
+_JSON_TYPES = {"object": Mapping, "array": (list, tuple), "boolean": bool}
 
 
 def _json(value: Any, path: str, kind: str = "object") -> Any:
     """The value itself if it is a JSON ``kind``; a SceneError otherwise."""
-    if not isinstance(value, Mapping if kind == "object" else (list, tuple)):
+    if not isinstance(value, _JSON_TYPES[kind]):
         raise SceneError(
             f"{path} must be a JSON {kind}, not {type(value).__name__}",
             found=type(value).__name__,
@@ -171,6 +135,12 @@ def _simplices(value: Any, path: str) -> list[tuple]:
     """A JSON array of simplices, each a JSON array of vertices (not a string)."""
     return [tuple(_json(s, f"{path}[{i}]", "array"))
             for i, s in enumerate(_json(value, path, "array"))]
+
+
+def _integers(value: Any, path: str) -> tuple[int, ...]:
+    """A JSON array of integers."""
+    return tuple(json_int(x, f"{path}[{i}]", SceneError)
+                 for i, x in enumerate(_json(value, path, "array")))
 
 
 def _subcomplex_from(parent: SimplicialComplex, maximal: Any, path: str) -> Subcomplex:
@@ -197,7 +167,8 @@ def _strat_model_from_dict(data: Mapping, scene: Scene, raw_strats: Mapping,
             )
         return OpenModel(
             pair=pair,
-            boundary_nonsingular=bool(data.get("boundary_nonsingular", True)),
+            boundary_nonsingular=_json(data.get("boundary_nonsingular", True),
+                                       path + ", boundary_nonsingular", "boolean"),
             boundary_strata=boundary_strata,
         )
     raise SceneError(f"{path}: unknown stratum model kind {kind!r}", kind=kind)
@@ -217,11 +188,10 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
     strata = []
     for s in raw.get("strata", []):
         s = _json(s, path + ", stratum")
-        model = _strat_model_from_dict(
-            s.get("model", {}), scene, raw_strats, resolving,
-            f"{path}, stratum {s.get('name')!r}",
-        )
-        strata.append(StratumRecord(s["name"], int(s["dim"]), model))
+        where = f"{path}, stratum {s.get('name')!r}"
+        model = _strat_model_from_dict(s.get("model", {}), scene, raw_strats, resolving, where)
+        dim = json_int(s["dim"], where + ", dim", SceneError)
+        strata.append(StratumRecord(s["name"], dim, model))
     frontier = {
         src: frozenset(targets)
         for src, targets in _json(raw.get("frontier", {}), path + ", frontier").items()
@@ -262,16 +232,17 @@ def scene_from_dict(data: Mapping) -> Scene:
             else:
                 beta = parse_polynomial(spec["beta"])
                 chi = spec.get("chi_c")
-                if chi is not None and (not isinstance(chi, int) or isinstance(chi, bool)):
-                    raise SceneError(f"atom {name!r}: chi_c must be an integer, not {chi!r}",
-                                     atom=name)
+                if chi is not None:
+                    json_int(chi, f"atom {name!r}: chi_c", SceneError, atom=name)
                 provenance = spec.get("provenance", "declared")
                 if provenance == "recursive":
                     scene.atoms.recursive(name, beta, chi_c=chi)
                 else:
                     scene.atoms.declare(
                         name, beta, chi_c=chi,
-                        compact_nonsingular=bool(spec.get("compact_nonsingular", False)),
+                        compact_nonsingular=_json(spec.get("compact_nonsingular", False),
+                                                  f"atom {name!r}, compact_nonsingular",
+                                                  "boolean"),
                     )
         for name in sorted(data.get("expressions", {})):
             scene.expressions[name] = _expr_from_dict(
@@ -292,10 +263,9 @@ def scene_from_dict(data: Mapping) -> Scene:
             )
             scene.arrangements[name] = Arrangement(total, pieces)
         for name in sorted(data.get("weight_inputs", {})):
-            spec = data["weight_inputs"][name]
+            spec, path = data["weight_inputs"][name], f"weight input {name!r}"
             scene.weight_inputs[name] = WeightSystemInput(
-                tuple(int(x) for x in spec["b"]),
-                tuple(int(x) for x in spec["beta"]),
+                _integers(spec["b"], path + ", b"), _integers(spec["beta"], path + ", beta")
             )
     except VirtBettiError:
         raise

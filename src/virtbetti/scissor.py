@@ -1,10 +1,12 @@
 """Scissor calculus on classes of real algebraic varieties.
 
 Expressions are trees over named atoms with disjoint-union, product,
-closed-difference and blowup nodes.  They are evaluated, never normalized:
-the computable invariants are the virtual Poincare polynomial (a ring
-homomorphism to Z[t]) and the compactly-supported Euler characteristic
-(its value at t = -1, recomputed independently over Z as a cross-check).
+closed-difference and blowup nodes; ``NODES`` is their one grammar, read by
+evaluation, ``atoms_used`` and the scene format.  They are evaluated, never
+normalized: the computable invariants are the virtual Poincare polynomial
+(a ring homomorphism to Z[t]) and the compactly-supported Euler
+characteristic (its value at t = -1, recomputed independently over Z as a
+cross-check).
 
 Closedness of the removed part in a difference, and correctness of a
 blowup quadruple, are caller assertions recorded in atom provenance; they
@@ -13,6 +15,7 @@ are not verified geometrically.
 
 from __future__ import annotations
 
+import operator
 from typing import Union
 
 from .errors import Record, UnknownAtom, Verdict
@@ -29,6 +32,9 @@ __all__ = [
     "Blowup",
     "Empty",
     "ScissorExpr",
+    "NODES",
+    "OP_OF",
+    "children",
     "evaluate_beta",
     "evaluate_chi_c",
     "check_blowup_relation",
@@ -165,37 +171,45 @@ class Empty(Record):
 
 ScissorExpr = Union[Atom, DisjointUnion, Product, ClosedDifference, Blowup, Empty]
 
+# The grammar of inner nodes, in one place: each scene-file op names its node
+# class, the scene-file keys of its children (the node's leading fields, in
+# order) and its rule in the ring.  Atom and Empty are the leaves.
+NODES = {
+    "union": (DisjointUnion, ("left", "right"), operator.add),
+    "product": (Product, ("left", "right"), operator.mul),
+    "difference": (ClosedDifference, ("total", "closed"), operator.sub),
+    "blowup": (Blowup, ("base", "center", "exceptional"), lambda x, c, e: x - c + e),
+}
+OP_OF = {cls: op for op, (cls, _, _) in NODES.items()}
+
+
+def children(node: ScissorExpr) -> tuple:
+    """The subexpressions of an inner node, in table order; () for a leaf."""
+    op = OP_OF.get(type(node))
+    return node._values()[:len(NODES[op][1])] if op else ()
+
 
 def atoms_used(expr: ScissorExpr) -> set[str]:
     out: set[str] = set()
     stack = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom):
+        if type(node) is Atom:
             out.add(node.name)
-        elif isinstance(node, (DisjointUnion, Product)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, ClosedDifference):
-            stack.extend((node.total, node.closed_part))
-        elif isinstance(node, Blowup):
-            stack.extend((node.base, node.center, node.exceptional))
+        stack.extend(children(node))
     return out
 
 
 def _evaluate(expr: ScissorExpr, registry: AtomRegistry, value, zero):
-    """Fold the tree into a ring: atoms map through ``value``, Empty to ``zero``."""
+    """Fold the tree into a ring: atoms map through ``value``, Empty to
+    ``zero`` and each inner node by its rule in ``NODES``."""
     def walk(node):
-        if isinstance(node, Atom):
+        op = OP_OF.get(type(node))
+        if op:
+            return NODES[op][2](*map(walk, children(node)))
+        if type(node) is Atom:
             return value(registry.lookup(node.name))
-        if isinstance(node, DisjointUnion):
-            return walk(node.left) + walk(node.right)
-        if isinstance(node, Product):
-            return walk(node.left) * walk(node.right)
-        if isinstance(node, ClosedDifference):
-            return walk(node.total) - walk(node.closed_part)
-        if isinstance(node, Blowup):
-            return walk(node.base) - walk(node.center) + walk(node.exceptional)
-        if isinstance(node, Empty):
+        if type(node) is Empty:
             return zero
         raise TypeError(f"not a scissor expression: {node!r}")
 

@@ -320,20 +320,11 @@ class MVSpectralSequence:
         return self.page(self.infinity_index)
 
     def stabilization_certificate(self) -> StabilizationCertificate:
+        """Only pairs of gap r tell E_r from E_{r+1}, so the pages stop
+        changing one past the largest gap."""
         m = self._m
         r_inf = self.infinity_index
-        max_dim = self.arrangement.total.dim
-        zero_from = r_inf
-        for r in range(r_inf - 1, 0, -1):
-            all_zero = all(
-                self.d_rank(r, p, q) == 0
-                for p in range(m)
-                for q in range(max_dim + 1)
-            )
-            if all_zero and self.page(r).dims == self.page(r + 1).dims:
-                zero_from = r
-            else:
-                break
+        zero_from = 1 + max((gap for _, _, gap in self._pair_counts), default=0)
         checked = tuple(range(zero_from, r_inf))
         detail = (
             f"differentials vanish identically from page {zero_from} on: "

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MalformedConstraint, Record, Verdict, WeightSearchTooLarge
+from .errors import MalformedConstraint, Record, Verdict, WeightSearchTooLarge, json_int
 from .spectral import FiltrationProfile
 
 __all__ = [
@@ -260,9 +260,10 @@ class LinearConstraint(Record):
     @classmethod
     def from_dict(cls, data: Mapping) -> LinearConstraint:
         try:
-            lhs = {key: int(coeff) for key, coeff in data["lhs"].items()}
-            op, rhs = data["op"], int(data["rhs"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            lhs = {key: json_int(coeff, f"coefficient of {key!r}", MalformedConstraint)
+                   for key, coeff in data["lhs"].items()}
+            op, rhs = data["op"], json_int(data["rhs"], "rhs", MalformedConstraint)
+        except (AttributeError, KeyError, TypeError) as exc:
             raise MalformedConstraint(
                 f"constraint needs an lhs object of integer coefficients, an op "
                 f"and an integer rhs: {exc}"

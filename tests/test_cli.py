@@ -146,7 +146,9 @@ def test_stratum_that_is_not_an_object_is_a_scene_error(capsys, tmp_path):
 def test_malformed_constraints_file_is_a_structured_error(capsys, tmp_path):
     constraints = tmp_path / "c.json"
     for bad in ([{"lhs": ["w21"], "op": ">=", "rhs": 3}],
-                [{"lhs": {"w21": "x"}, "op": ">=", "rhs": 3}]):
+                [{"lhs": {"w21": "x"}, "op": ">=", "rhs": 3}],
+                [{"lhs": {"w21": 1}, "op": ">=", "rhs": 2.9}],
+                [{"lhs": {"w21": True}, "op": ">=", "rhs": 3}]):
         constraints.write_text(json.dumps(bad))
         code, out, err = run(capsys, "weights", "surface-443", "--constraints", str(constraints))
         assert code == 3

@@ -3,13 +3,27 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
+from test_scissor import random_expressions
 
 from virtbetti.errors import SceneError, UnknownName
 from virtbetti.fixtures import builtin_scene
-from virtbetti.scene import dump_scene, load_scene, scene_from_dict, scene_to_dict
-from virtbetti.scissor import evaluate_beta
+from virtbetti.polynomial import IntPolynomial
+from virtbetti.scene import Scene, dump_scene, load_scene, scene_from_dict, scene_to_dict
+from virtbetti.scissor import (
+    Atom,
+    Blowup,
+    ClosedDifference,
+    DisjointUnion,
+    Empty,
+    Product,
+    atoms_used,
+    evaluate_beta,
+    evaluate_chi_c,
+)
 from virtbetti.stratified import beta_of_stratified
 
 MINIMAL = {
@@ -106,6 +120,53 @@ def test_round_trip_builtin_scene():
     assert json.dumps(data, sort_keys=True) == json.dumps(scene_to_dict(again), sort_keys=True)
 
 
+def _fold(expr, leaf, zero):
+    """The scissor rules, spelled out here independently of the package."""
+    if isinstance(expr, Atom):
+        return leaf(expr.name)
+    if isinstance(expr, Empty):
+        return zero
+    if isinstance(expr, DisjointUnion):
+        return _fold(expr.left, leaf, zero) + _fold(expr.right, leaf, zero)
+    if isinstance(expr, Product):
+        return _fold(expr.left, leaf, zero) * _fold(expr.right, leaf, zero)
+    if isinstance(expr, ClosedDifference):
+        return _fold(expr.total, leaf, zero) - _fold(expr.closed_part, leaf, zero)
+    assert isinstance(expr, Blowup)
+    return (_fold(expr.base, leaf, zero) - _fold(expr.center, leaf, zero)
+            + _fold(expr.exceptional, leaf, zero))
+
+
+def _atom_names(expr):
+    if isinstance(expr, Atom):
+        return {expr.name}
+    kids = [v for v in vars(expr).values() if not isinstance(v, (str, type(None)))]
+    return set().union(*map(_atom_names, kids))
+
+
+def test_round_trip_random_expressions():
+    base = builtin_scene()  # cached and shared: build a new scene around its atoms
+    reg = base.atoms
+    exprs = random_expressions(reg, 300, seed=7, labels=True)
+    assert any(isinstance(e, Blowup) and e.label for e in exprs)
+    scene = Scene(atoms=reg, complexes=base.complexes,
+                  expressions={f"e{i:03}": e for i, e in enumerate(exprs)})
+    again = scene_from_dict(json.loads(json.dumps(scene_to_dict(scene))))
+    assert again.expressions == scene.expressions
+    for e in exprs:
+        assert evaluate_beta(e, reg) == _fold(e, lambda a: reg.lookup(a).beta, IntPolynomial.zero())
+        assert evaluate_chi_c(e, reg) == _fold(e, lambda a: reg.lookup(a).chi_c, 0)
+        assert atoms_used(e) == _atom_names(e)
+
+
+def test_readme_example_scene_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    example = next(json.loads(b) for b in blocks if '"schema_version"' in b)
+    scene = scene_from_dict(example)
+    assert evaluate_beta(scene.expression("line"), scene.atoms).to_text() == "t"
+
+
 def test_dump_and_load_file(tmp_path):
     scene = scene_from_dict(MINIMAL)
     path = tmp_path / "scene.json"
@@ -148,8 +209,9 @@ def test_non_object_stratification_parts_are_scene_errors(stratifications):
      "arrangement 'whole', piece 'X', maximal_simplices"),
     (("arrangements", "whole", "pieces", 0, "maximal_simplices"), [["a", "b"], "bc"],
      "arrangement 'whole', piece 'X', maximal_simplices[1]"),
+    (("weight_inputs", "small", "b"), "11", "weight input 'small', b"),
 ], ids=["vertices", "maximal", "simplex", "boundary", "boundary-simplex", "piece",
-        "piece-simplex"])
+        "piece-simplex", "weight-b"])
 def test_string_where_an_array_is_expected_is_a_scene_error(where, value, path):
     # iterating a string would split it into one-character vertex names
     bad = json.loads(json.dumps(MINIMAL))
@@ -204,7 +266,7 @@ def _with(path, value):
     bad = json.loads(json.dumps(MINIMAL))
     node = bad
     for key in path[:-1]:
-        node = node.setdefault(key, {})
+        node = node[key] if isinstance(node, list) else node.setdefault(key, {})
     node[path[-1]] = value
     return bad
 
@@ -231,6 +293,28 @@ def test_atom_chi_c_must_be_an_integer(chi_c):
     with pytest.raises(SceneError) as info:
         scene_from_dict(_with(("atoms", "exotic", "chi_c"), chi_c))
     assert info.value.context == {"atom": "exotic"}
+
+
+ARC = ("stratifications", "circle-two", "strata", 0)
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (ARC + ("dim",), 1.9, "stratification 'circle-two', stratum 'arc', dim"),
+    (ARC + ("dim",), True, "stratification 'circle-two', stratum 'arc', dim"),
+    (ARC + ("dim",), "1", "stratification 'circle-two', stratum 'arc', dim"),
+    (("weight_inputs", "small", "b"), ["1", 1], "weight input 'small', b[0]"),
+    (("weight_inputs", "small", "b"), [1, 1.7], "weight input 'small', b[1]"),
+    (("weight_inputs", "small", "beta"), [True, 1], "weight input 'small', beta[0]"),
+    (("atoms", "exotic", "compact_nonsingular"), "false", "atom 'exotic', compact_nonsingular"),
+    (("atoms", "exotic", "compact_nonsingular"), 0, "atom 'exotic', compact_nonsingular"),
+    (ARC + ("model", "boundary_nonsingular"), "no",
+     "stratification 'circle-two', stratum 'arc', boundary_nonsingular"),
+], ids=["dim-float", "dim-bool", "dim-str", "b-str", "b-float", "beta-bool",
+        "compact-str", "compact-int", "boundary-str"])
+def test_numbers_and_flags_are_type_checked_not_coerced(path, value, where):
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(_with(path, value))
+    assert info.value.message.startswith(f"{where} must be ")
 
 
 def test_atom_chi_c_may_be_left_out():

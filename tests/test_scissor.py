@@ -62,7 +62,9 @@ def test_declared_atom_provenance():
     assert rec.chi_c == 4
 
 
-def random_expressions(reg, count, seed=20240902):
+def random_expressions(reg, count, seed=20240902, labels=False):
+    """Random trees over the registry's atoms; with ``labels``, about half
+    the blowup nodes carry a label."""
     rng = random.Random(seed)
     names = reg.names()
 
@@ -76,7 +78,9 @@ def random_expressions(reg, count, seed=20240902):
             return Product(build(depth - 1), build(depth - 1))
         if kind == 2:
             return ClosedDifference(build(depth - 1), build(depth - 1))
-        return Blowup(build(depth - 1), build(depth - 1), build(depth - 1))
+        children = build(depth - 1), build(depth - 1), build(depth - 1)
+        label = f"bl-{rng.randrange(1000)}" if labels and rng.random() < 0.5 else None
+        return Blowup(*children, label=label)
 
     return [build(rng.randint(1, 4)) for _ in range(count)]
 

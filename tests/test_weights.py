@@ -249,6 +249,13 @@ def test_malformed_constraints_are_rejected():
         LinearConstraint.from_dict({"lhs": {"w21": "x"}, "op": ">=", "rhs": 3})
     with pytest.raises(MalformedConstraint):
         LinearConstraint.from_dict({"lhs": {"w21": 1}, "op": ">=", "rhs": "x"})
+    # numbers are type-checked, not coerced by int()
+    with pytest.raises(MalformedConstraint, match="rhs must be an integer, not 2.9"):
+        LinearConstraint.from_dict({"lhs": {"w21": 1}, "op": ">=", "rhs": 2.9})
+    with pytest.raises(MalformedConstraint, match="rhs must be an integer, not '3'"):
+        LinearConstraint.from_dict({"lhs": {"w21": 1}, "op": ">=", "rhs": "3"})
+    with pytest.raises(MalformedConstraint, match="coefficient of 'w21' must be an integer"):
+        LinearConstraint.from_dict({"lhs": {"w21": True}, "op": ">=", "rhs": 3})
 
 
 def test_constraint_dict_round_trip():
