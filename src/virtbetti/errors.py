@@ -23,12 +23,15 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
-        rest = cls._fields[len(args):]
-        missing = [name for name in rest if name not in kwargs and not hasattr(cls, name)]
-        if len(args) > len(cls._fields) or missing or kwargs.keys() - set(rest):
-            raise TypeError(f"{cls.__name__} takes {cls._fields}, not {len(args)} positional and {sorted(kwargs)}")
-        self.__dict__.update(zip(cls._fields, args))
-        self.__dict__.update((name, kwargs.get(name, getattr(cls, name, None))) for name in rest)
+        if kwargs or len(args) != len(cls._fields):  # not every field by position
+            rest = cls._fields[len(args):]
+            missing = [name for name in rest if name not in kwargs and not hasattr(cls, name)]
+            if len(args) > len(cls._fields) or missing or kwargs.keys() - set(rest):
+                raise TypeError(f"{cls.__name__} takes {cls._fields}, not {len(args)} positional and {sorted(kwargs)}")
+            args += tuple(kwargs.get(name, getattr(cls, name, None)) for name in rest)
+        fields = self.__dict__
+        for name, value in zip(cls._fields, args):
+            fields[name] = value
         self.__post_init__()
 
     def __post_init__(self):

@@ -101,6 +101,8 @@ def _expr_from_dict(data: Mapping, registry: AtomRegistry, path: str) -> Scissor
         raise SceneError(f"{path}: unknown expression op {op!r}", op=op)
     cls, keys, _ = NODES[op]
     kids = [_expr_from_dict(data[key], registry, f"{path}.{key}") for key in keys]
+    if op == "blowup" and data.get("label") is not None:
+        _json(data["label"], f"{path}.label", "string")
     return cls(*kids, label=data.get("label")) if op == "blowup" else cls(*kids)
 
 
@@ -118,7 +120,7 @@ def _expr_to_dict(expr: ScissorExpr) -> dict:
     raise TypeError(f"not a scissor expression: {expr!r}")
 
 
-_JSON_TYPES = {"object": Mapping, "array": (list, tuple), "boolean": bool}
+_JSON_TYPES = {"object": Mapping, "array": (list, tuple), "boolean": bool, "string": str}
 
 
 def _json(value: Any, path: str, kind: str = "object") -> Any:
@@ -193,7 +195,7 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
         dim = json_int(s["dim"], where + ", dim", SceneError)
         strata.append(StratumRecord(s["name"], dim, model))
     frontier = {
-        src: frozenset(targets)
+        src: frozenset(_json(targets, f"{path}, frontier {src!r}", "array"))
         for src, targets in _json(raw.get("frontier", {}), path + ", frontier").items()
     }
     spec = StratifiedSpec(name, tuple(strata), frontier)
@@ -202,38 +204,44 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
     return spec
 
 
+def _entries(data: Mapping, section: str, kind: str):
+    """(name, spec, path) for each entry of a section, in name order; the
+    section and each spec must be JSON objects."""
+    entries = _json(data.get(section, {}), section)
+    for name in sorted(entries):
+        path = f"{kind} {name!r}"
+        yield name, _json(entries[name], path), path
+
+
 def scene_from_dict(data: Mapping) -> Scene:
     """Build and validate a Scene from its JSON dictionary."""
     _json(data, "scene")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise SceneError(
-            f"unsupported schema_version {data.get('schema_version')!r}",
-            expected=SCHEMA_VERSION,
-        )
     scene = Scene()
     try:
-        for name in sorted(data.get("complexes", {})):
-            spec, path = data["complexes"][name], f"complex {name!r}"
+        if data.get("schema_version") != SCHEMA_VERSION:
+            raise SceneError(
+                f"unsupported schema_version {data.get('schema_version')!r}",
+                expected=SCHEMA_VERSION,
+            )
+        for name, spec, path in _entries(data, "complexes", "complex"):
             scene.complexes[name] = SimplicialComplex.from_maximal(
                 _json(spec["vertices"], path + ", vertices", "array"),
                 _simplices(spec["maximal_simplices"], path + ", maximal_simplices"),
             )
-        for name in sorted(data.get("pairs", {})):
-            spec = data["pairs"][name]
+        for name, spec, path in _entries(data, "pairs", "pair"):
             total = scene.complex(spec["total"])
             boundary = _subcomplex_from(
-                total, spec.get("boundary_maximal", []), f"pair {name!r}, boundary_maximal"
+                total, spec.get("boundary_maximal", []), path + ", boundary_maximal"
             )
             scene.pairs[name] = PairSpace(total, boundary)
-        for name in sorted(data.get("atoms", {})):
-            spec = data["atoms"][name]
+        for name, spec, path in _entries(data, "atoms", "atom"):
             if "model" in spec:
                 scene.atoms.from_model(name, scene.complex(spec["model"]), spec["model"])
             else:
                 beta = parse_polynomial(spec["beta"])
                 chi = spec.get("chi_c")
                 if chi is not None:
-                    json_int(chi, f"atom {name!r}: chi_c", SceneError, atom=name)
+                    json_int(chi, f"{path}: chi_c", SceneError, atom=name)
                 provenance = spec.get("provenance", "declared")
                 if provenance == "recursive":
                     scene.atoms.recursive(name, beta, chi_c=chi)
@@ -241,35 +249,32 @@ def scene_from_dict(data: Mapping) -> Scene:
                     scene.atoms.declare(
                         name, beta, chi_c=chi,
                         compact_nonsingular=_json(spec.get("compact_nonsingular", False),
-                                                  f"atom {name!r}, compact_nonsingular",
-                                                  "boolean"),
+                                                  path + ", compact_nonsingular", "boolean"),
                     )
-        for name in sorted(data.get("expressions", {})):
+        expressions = _json(data.get("expressions", {}), "expressions")
+        for name in sorted(expressions):
             scene.expressions[name] = _expr_from_dict(
-                data["expressions"][name], scene.atoms, f"expression {name!r}"
+                expressions[name], scene.atoms, f"expression {name!r}"
             )
-        raw_strats = data.get("stratifications", {})
+        raw_strats = _json(data.get("stratifications", {}), "stratifications")
         for name in sorted(raw_strats):
             _resolve_stratification(name, scene, raw_strats, set())
-        for name in sorted(data.get("arrangements", {})):
-            spec = data["arrangements"][name]
+        for name, spec, path in _entries(data, "arrangements", "arrangement"):
             total = scene.complex(spec["total"])
-            pieces = tuple(
-                (p["name"], _subcomplex_from(
-                    total, p["maximal_simplices"],
-                    f"arrangement {name!r}, piece {p['name']!r}, maximal_simplices",
-                ))
-                for p in spec["pieces"]
-            )
-            scene.arrangements[name] = Arrangement(total, pieces)
-        for name in sorted(data.get("weight_inputs", {})):
-            spec, path = data["weight_inputs"][name], f"weight input {name!r}"
+            pieces = []
+            for piece in _json(spec["pieces"], path + ", pieces", "array"):
+                piece = _json(piece, path + ", piece")
+                where = f"{path}, piece {piece['name']!r}, maximal_simplices"
+                pieces.append((piece["name"],
+                               _subcomplex_from(total, piece["maximal_simplices"], where)))
+            scene.arrangements[name] = Arrangement(total, tuple(pieces))
+        for name, spec, path in _entries(data, "weight_inputs", "weight input"):
             scene.weight_inputs[name] = WeightSystemInput(
                 _integers(spec["b"], path + ", b"), _integers(spec["beta"], path + ", beta")
             )
     except VirtBettiError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise SceneError(f"malformed scene: {exc}") from exc
     except RecursionError:
         raise SceneError("scene nests too deeply") from None

@@ -2,12 +2,15 @@
 
 Geometry is never represented: a complex is a face-closed family of vertex
 subsets, and the correspondence between a variety and its combinatorial
-model is the caller's responsibility.  A vertex list becomes a simplex in
-one way: ``_normalize`` sorts it by the position of each vertex in the
-complex's vertex order, ``_closure`` enumerates the faces of such tuples
-(refusing oversized input before it enumerates anything) and
-``_check_face_closed`` checks a family for missing facets; each face is
-normalized once.  Matrices are built in lexicographic simplex order, so
+model is the caller's responsibility.  Inside the engine a simplex is a
+cell: the ascending tuple of its vertices' positions in the complex's
+vertex order, so lexicographic order is plain tuple order.  Vertex names
+appear only at the edges.  ``_normalize`` turns a vertex list into a cell;
+the ``simplices`` and ``simplices_of_dim`` views, ``maximal_simplices``,
+``repr`` and every error message turn cells back into names.  ``_closure``
+enumerates the faces of cells (refusing oversized input before it
+enumerates anything) and ``_check_face_closed`` checks a family for
+missing facets.  Matrices are built in lexicographic simplex order, so
 every Betti computation is reproducible.  One routine computes Betti
 numbers, top degree down with clearing: the relative cohomology of a pair
 (K, L); ordinary homology is (K, empty), as over a field dim H^q = dim H_q.
@@ -65,19 +68,18 @@ class BettiVector(tuple):
 
 
 def _normalize(index: dict, simplex: Sequence[Vertex]) -> Simplex:
-    """The vertices of a simplex, without repeats, in index order."""
+    """The ascending positions of a simplex's vertices, without repeats."""
     try:
-        return tuple(sorted(set(simplex), key=index.__getitem__))
+        return tuple(sorted({index[v] for v in simplex}))
     except KeyError as exc:
         v = exc.args[0]
         raise UnknownVertex(f"unknown vertex {v!r}", vertex=repr(v)) from None
 
 
-def _closure(index: dict, maximal: Iterable[Sequence[Vertex]]) -> set[Simplex]:
-    """Every nonempty face of the given simplices, normalized."""
+def _closure(cells: Iterable[Simplex]) -> set[Simplex]:
+    """Every nonempty face of the given cells."""
     faces: set[Simplex] = set()
-    for simplex in maximal:
-        t = _normalize(index, simplex)
+    for t in cells:
         if t in faces:  # the family stays face-closed, so its faces are too
             continue
         # a simplex of n vertices has 2^n - 1 faces: bound them before building any
@@ -88,28 +90,38 @@ def _closure(index: dict, maximal: Iterable[Sequence[Vertex]]) -> set[Simplex]:
     return faces
 
 
-def _check_face_closed(simplices: frozenset) -> None:
+def _check_face_closed(cells: frozenset, verts: tuple) -> None:
     """Raise unless every facet of every simplex is in the family."""
-    for s in simplices:
-        if len(s) > 1:
-            for face in combinations(s, len(s) - 1):
-                if face not in simplices:
-                    raise NotFaceClosed(
-                        f"simplex {s!r} lacks face {face!r}",
-                        simplex=repr(s),
-                        missing_face=repr(face),
-                    )
+    for s in cells:
+        if len(s) > 1 and not cells.issuperset(combinations(s, len(s) - 1)):
+            face = next(f for f in combinations(s, len(s) - 1) if f not in cells)
+            s, face = _named(verts, (s, face))
+            raise NotFaceClosed(
+                f"simplex {s!r} lacks face {face!r}",
+                simplex=repr(s),
+                missing_face=repr(face),
+            )
+
+
+def _named(verts: tuple, cells: Iterable[Simplex]) -> list[Simplex]:
+    """The vertex names of each cell."""
+    return [tuple([verts[i] for i in c]) for c in cells]
+
+
+def _maximal(cells: frozenset) -> frozenset:
+    """The non-facets of a face-closed family: exactly its maximal members."""
+    return cells - {f for s in cells for f in combinations(s, len(s) - 1)}
 
 
 class SimplicialComplex:
     """Immutable abstract simplicial complex with an explicit vertex order."""
 
-    __slots__ = ("_vertices", "_index", "_simplices", "_by_dim")
+    __slots__ = ("_vertices", "_index", "_cells", "_by_dim")
 
     def __init__(self, vertices: Iterable[Vertex], simplices: Iterable[Sequence[Vertex]]):
         verts = tuple(vertices)
         index = {v: i for i, v in enumerate(verts)}
-        self._assemble(verts, index, {_normalize(index, s) for s in simplices} - {()})
+        self._assemble(verts, {_normalize(index, s) for s in simplices} - {()}, index)
 
     @classmethod
     def from_maximal(
@@ -122,25 +134,27 @@ class SimplicialComplex:
         """
         verts = tuple(vertices)
         index = {v: i for i, v in enumerate(verts)}
-        faces = _closure(index, maximal)  # already normalized
-        faces.update((v,) for v in verts)
-        return cls.__new__(cls)._assemble(verts, index, faces)
+        faces = _closure(_normalize(index, s) for s in maximal)
+        faces.update((i,) for i in range(len(verts)))
+        return cls.__new__(cls)._assemble(verts, faces, index)
 
-    def _assemble(self, verts: tuple, index: dict, simplices: set[Simplex]) -> SimplicialComplex:
+    def _assemble(self, verts: tuple, cells: set, index: dict | None = None) -> SimplicialComplex:
         """Every construction ends here: vertex and size checks, sort, validate."""
+        if index is None:
+            index = {v: i for i, v in enumerate(verts)}
         if len(index) < len(verts):
             v = next(v for i, v in enumerate(verts) if index[v] != i)
             raise UnknownVertex(f"duplicate vertex {v!r} in vertex list", vertex=repr(v))
-        if len(simplices) > MAX_SIMPLICES:
-            raise TooManySimplices(f"{len(simplices)} simplices exceed the supported size",
+        if len(cells) > MAX_SIMPLICES:
+            raise TooManySimplices(f"{len(cells)} simplices exceed the supported size",
                                    limit=MAX_SIMPLICES)
         self._vertices = verts
         self._index = index
-        self._simplices = frozenset(simplices)
+        self._cells = frozenset(cells)
         by_dim: dict[int, list[Simplex]] = {}
-        for s in simplices:
+        for s in cells:
             by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {d: sorted(ss, key=self.sort_key) for d, ss in sorted(by_dim.items())}
+        self._by_dim = {d: sorted(ss) for d, ss in sorted(by_dim.items())}
         self.validate()
         return self
 
@@ -154,12 +168,23 @@ class SimplicialComplex:
 
     @property
     def simplices(self) -> frozenset:
-        return self._simplices
+        """The simplices as tuples of vertex names, built on each call."""
+        return frozenset(_named(self._vertices, self._cells))
+
+    @property
+    def cells(self) -> frozenset:
+        """The simplices as ascending tuples of vertex positions."""
+        return self._cells
+
+    def named(self, cell: Simplex) -> Simplex:
+        """The vertex names of a cell."""
+        return _named(self._vertices, (cell,))[0]
 
     def vertex_index(self, v: Vertex) -> int:
         return self._index[v]
 
-    def sort_key(self, simplex: Simplex) -> tuple:
+    def sort_key(self, simplex: Sequence[Vertex]) -> tuple:
+        """The positions of a named simplex's vertices: lexicographic order."""
         return tuple(map(self._index.__getitem__, simplex))
 
     @property
@@ -168,33 +193,35 @@ class SimplicialComplex:
         return max(self._by_dim) if self._by_dim else -1
 
     def n_simplices(self) -> int:
-        return len(self._simplices)
+        return len(self._cells)
 
     def simplices_of_dim(self, d: int) -> list[Simplex]:
-        return list(self._by_dim.get(d, []))
+        return _named(self._vertices, self._by_dim.get(d, ()))
 
     def simplex_counts(self) -> list[int]:
         return [len(self._by_dim.get(d, [])) for d in range(self.dim + 1)]
 
     def validate(self) -> None:
         """Check face closure and vertex bookkeeping; raises on violation."""
-        _check_face_closed(self._simplices)
-        for v in self._vertices:
-            if (v,) not in self._simplices:
+        _check_face_closed(self._cells, self._vertices)
+        for i, v in enumerate(self._vertices):
+            if (i,) not in self._cells:
                 raise NotFaceClosed(
                     f"vertex {v!r} has no singleton simplex", vertex=repr(v)
                 )
 
     def contains_simplex(self, s: Sequence[Vertex]) -> bool:
         try:
-            return _normalize(self._index, s) in self._simplices
+            return _normalize(self._index, s) in self._cells
         except UnknownVertex:
             return False
 
-    def standalone(self, simplices: frozenset) -> SimplicialComplex:
-        """Complex on a face-closed subset of the simplices, vertex order restricted."""
-        used = {v for s in simplices for v in s}
-        return SimplicialComplex((v for v in self._vertices if v in used), simplices)
+    def standalone(self, cells: frozenset) -> SimplicialComplex:
+        """Complex on a face-closed subset of the cells, vertex order restricted."""
+        position = {i: j for j, i in enumerate(sorted({i for s in cells for i in s}))}
+        verts = tuple(self._vertices[i] for i in position)
+        return SimplicialComplex.__new__(SimplicialComplex)._assemble(
+            verts, {tuple(map(position.__getitem__, s)) for s in cells})
 
     def boundary_matrix(self, d: int) -> GF2Matrix:
         """Mod-2 boundary from d-chains to (d-1)-chains, lexicographic bases:
@@ -217,60 +244,66 @@ class SimplicialComplex:
     def subcomplex(self, simplices: Iterable[Sequence[Vertex]] = (),
                    maximal: Iterable[Sequence[Vertex]] = ()) -> Subcomplex:
         """Face-closed subcomplex from explicit simplices and/or maximal ones."""
-        chosen = {_normalize(self._index, s) for s in simplices}
-        return Subcomplex(self, frozenset(chosen | _closure(self._index, maximal)))
+        index = self._index
+        chosen = {_normalize(index, s) for s in simplices}
+        return Subcomplex(self, frozenset(chosen | _closure(_normalize(index, s) for s in maximal)))
 
     def full_subcomplex(self) -> Subcomplex:
-        return Subcomplex(self, self._simplices)
+        return Subcomplex(self, self._cells)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SimplicialComplex)
             and self._vertices == other._vertices
-            and self._simplices == other._simplices
+            and self._cells == other._cells
         )
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._simplices))
+        return hash((self._vertices, self._cells))
 
     def __repr__(self) -> str:
-        return f"<SimplicialComplex {len(self._vertices)} vertices, {len(self._simplices)} simplices, dim {self.dim}>"
+        return f"<SimplicialComplex {len(self._vertices)} vertices, {len(self._cells)} simplices, dim {self.dim}>"
 
 
 class Subcomplex(Record):
-    """Face-closed subset of a parent complex's simplices."""
+    """Face-closed subset of a parent complex's cells."""
 
     parent: SimplicialComplex
-    simplices: frozenset
+    cells: frozenset
 
     def __post_init__(self):
-        stray = self.simplices - self.parent.simplices
+        stray = self.cells - self.parent.cells
         if stray:
-            s = min(stray, key=repr)
+            s = min(_named(self.parent.vertices, stray), key=repr)
             raise UnknownVertex(
                 f"simplex {s!r} does not belong to the parent complex", simplex=repr(s)
             )
-        _check_face_closed(self.simplices)
+        _check_face_closed(self.cells, self.parent.vertices)
+
+    @property
+    def simplices(self) -> frozenset:
+        """The simplices as tuples of vertex names, built on each call."""
+        return frozenset(_named(self.parent.vertices, self.cells))
 
     def is_empty(self) -> bool:
-        return not self.simplices
+        return not self.cells
 
     def as_complex(self) -> SimplicialComplex:
         """Standalone complex with the parent's vertex order restricted."""
-        return self.parent.standalone(self.simplices)
+        return self.parent.standalone(self.cells)
 
     def union(self, other: Subcomplex) -> Subcomplex:
         if other.parent is not self.parent:
             raise ValueError("subcomplexes of different parents")
-        return Subcomplex(self.parent, self.simplices | other.simplices)
+        return Subcomplex(self.parent, self.cells | other.cells)
 
     def intersection(self, other: Subcomplex) -> Subcomplex:
         if other.parent is not self.parent:
             raise ValueError("subcomplexes of different parents")
-        return Subcomplex(self.parent, self.simplices & other.simplices)
+        return Subcomplex(self.parent, self.cells & other.cells)
 
     def __repr__(self) -> str:
-        return f"<Subcomplex {len(self.simplices)} simplices>"
+        return f"<Subcomplex {len(self.cells)} simplices>"
 
 
 class PairSpace(Record):
@@ -292,8 +325,8 @@ class PairSpace(Record):
         """{relative d-simplex: position} in lexicographic order, built once."""
         bases = self.__dict__.setdefault("_bases", {})  # not a field: no ==, hash or repr
         if d not in bases:
-            skip = self.boundary.simplices
-            rel = [s for s in self.total.simplices_of_dim(d) if s not in skip]
+            skip = self.boundary.cells
+            rel = [s for s in self.total._by_dim.get(d, ()) if s not in skip]
             bases[d] = dict(zip(rel, range(len(rel))))
         return bases[d]
 
@@ -333,20 +366,16 @@ class PairSpace(Record):
 
 def disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Disjoint union; vertices are tagged only if the name sets collide."""
-    if not b.simplices and not b.vertices:
+    if not b.cells and not b.vertices:
         return a
-    if not a.simplices and not a.vertices:
+    if not a.cells and not a.vertices:
         return b
-    overlap = set(a.vertices) & set(b.vertices)
-    if overlap:
-        tag_a = lambda v: (0, v)
-        tag_b = lambda v: (1, v)
-    else:
-        tag_a = tag_b = lambda v: v
-    verts = tuple(tag_a(v) for v in a.vertices) + tuple(tag_b(v) for v in b.vertices)
-    simplices = [tuple(tag_a(v) for v in s) for s in a.simplices]
-    simplices += [tuple(tag_b(v) for v in s) for s in b.simplices]
-    return SimplicialComplex(verts, simplices)
+    verts = a.vertices + b.vertices
+    if set(a.vertices) & set(b.vertices):
+        verts = tuple((0, v) for v in a.vertices) + tuple((1, v) for v in b.vertices)
+    shift = len(a.vertices)
+    cells = a.cells | {tuple(i + shift for i in s) for s in b.cells}
+    return SimplicialComplex.__new__(SimplicialComplex)._assemble(verts, cells)
 
 
 def _staircase_paths(s: int, t: int):
@@ -367,29 +396,29 @@ def product_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialCom
 
     Maximal simplices are the monotone lattice paths through each product
     of maximal simplices; the Betti numbers of the result satisfy the
-    Kunneth convolution formula.
+    Kunneth convolution formula.  Vertex (u_i, v_j) has position
+    i * len(b.vertices) + j, so the positions along a monotone path ascend.
     """
-    if not a.simplices or not b.simplices:
+    if not a.cells or not b.cells:
         return SimplicialComplex.empty()
     verts = tuple((u, v) for u in a.vertices for v in b.vertices)
-    maximal_a = maximal_simplices(a)
-    maximal_b = maximal_simplices(b)
-    cells = []
-    for sa in maximal_a:
-        for sb in maximal_b:
-            s, t = len(sa) - 1, len(sb) - 1
-            for path in _staircase_paths(s, t):
-                cells.append(tuple((sa[i], sb[j]) for i, j in path))
-    return SimplicialComplex.from_maximal(verts, cells)
+    width = len(b.vertices)
+    # one int object per position, shared by every cell that holds it
+    grid = [list(range(i * width, (i + 1) * width)) for i in range(len(a.vertices))]
+    maximal_b = _maximal(b.cells)
+    cells = (
+        tuple(grid[sa[i]][sb[j]] for i, j in path)
+        for sa in _maximal(a.cells)
+        for sb in maximal_b
+        for path in _staircase_paths(len(sa) - 1, len(sb) - 1)
+    )
+    return SimplicialComplex.__new__(SimplicialComplex)._assemble(verts, _closure(cells))
 
 
 def maximal_simplices(k: SimplicialComplex, simplices: Iterable[Simplex] | None = None) -> list[Simplex]:
     """Inclusion-maximal simplices of a complex (or of a face-closed set of
-    its simplices), in lexicographic order by the complex's vertex indexing.
-
-    In a face-closed family a simplex lies in a larger one exactly when it
-    is a facet of some member, so the maximal ones are the non-facets.
-    """
-    pool = k.simplices if simplices is None else frozenset(simplices)
-    facets = {f for s in pool for f in combinations(s, len(s) - 1)}
-    return sorted(pool - facets, key=k.sort_key)
+    its simplices, named as its ``simplices`` view names them), in
+    lexicographic order by the complex's vertex indexing."""
+    if simplices is None:
+        return _named(k.vertices, sorted(_maximal(k.cells)))
+    return sorted(_maximal(frozenset(simplices)), key=k.sort_key)

@@ -77,12 +77,12 @@ class Arrangement(Record):
         for name, piece in self.pieces:
             if piece.parent is not self.total:
                 raise NotACover(f"piece {name!r} is not a subcomplex of the total complex")
-            union |= piece.simplices
-        if union != self.total.simplices:
-            missing = sorted(self.total.simplices - union, key=self.total.sort_key)
+            union |= piece.cells
+        if union != self.total.cells:
+            missing = sorted(self.total.cells - union)
             raise NotACover(
                 "pieces do not cover the total complex",
-                missing=[repr(s) for s in missing[:5]],
+                missing=[repr(self.total.named(s)) for s in missing[:5]],
                 missing_count=len(missing),
             )
 
@@ -92,19 +92,19 @@ class Arrangement(Record):
 
     @cached_property
     def nerve(self) -> dict[tuple[int, ...], frozenset]:
-        """{ascending piece indices: simplices of their intersection} for
-        every nonempty intersection, ordered by size, then lexicographically.
+        """{ascending piece indices: cells of their intersection} for every
+        nonempty intersection, ordered by size, then lexicographically.
 
         A subset is extended by a larger index only while its intersection
         is nonempty, so no superset of an empty intersection is ever formed.
         """
         nerve: dict[tuple[int, ...], frozenset] = {}
-        level = {(i,): piece.simplices for i, (_, piece) in enumerate(self.pieces)}
+        level = {(i,): piece.cells for i, (_, piece) in enumerate(self.pieces)}
         while level:
             level = {subset: meet for subset, meet in level.items() if meet}
             nerve.update(level)
             level = {
-                subset + (j,): meet & self.pieces[j][1].simplices
+                subset + (j,): meet & self.pieces[j][1].cells
                 for subset, meet in level.items()
                 for j in range(subset[-1] + 1, len(self.pieces))
             }
@@ -200,8 +200,8 @@ class StabilizationCertificate(Record):
 def _double_complex(arrangement: Arrangement) -> tuple[dict[int, list], dict[int, list[int]]]:
     """The basis and the columns of the total differential D, by degree n = p + q.
 
-    basis[n] lists the entries (p, subset, simplex) by ascending p, and inside
-    a level in the reverse of nerve and simplex order, since ``_pair`` feeds
+    basis[n] lists the entries (p, subset, cell) by ascending p, and inside
+    a level in the reverse of nerve and cell order, since ``_pair`` feeds
     each level from its end.  cols[n][j] is D of basis[n][j], a bit mask over
     basis[n + 1].  D sends (subset, s) to every entry (subset + one piece, s),
     the horizontal part, and (subset, s + one vertex), the vertical part; so
@@ -213,7 +213,7 @@ def _double_complex(arrangement: Arrangement) -> tuple[dict[int, list], dict[int
     for _, level in groupby(nerve, key=len):  # the nerve is ordered by size
         for subset in reversed(list(level)):
             p = len(subset) - 1
-            for s in sorted(nerve[subset], key=arrangement.total.sort_key, reverse=True):
+            for s in sorted(nerve[subset], reverse=True):
                 basis.setdefault(p + len(s) - 1, []).append((p, subset, s))
     index = {(subset, s): i for entries in basis.values() for i, (_, subset, s) in enumerate(entries)}
     cols = {n: [0] * len(entries) for n, entries in basis.items()}
@@ -247,8 +247,9 @@ class MVSpectralSequence:
         return sum(self._lifetimes.get((p, q), {}).values())
 
     def intersection_complex(self, subset: tuple[int, ...]) -> frozenset:
-        """Simplices of the pieces' intersection; empty outside the nerve."""
-        return self.arrangement.nerve.get(tuple(sorted(subset)), frozenset())
+        """Named simplices of the pieces' intersection; empty outside the nerve."""
+        meet = self.arrangement.nerve.get(tuple(sorted(subset)), ())
+        return frozenset(map(self.arrangement.total.named, meet))
 
     # -- pages ---------------------------------------------------------------
 

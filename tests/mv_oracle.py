@@ -198,16 +198,16 @@ def horizontal_columns(dc) -> dict[int, list[int]]:
 
 
 def intersections(arrangement) -> dict[tuple[int, ...], frozenset]:
-    """Every nonempty index subset's intersection, empty ones included,
-    ordered by size, then lexicographically."""
+    """Every nonempty index subset's intersection as cells, empty ones
+    included, ordered by size, then lexicographically."""
     pieces = [sc for _, sc in arrangement.pieces]
     inters: dict[tuple[int, ...], frozenset] = {}
     for size in range(1, len(pieces) + 1):
         for subset in combinations(range(len(pieces)), size):
             if size == 1:
-                inters[subset] = pieces[subset[0]].simplices
+                inters[subset] = pieces[subset[0]].cells
             else:
-                inters[subset] = inters[subset[:-1]] & pieces[subset[-1]].simplices
+                inters[subset] = inters[subset[:-1]] & pieces[subset[-1]].cells
     return inters
 
 

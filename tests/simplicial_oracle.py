@@ -13,14 +13,30 @@ It also keeps the old ways from vertex lists to simplices: a face closure
 that builds frozensets and sorts them by ``repr``, a subcomplex closure
 that sorts each maximal simplex by vertex index, and ``maximal_simplices``
 by comparing every simplex with every maximal one found so far.
+
+``NameComplex`` is how the engine stored a complex before it kept cells
+(ascending tuples of vertex positions): tuples of vertex names, normalized
+by ``_normalize``, closed by ``_closure`` and sorted in each dimension by
+``sort_key`` in ``_assemble``, with the same checks and error messages.
+``product`` is the staircase product built on those names.  The row-wise
+functions above read any object with ``simplices``, ``simplices_of_dim``
+and ``dim``, so they run on a ``NameComplex`` as well.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from virtbetti.errors import NotFaceClosed, TooManySimplices, UnknownVertex
 from virtbetti.gf2 import GF2Matrix, rank
-from virtbetti.simplicial import BettiVector, PairSpace, SimplicialComplex, Subcomplex
+from virtbetti.simplicial import (
+    MAX_SIMPLICES,
+    BettiVector,
+    PairSpace,
+    SimplicialComplex,
+    Subcomplex,
+    _staircase_paths,
+)
 
 
 def boundary_matrix(k: SimplicialComplex, d: int, removed: frozenset = frozenset()) -> GF2Matrix:
@@ -82,7 +98,7 @@ def subcomplex(k: SimplicialComplex, simplices=(), maximal=()) -> Subcomplex:
         ordered = sorted(set(s), key=k.vertex_index)
         for size in range(1, len(ordered) + 1):
             chosen.update(combinations(ordered, size))
-    return Subcomplex(k, frozenset(chosen))
+    return Subcomplex(k, frozenset(map(k.sort_key, chosen)))
 
 
 def maximal_simplices(k: SimplicialComplex, simplices=None) -> list:
@@ -94,3 +110,112 @@ def maximal_simplices(k: SimplicialComplex, simplices=None) -> list:
         if not any(set(s) < set(m) for m in out):
             out.append(s)
     return sorted(out, key=k.sort_key)
+
+
+def _normalize(index: dict, simplex) -> tuple:
+    """The vertices of a simplex, without repeats, in index order."""
+    try:
+        return tuple(sorted(set(simplex), key=index.__getitem__))
+    except KeyError as exc:
+        v = exc.args[0]
+        raise UnknownVertex(f"unknown vertex {v!r}", vertex=repr(v)) from None
+
+
+def _closure(index: dict, maximal) -> set[tuple]:
+    """Every nonempty face of the given simplices, normalized."""
+    faces: set[tuple] = set()
+    for simplex in maximal:
+        t = _normalize(index, simplex)
+        if t in faces:
+            continue
+        if len(faces) + (1 << len(t)) - 1 > 4 * MAX_SIMPLICES:
+            raise TooManySimplices("face closure exceeds the supported size", limit=MAX_SIMPLICES)
+        for k in range(1, len(t) + 1):
+            faces.update(combinations(t, k))
+    return faces
+
+
+def _check_face_closed(simplices: frozenset) -> None:
+    """Raise unless every facet of every simplex is in the family."""
+    for s in simplices:
+        if len(s) > 1:
+            for face in combinations(s, len(s) - 1):
+                if face not in simplices:
+                    raise NotFaceClosed(
+                        f"simplex {s!r} lacks face {face!r}",
+                        simplex=repr(s),
+                        missing_face=repr(face),
+                    )
+
+
+class NameComplex:
+    """A complex held as tuples of vertex names."""
+
+    def __init__(self, vertices, simplices):
+        verts = tuple(vertices)
+        index = {v: i for i, v in enumerate(verts)}
+        self._assemble(verts, index, {_normalize(index, s) for s in simplices} - {()})
+
+    @classmethod
+    def from_maximal(cls, vertices, maximal) -> NameComplex:
+        verts = tuple(vertices)
+        index = {v: i for i, v in enumerate(verts)}
+        faces = _closure(index, maximal)
+        faces.update((v,) for v in verts)
+        return cls.__new__(cls)._assemble(verts, index, faces)
+
+    def _assemble(self, verts: tuple, index: dict, simplices: set) -> NameComplex:
+        if len(index) < len(verts):
+            v = next(v for i, v in enumerate(verts) if index[v] != i)
+            raise UnknownVertex(f"duplicate vertex {v!r} in vertex list", vertex=repr(v))
+        if len(simplices) > MAX_SIMPLICES:
+            raise TooManySimplices(f"{len(simplices)} simplices exceed the supported size",
+                                   limit=MAX_SIMPLICES)
+        self.vertices = verts
+        self.index = index
+        self.simplices = frozenset(simplices)
+        by_dim: dict[int, list] = {}
+        for s in simplices:
+            by_dim.setdefault(len(s) - 1, []).append(s)
+        self.by_dim = {d: sorted(ss, key=self.sort_key) for d, ss in sorted(by_dim.items())}
+        _check_face_closed(self.simplices)
+        for v in verts:
+            if (v,) not in self.simplices:
+                raise NotFaceClosed(f"vertex {v!r} has no singleton simplex", vertex=repr(v))
+        return self
+
+    def sort_key(self, simplex) -> tuple:
+        return tuple(map(self.index.__getitem__, simplex))
+
+    @property
+    def dim(self) -> int:
+        return max(self.by_dim) if self.by_dim else -1
+
+    def simplices_of_dim(self, d: int) -> list:
+        return list(self.by_dim.get(d, []))
+
+    def subcomplex(self, simplices=(), maximal=()) -> frozenset:
+        """The simplices of the subcomplex, with the old checks."""
+        chosen = frozenset({_normalize(self.index, s) for s in simplices}
+                           | _closure(self.index, maximal))
+        stray = chosen - self.simplices
+        if stray:
+            s = min(stray, key=repr)
+            raise UnknownVertex(
+                f"simplex {s!r} does not belong to the parent complex", simplex=repr(s)
+            )
+        _check_face_closed(chosen)
+        return chosen
+
+
+def product(a: NameComplex, b: NameComplex) -> NameComplex:
+    """Staircase triangulation of |a| x |b| on named vertices (u, v)."""
+    if not a.simplices or not b.simplices:
+        return NameComplex((), ())
+    verts = tuple((u, v) for u in a.vertices for v in b.vertices)
+    cells = []
+    for sa in maximal_simplices(a):
+        for sb in maximal_simplices(b):
+            for path in _staircase_paths(len(sa) - 1, len(sb) - 1):
+                cells.append(tuple((sa[i], sb[j]) for i, j in path))
+    return NameComplex.from_maximal(verts, cells)

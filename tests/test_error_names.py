@@ -1,0 +1,123 @@
+"""Construction errors name vertices, never positions.
+
+Inside the engine a simplex is a tuple of vertex positions; every error
+turns it back into vertex names.  Each hostile input below gives the same
+``{code, message, context}`` as when simplices were tuples of names: the
+literals are what that engine gave, and the in-process cases are also run
+through the name-based oracle.  The inputs a scene file can hold are run
+through ``python -m virtbetti.cli`` in a child process too; a scene file
+lists maximal simplices only, so it cannot hold a family that lacks a face
+or a vertex without its singleton.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+import simplicial_oracle
+
+import virtbetti
+from virtbetti.errors import VirtBettiError
+from virtbetti.simplicial import SimplicialComplex
+from virtbetti.spectral import Arrangement
+
+BIG = [f"x{i}" for i in range(20)]
+MID = BIG[:17]
+ABCD = (["a", "b", "c", "d"], [["a", "b", "c"], ["c", "d"]])
+
+# case: (constructor arguments, error code, message, context)
+CASES = {
+    "unknown-vertex": ((["a", "b"], [["a", "z"]]), "unknown-vertex",
+                       "unknown vertex 'z'", {"vertex": "'z'"}),
+    "duplicate-vertex": ((["a", "b", "a"], [["a", "b"]]), "unknown-vertex",
+                         "duplicate vertex 'a' in vertex list", {"vertex": "'a'"}),
+    "lacks-face": ((["a", "b", "c"], [["a"], ["b"], ["c"], ["a", "b"], ["b", "c"],
+                                      ["a", "b", "c"]]),
+                   "not-face-closed", "simplex ('a', 'b', 'c') lacks face ('a', 'c')",
+                   {"missing_face": "('a', 'c')", "simplex": "('a', 'b', 'c')"}),
+    "no-singleton": ((["a", "b"], [["a"]]), "not-face-closed",
+                     "vertex 'b' has no singleton simplex", {"vertex": "'b'"}),
+    "oversized-simplex": ((BIG, [BIG]), "too-many-simplices",
+                          "face closure exceeds the supported size", {"limit": 100000}),
+    "over-the-cap": ((MID, [MID]), "too-many-simplices",
+                     "131071 simplices exceed the supported size", {"limit": 100000}),
+}
+EXPLICIT = {"lacks-face", "no-singleton"}  # built from all simplices, not maximal ones
+
+NOT_A_COVER = ("not-a-cover", "pieces do not cover the total complex", {
+    "missing": ["('a', 'b', 'c')", "('a', 'c')", "('b', 'c')", "('c',)", "('c', 'd')"],
+    "missing_count": 6,
+})
+STRAY = ("unknown-vertex", "simplex ('a', 'c') does not belong to the parent complex",
+         {"simplex": "('a', 'c')"})
+
+
+def error_of(build) -> dict:
+    with pytest.raises(VirtBettiError) as info:
+        build()
+    return info.value.to_dict()
+
+
+def expected(code, message, context) -> dict:
+    return {"code": code, "message": message, "context": context}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_construction_errors_name_vertices(case):
+    args, *want = CASES[case]
+    for cls in (SimplicialComplex, simplicial_oracle.NameComplex):
+        build = cls if case in EXPLICIT else cls.from_maximal
+        assert error_of(lambda: build(*args)) == expected(*want)
+
+
+def test_stray_subcomplex_and_uncovered_complex_errors_name_vertices():
+    path = (["a", "b", "c"], [["a", "b"], ["b", "c"]])
+    k = SimplicialComplex.from_maximal(*path)
+    assert error_of(lambda: k.subcomplex(simplices=[["c", "a"]])) == expected(*STRAY)
+    ref = simplicial_oracle.NameComplex.from_maximal(*path)
+    assert error_of(lambda: ref.subcomplex(simplices=[["c", "a"]])) == expected(*STRAY)
+    total = SimplicialComplex.from_maximal(*ABCD)
+    piece = total.subcomplex(maximal=[["a", "b"]])
+    assert error_of(lambda: Arrangement(total, (("X", piece),))) == expected(*NOT_A_COVER)
+
+
+def run_cli(tmp_path, scene: dict, *argv: str) -> tuple[int, str]:
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"schema_version": 1, **scene}))
+    package_root = os.path.dirname(os.path.dirname(virtbetti.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "virtbetti.cli", *argv, "--scene", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.stdout == ""
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("case", sorted(set(CASES) - EXPLICIT))
+def test_cli_construction_errors_name_vertices(tmp_path, case):
+    (vertices, maximal), *want = CASES[case]
+    scene = {"complexes": {"k": {"vertices": vertices, "maximal_simplices": maximal}}}
+    code, stderr = run_cli(tmp_path, scene, "betti", "k")
+    assert code == 3
+    assert json.loads(stderr) == expected(*want)
+
+
+def test_cli_stray_boundary_and_uncovered_complex_errors_name_vertices(tmp_path):
+    vertices, maximal = ABCD
+    complexes = {"k": {"vertices": vertices, "maximal_simplices": maximal}}
+    pieces = [{"name": "X", "maximal_simplices": [["a", "b"]]}]
+    code, stderr = run_cli(tmp_path, {"complexes": complexes, "arrangements": {
+        "arr": {"total": "k", "pieces": pieces}}}, "mvss", "arr")
+    assert code == 3
+    assert json.loads(stderr) == expected(*NOT_A_COVER)
+    complexes["path"] = {"vertices": ["a", "b", "c"], "maximal_simplices": [["a", "b"], ["b", "c"]]}
+    code, stderr = run_cli(tmp_path, {"complexes": complexes, "pairs": {
+        "p": {"total": "path", "boundary_maximal": [["c", "a"]]}}}, "betti", "k")
+    assert code == 3
+    _, message, context = STRAY
+    assert json.loads(stderr) == expected(
+        "scene-error", f"pair 'p', boundary_maximal: {message}", context)

@@ -210,8 +210,10 @@ def test_non_object_stratification_parts_are_scene_errors(stratifications):
     (("arrangements", "whole", "pieces", 0, "maximal_simplices"), [["a", "b"], "bc"],
      "arrangement 'whole', piece 'X', maximal_simplices[1]"),
     (("weight_inputs", "small", "b"), "11", "weight input 'small', b"),
+    (("stratifications", "circle-two", "frontier", "arc"), "pt",
+     "stratification 'circle-two', frontier 'arc'"),
 ], ids=["vertices", "maximal", "simplex", "boundary", "boundary-simplex", "piece",
-        "piece-simplex", "weight-b"])
+        "piece-simplex", "weight-b", "frontier"])
 def test_string_where_an_array_is_expected_is_a_scene_error(where, value, path):
     # iterating a string would split it into one-character vertex names
     bad = json.loads(json.dumps(MINIMAL))
@@ -315,6 +317,45 @@ def test_numbers_and_flags_are_type_checked_not_coerced(path, value, where):
     with pytest.raises(SceneError) as info:
         scene_from_dict(_with(path, value))
     assert info.value.message.startswith(f"{where} must be ")
+
+
+BLOWUP = {"op": "blowup", "base": {"op": "atom", "name": "pt"},
+          "center": {"op": "atom", "name": "pt"}, "exceptional": {"op": "atom", "name": "pt"}}
+
+
+@pytest.mark.parametrize("label", [[1, {"x": 2}], {"a": 1}, 3, True])
+def test_blowup_label_must_be_a_string_or_null(label):
+    # a list or object label used to load and leave the node unhashable
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(_with(("expressions", "bl"), {**BLOWUP, "label": label}))
+    assert info.value.message.startswith("expression 'bl'.label must be a JSON string, not ")
+    for ok in (None, "E1"):
+        expr = scene_from_dict(_with(("expressions", "bl"), {**BLOWUP, "label": ok})).expressions["bl"]
+        assert expr.label == ok and hash(expr) == hash(expr)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("complexes",), [1]),
+    (("pairs", "line"), ["circle"]),
+    (("atoms", "pt"), ["pt"]),
+    (("arrangements", "whole", "pieces", 0), "X"),
+    (("arrangements", "whole", "pieces"), {"X": []}),
+], ids=["section", "pair", "atom", "piece", "pieces"])
+def test_sections_and_entries_of_the_wrong_type_are_scene_errors(path, value):
+    # a list section used to escape as IndexError, a list entry as AttributeError
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(_with(path, value))
+    assert " must be a JSON " in info.value.message
+
+
+def test_deep_schema_version_is_a_scene_error():
+    import sys
+
+    deep = []
+    for _ in range(sys.getrecursionlimit()):
+        deep = [deep]
+    with pytest.raises(SceneError):
+        scene_from_dict(_with(("schema_version",), deep))
 
 
 def test_atom_chi_c_may_be_left_out():

@@ -238,6 +238,75 @@ def test_cleared_homology_matches_uncleared_oracle_up_to_dimension_5(case):
     assert_matches_row_wise_oracle(k, boundary)
 
 
+# names of three types: the engine never compares names, only positions
+NAMES = [f"v{i}" for i in range(4)] + [7, 11, ("w", 0)]
+
+
+@st.composite
+def named_complexes(draw, size=7, width=4):
+    """Vertex names in a random order and a random number of them, maximal
+    simplices of at most ``width`` vertices (repeats allowed), and the
+    generators of a subcomplex."""
+    verts = draw(st.permutations(NAMES[:size]))[:draw(st.integers(0, size))]
+    if not verts:
+        return verts, [], []
+    maximal = draw(st.lists(st.lists(st.sampled_from(verts), min_size=1, max_size=width),
+                            max_size=6))
+    boundary = []  # faces of generators, in a random vertex order
+    for face in draw(st.lists(st.sampled_from(maximal + [[v] for v in verts]), max_size=3)):
+        face = draw(st.permutations(face))
+        boundary.append(face[:draw(st.integers(1, len(face)))])
+    return verts, maximal, boundary
+
+
+def assert_matches_name_oracle(k, ref, boundary):
+    """Cells inside, names at the edges: every view, matrix and Betti number
+    of ``k`` equals what the name-based oracle ``ref`` gives."""
+    assert k.vertices == ref.vertices and k.n_simplices() == len(ref.simplices)
+    assert k.simplices == ref.simplices
+    for d in range(-1, k.dim + 2):
+        assert k.simplices_of_dim(d) == ref.simplices_of_dim(d)
+    assert maximal_simplices(k) == simplicial_oracle.maximal_simplices(ref)
+    sub, ref_sub = k.subcomplex(maximal=boundary), ref.subcomplex(maximal=boundary)
+    assert sub.simplices == ref_sub
+    assert maximal_simplices(k, sub.simplices) == simplicial_oracle.maximal_simplices(ref, ref_sub)
+    part = sub.as_complex()
+    assert part.vertices == tuple(v for v in ref.vertices if (v,) in ref_sub)
+    assert part.simplices == ref_sub
+    for d in range(-1, k.dim + 3):
+        assert k.boundary_matrix(d) == simplicial_oracle.boundary_matrix(ref, d)
+    pair = PairSpace(k, sub)
+    for q in range(-2, k.dim + 2):
+        assert pair.relative_coboundary_matrix(q) == simplicial_oracle.boundary_matrix(
+            ref, q + 1, ref_sub).transpose()
+    assert k.betti_mod2() == simplicial_oracle.betti_mod2(ref)
+    assert pair.betti_compact_supports() == simplicial_oracle.betti_mod2(ref, ref_sub)
+
+
+@given(named_complexes())
+@settings(max_examples=200, deadline=None)
+def test_cells_match_the_name_oracle(case):
+    verts, maximal, boundary = case
+    k = SimplicialComplex.from_maximal(verts, maximal)
+    ref = simplicial_oracle.NameComplex.from_maximal(verts, maximal)
+    assert_matches_name_oracle(k, ref, boundary)
+    explicit = [s[::-1] for s in ref.simplices]
+    assert_matches_name_oracle(SimplicialComplex(verts, explicit),
+                               simplicial_oracle.NameComplex(verts, explicit), boundary)
+
+
+@given(named_complexes(size=4, width=3), named_complexes(size=4, width=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_products_match_the_name_oracle(case_a, case_b, data):
+    k = product_complex(SimplicialComplex.from_maximal(*case_a[:2]),
+                        SimplicialComplex.from_maximal(*case_b[:2]))
+    ref = simplicial_oracle.product(simplicial_oracle.NameComplex.from_maximal(*case_a[:2]),
+                                    simplicial_oracle.NameComplex.from_maximal(*case_b[:2]))
+    simplices = sorted(ref.simplices, key=ref.sort_key)
+    boundary = data.draw(st.lists(st.sampled_from(simplices), max_size=3)) if simplices else []
+    assert_matches_name_oracle(k, ref, boundary)
+
+
 @pytest.mark.parametrize("k, boundary, expected", [
     (SimplicialComplex.empty(), [], ()),
     (models.points(4), [], (4,)),
@@ -360,10 +429,11 @@ def test_kunneth_convolution(a, b):
 
 def test_subcomplex_must_be_face_closed():
     k = models.circle(3)
-    with pytest.raises(NotFaceClosed):
+    with pytest.raises(NotFaceClosed) as err:
         from virtbetti.simplicial import Subcomplex
 
-        Subcomplex(k, frozenset({("v0", "v1")}))
+        Subcomplex(k, frozenset({k.sort_key(("v0", "v1"))}))
+    assert err.value.message == "simplex ('v0', 'v1') lacks face ('v0',)"
 
 
 def test_surface_piece_homology(surface):
