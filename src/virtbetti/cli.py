@@ -21,7 +21,6 @@ from .errors import (
     UnknownName,
     VirtBettiError,
 )
-from .fixtures import declared_atoms_used, fixture_names, builtin_scene, run_fixture
 from .polynomial import IntPolynomial
 from .scene import Scene, load_scene
 from .scissor import evaluate_beta, evaluate_chi_c
@@ -51,6 +50,9 @@ def _betti_text(b) -> str:
 def _scene_from_args(args) -> Scene:
     if args.scene:
         return load_scene(args.scene)
+    # the embedded scene and its models are some 940 lines a --scene command never needs
+    from .fixtures import builtin_scene
+
     return builtin_scene()
 
 
@@ -225,6 +227,8 @@ def cmd_weights(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from .fixtures import builtin_scene, declared_atoms_used, fixture_names, run_fixture
+
     scene = builtin_scene()
     if args.list:
         for name in fixture_names():

@@ -10,10 +10,12 @@ the ``simplices`` and ``simplices_of_dim`` views, ``maximal_simplices``,
 ``repr`` and every error message turn cells back into names.  ``_closure``
 enumerates the faces of cells (refusing oversized input before it
 enumerates anything) and ``_check_face_closed`` checks a family for
-missing facets.  Matrices are built in lexicographic simplex order, so
-every Betti computation is reproducible.  One routine computes Betti
-numbers, top degree down with clearing: the relative cohomology of a pair
-(K, L); ordinary homology is (K, empty), as over a field dim H^q = dim H_q.
+missing facets, only where cells can arrive open (explicit simplex lists):
+every other route is face-closed by construction.  Matrices are built in
+lexicographic simplex order, so every Betti computation is reproducible.
+One routine computes Betti numbers, top degree down with clearing: the
+relative cohomology of a pair (K, L); ordinary homology is (K, empty), as
+over a field dim H^q = dim H_q.
 """
 
 from __future__ import annotations
@@ -103,6 +105,16 @@ def _check_face_closed(cells: frozenset, verts: tuple) -> None:
             )
 
 
+def _check_within(parent: SimplicialComplex, cells: frozenset) -> None:
+    """Raise unless every cell is one of the parent's."""
+    stray = cells - parent.cells
+    if stray:
+        s = min(_named(parent.vertices, stray), key=repr)
+        raise UnknownVertex(
+            f"simplex {s!r} does not belong to the parent complex", simplex=repr(s)
+        )
+
+
 def _named(verts: tuple, cells: Iterable[Simplex]) -> list[Simplex]:
     """The vertex names of each cell."""
     return [tuple([verts[i] for i in c]) for c in cells]
@@ -121,7 +133,7 @@ class SimplicialComplex:
     def __init__(self, vertices: Iterable[Vertex], simplices: Iterable[Sequence[Vertex]]):
         verts = tuple(vertices)
         index = {v: i for i, v in enumerate(verts)}
-        self._assemble(verts, {_normalize(index, s) for s in simplices} - {()}, index)
+        self._assemble(verts, {_normalize(index, s) for s in simplices} - {()}, index).validate()
 
     @classmethod
     def from_maximal(
@@ -139,7 +151,8 @@ class SimplicialComplex:
         return cls.__new__(cls)._assemble(verts, faces, index)
 
     def _assemble(self, verts: tuple, cells: set, index: dict | None = None) -> SimplicialComplex:
-        """Every construction ends here: vertex and size checks, sort, validate."""
+        """Every construction ends here: vertex and size checks, sort.  Face
+        closure is the caller's, by construction or through ``validate``."""
         if index is None:
             index = {v: i for i, v in enumerate(verts)}
         if len(index) < len(verts):
@@ -155,7 +168,6 @@ class SimplicialComplex:
         for s in cells:
             by_dim.setdefault(len(s) - 1, []).append(s)
         self._by_dim = {d: sorted(ss) for d, ss in sorted(by_dim.items())}
-        self.validate()
         return self
 
     @classmethod
@@ -246,10 +258,14 @@ class SimplicialComplex:
         """Face-closed subcomplex from explicit simplices and/or maximal ones."""
         index = self._index
         chosen = {_normalize(index, s) for s in simplices}
-        return Subcomplex(self, frozenset(chosen | _closure(_normalize(index, s) for s in maximal)))
+        cells = frozenset(chosen | _closure(_normalize(index, s) for s in maximal))
+        if chosen:
+            return Subcomplex(self, cells)
+        _check_within(self, cells)  # a closure is face-closed, but may leave the parent
+        return Subcomplex._trusted(self, cells)
 
     def full_subcomplex(self) -> Subcomplex:
-        return Subcomplex(self, self._cells)
+        return Subcomplex._trusted(self, self._cells)
 
     def __eq__(self, other) -> bool:
         return (
@@ -272,12 +288,7 @@ class Subcomplex(Record):
     cells: frozenset
 
     def __post_init__(self):
-        stray = self.cells - self.parent.cells
-        if stray:
-            s = min(_named(self.parent.vertices, stray), key=repr)
-            raise UnknownVertex(
-                f"simplex {s!r} does not belong to the parent complex", simplex=repr(s)
-            )
+        _check_within(self.parent, self.cells)
         _check_face_closed(self.cells, self.parent.vertices)
 
     @property
@@ -295,12 +306,12 @@ class Subcomplex(Record):
     def union(self, other: Subcomplex) -> Subcomplex:
         if other.parent is not self.parent:
             raise ValueError("subcomplexes of different parents")
-        return Subcomplex(self.parent, self.cells | other.cells)
+        return Subcomplex._trusted(self.parent, self.cells | other.cells)
 
     def intersection(self, other: Subcomplex) -> Subcomplex:
         if other.parent is not self.parent:
             raise ValueError("subcomplexes of different parents")
-        return Subcomplex(self.parent, self.cells & other.cells)
+        return Subcomplex._trusted(self.parent, self.cells & other.cells)
 
     def __repr__(self) -> str:
         return f"<Subcomplex {len(self.cells)} simplices>"

@@ -157,7 +157,8 @@ def solve_weight_system(inp: WeightSystemInput) -> list[WeightArray]:
             last = [target[k] if (n - k) % 2 == 0 else -target[k] for k in range(n + 1)]
             if min(last) >= 0:
                 flat = [entry[2] for entry in stack] + last
-                solutions.append(WeightArray(tuple(
+                # row lengths and signs hold by construction: skip the re-check
+                solutions.append(WeightArray._trusted(tuple(
                     tuple(flat[d * (d + 1) // 2:(d + 1) * (d + 2) // 2]) for d in range(n + 1)
                 )))
             lo, hi = 1, 0
@@ -268,6 +269,16 @@ class LinearConstraint(Record):
                 f"constraint needs an lhs object of integer coefficients, an op "
                 f"and an integer rhs: {exc}"
             ) from None
+        except RecursionError:  # the repr of a value nested too deeply, for the message
+            raise MalformedConstraint("constraint nests too deeply") from None
+        note = data.get("note", "")
+        # checked, not coerced: str() of a list or object is Python's repr
+        for what, value in (("op", op), ("note", note)):
+            if not isinstance(value, str):
+                raise MalformedConstraint(
+                    f"constraint {what} must be a JSON string, not {type(value).__name__}",
+                    found=type(value).__name__,
+                )
         coeffs = []
         for key, coeff in sorted(lhs.items()):
             match = _KEY_RE.match(key)
@@ -278,7 +289,7 @@ class LinearConstraint(Record):
                 )
             i, j = (int(g) for g in match.groups() if g is not None)
             coeffs.append(((i, j), coeff))
-        return cls(tuple(coeffs), op, rhs, str(data.get("note", "")))
+        return cls(tuple(coeffs), op, rhs, note)
 
     def to_dict(self) -> dict:
         return {

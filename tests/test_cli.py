@@ -148,7 +148,10 @@ def test_malformed_constraints_file_is_a_structured_error(capsys, tmp_path):
     for bad in ([{"lhs": ["w21"], "op": ">=", "rhs": 3}],
                 [{"lhs": {"w21": "x"}, "op": ">=", "rhs": 3}],
                 [{"lhs": {"w21": 1}, "op": ">=", "rhs": 2.9}],
-                [{"lhs": {"w21": True}, "op": ">=", "rhs": 3}]):
+                [{"lhs": {"w21": True}, "op": ">=", "rhs": 3}],
+                [{"lhs": {"w21": 1}, "op": ">=", "rhs": 3, "note": {"a": [1, None]}}],
+                [{"lhs": {"w21": 1}, "op": ">=", "rhs": 3, "note": None}],
+                [{"lhs": {"w21": 1}, "op": [">="], "rhs": 3}]):
         constraints.write_text(json.dumps(bad))
         code, out, err = run(capsys, "weights", "surface-443", "--constraints", str(constraints))
         assert code == 3
@@ -453,15 +456,24 @@ HOSTILE_FILES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE_FILES))
-def test_hostile_scene_and_constraints_files_exit_3_in_a_child(tmp_path, case):
-    # a fresh interpreter, so a traceback or a second message would show
+def _child(*argv):
+    """``python *argv`` in a fresh interpreter that imports the very package
+    this process imported, so a traceback or a second message shows."""
     import os
     import subprocess
     import sys
 
     import virtbetti
 
+    package_root = os.path.dirname(os.path.dirname(virtbetti.__file__))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_FILES))
+def test_hostile_scene_and_constraints_files_exit_3_in_a_child(tmp_path, case):
     scene, constraints = HOSTILE_FILES[case]
     if scene is not None:
         path = tmp_path / "scene.json"
@@ -471,14 +483,57 @@ def test_hostile_scene_and_constraints_files_exit_3_in_a_child(tmp_path, case):
         path = tmp_path / "constraints.json"
         path.write_text(constraints)
         argv = ["weights", "surface-443", "--constraints", str(path)]
-    package_root = os.path.dirname(os.path.dirname(virtbetti.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "virtbetti.cli", *argv], capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}, timeout=60,
-    )
+    proc = _child("-m", "virtbetti.cli", *argv)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     error = json.loads(proc.stderr)
     assert set(error) == {"code", "message", "context"}
     assert error["code"] == "scene-error"
+
+
+def _boundary_chain(n: int) -> str:
+    """Stratifications s0..s{n-1} of an open segment, each stratum's
+    ``boundary_strata`` naming the next: a scene that nests n deep."""
+    strats = {}
+    for k in range(n):
+        model = {"kind": "open", "pair": "seg"}
+        if k + 1 < n:
+            model["boundary_strata"] = f"s{k + 1}"
+        strats[f"s{k}"] = {"strata": [{"name": "a", "dim": 1, "model": model}]}
+    return json.dumps({
+        "schema_version": 1,
+        "complexes": {"seg": {"vertices": ["a", "b"], "maximal_simplices": [["a", "b"]]}},
+        "pairs": {"seg": {"total": "seg", "boundary_maximal": [["a"], ["b"]]}},
+        "stratifications": strats,
+    })
+
+
+def test_long_boundary_strata_chains_resolve_or_are_a_scene_error(tmp_path):
+    # resolving and evaluating recurse once per link: a long chain works, a
+    # much longer one is refused as a whole, and nothing in between escapes
+    path = tmp_path / "scene.json"
+    path.write_text(_boundary_chain(480))
+    proc = _child("-m", "virtbetti.cli", "vbetti", "s0", "--json", "--quiet", "--scene", str(path))
+    assert proc.returncode == 0, proc.stderr
+    # beta(s_k) = P(segment) - beta(s_{k+1}) = 1 - beta(s_{k+1}), and the last
+    # link is the segment minus two points, -1
+    assert json.loads(proc.stdout) == {"name": "s0", "beta": "2", "coefficients": [2]}
+    path.write_text(_boundary_chain(1200))
+    proc = _child("-m", "virtbetti.cli", "vbetti", "s0", "--json", "--scene", str(path))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"code": "scene-error", "context": {},
+                                       "message": "scene nests too deeply"}
+
+
+def test_a_scene_file_command_does_not_import_the_embedded_scene(tmp_path):
+    # each CLI process compiles what it imports; the embedded scene and its
+    # models are only for commands without --scene
+    path = tmp_path / "scene.json"
+    dump_scene(builtin_scene(), str(path))
+    proc = _child("-X", "importtime", "-m", "virtbetti.cli", "betti", "torus",
+                  "--scene", str(path))
+    assert proc.returncode == 0 and proc.stdout == "b: 1 2 1\n"
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "virtbetti.scene" in imported
+    assert not imported & {"virtbetti.fixtures", "virtbetti.models"}

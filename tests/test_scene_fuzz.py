@@ -7,7 +7,9 @@ copied from a sibling key), puts in a huge integer, or nests it deeply.
 Loading must then either succeed or raise a ``VirtBettiError``; for a
 sample, the CLI run on the changed file in a child process must exit 0, 2
 or 3, and on an error print exactly one ``{code, message, context}``
-object on stderr.  The runs are derandomized, so CI sees the same cases.
+object on stderr.  A ``--constraints`` file, which has its own parser, is
+fuzzed the same way from a valid constraints list.  The runs are
+derandomized, so CI sees the same cases.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import virtbetti
 from virtbetti.errors import VirtBettiError
 from virtbetti.fixtures import builtin_scene
 from virtbetti.scene import scene_from_dict, scene_to_dict
+from virtbetti.weights import LinearConstraint
 
 BASE = json.dumps(scene_to_dict(builtin_scene()))
 
@@ -39,16 +42,20 @@ def _nest(value, depth: int, kind: str):
     return value
 
 
+def _keys(node):
+    return sorted(node) if isinstance(node, dict) else range(len(node))
+
+
 @st.composite
-def mutated_scenes(draw, depths=(20, 300, 3000)):
-    """The built-in scene dict with one node changed, and what was done."""
-    data = json.loads(BASE)
-    parent, key = data, draw(st.sampled_from(sorted(data)))
+def mutated(draw, base: str, depths=(20, 300, 3000)):
+    """The JSON document ``base`` with one node below the top changed, and
+    what was done."""
+    data = json.loads(base)
+    parent, key = data, draw(st.sampled_from(_keys(data)))
     # walk down, stopping at each level with probability 1/4
     while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.integers(0, 3)):
         parent = parent[key]
-        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
-                                   else range(len(parent))))
+        key = draw(st.sampled_from(_keys(parent)))
     mutation = draw(st.sampled_from(MUTATIONS))
     node = parent[key]
     if mutation == "drop":
@@ -72,7 +79,7 @@ FUZZ = settings(max_examples=300, derandomize=True, deadline=None,
 
 
 @FUZZ
-@given(mutated_scenes())
+@given(mutated(BASE))
 def test_one_changed_node_loads_or_is_a_structured_error(case):
     data, _ = case
     try:
@@ -85,18 +92,53 @@ COMMANDS = [("betti", "torus"), ("vbetti", "surface-443"), ("vbetti", "figure-ei
             ("mvss", "two-circles"), ("weights", "surface-443")]
 
 
-@settings(FUZZ, max_examples=15)
-@given(mutated_scenes(depths=(20, 300)), st.sampled_from(COMMANDS))
-def test_cli_on_a_changed_scene_exits_cleanly(tmp_path_factory, case, command):
-    data, _ = case
-    path = tmp_path_factory.mktemp("fuzz") / "scene.json"
-    path.write_text(json.dumps(data))
+def _run_cli(argv) -> None:
+    """Run the CLI in a child process: exit 0, 2 or 3, and on an error one
+    ``{code, message, context}`` object on stderr."""
     package_root = os.path.dirname(os.path.dirname(virtbetti.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "virtbetti.cli", *command, "--scene", str(path)],
+        [sys.executable, "-m", "virtbetti.cli", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
     )
     assert proc.returncode in (0, 2, 3), proc.stderr
     if proc.returncode:
         error = json.loads(proc.stderr)
         assert sorted(error) == ["code", "context", "message"]
+
+
+@settings(FUZZ, max_examples=15)
+@given(mutated(BASE, depths=(20, 300)), st.sampled_from(COMMANDS))
+def test_cli_on_a_changed_scene_exits_cleanly(tmp_path_factory, case, command):
+    data, _ = case
+    path = tmp_path_factory.mktemp("fuzz") / "scene.json"
+    path.write_text(json.dumps(data))
+    _run_cli([*command, "--scene", str(path)])
+
+
+# constraints on the built-in surface-443 weight system (top degree 2): each
+# comparison, both spellings of an entry name, with and without a note
+CONSTRAINTS = json.dumps([
+    {"lhs": {"w21": 1, "w1_0": -2}, "op": ">=", "rhs": 3, "note": "classes independent"},
+    {"lhs": {"w11": 1}, "op": "<=", "rhs": 4},
+    {"lhs": {"w00": 1}, "op": "==", "rhs": 1, "note": ""},
+])
+
+
+@FUZZ
+@given(mutated(CONSTRAINTS))
+def test_one_changed_constraint_node_parses_or_is_a_structured_error(case):
+    data, _ = case
+    for item in data:
+        try:
+            LinearConstraint.from_dict(item)
+        except VirtBettiError:
+            pass
+
+
+@settings(FUZZ, max_examples=15)
+@given(mutated(CONSTRAINTS, depths=(20, 300)))
+def test_cli_on_changed_constraints_exits_cleanly(tmp_path_factory, case):
+    data, _ = case
+    path = tmp_path_factory.mktemp("fuzz") / "constraints.json"
+    path.write_text(json.dumps(data))
+    _run_cli(["weights", "surface-443", "--constraints", str(path)])

@@ -17,10 +17,12 @@ from virtbetti.simplicial import (
     BettiVector,
     PairSpace,
     SimplicialComplex,
+    Subcomplex,
     disjoint_union,
     maximal_simplices,
     product_complex,
 )
+from virtbetti.spectral import Arrangement
 
 
 def brute_force_betti(k: SimplicialComplex) -> list[int]:
@@ -305,6 +307,30 @@ def test_products_match_the_name_oracle(case_a, case_b, data):
     simplices = sorted(ref.simplices, key=ref.sort_key)
     boundary = data.draw(st.lists(st.sampled_from(simplices), max_size=3)) if simplices else []
     assert_matches_name_oracle(k, ref, boundary)
+
+
+@given(complexes_with_subcomplexes(), named_complexes(size=4, width=3),
+       named_complexes(size=4, width=3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_routes_that_skip_the_face_walk_pass_the_full_check(case, case_a, case_b, data):
+    # each route below builds a face-closed family by construction and skips
+    # the walk; the full check must accept everything it builds
+    k, sub = case[2], case[4]
+    a, b = (SimplicialComplex.from_maximal(*c[:2]) for c in (case_a, case_b))
+    tops = maximal_simplices(k)
+    owners = [data.draw(st.sets(st.integers(0, 2), min_size=1)) for _ in tops]
+    pieces = [k.subcomplex(maximal=[t for t, o in zip(tops, owners) if i in o])
+              for i in range(3)] + [sub, k.full_subcomplex()]
+    arr = Arrangement(k, tuple((f"X{i}", piece) for i, piece in enumerate(pieces)))
+    complexes = [k, a, b, product_complex(a, b), disjoint_union(k, a), disjoint_union(a, b)]
+    complexes += [k.standalone(meet) for meet in arr.nerve.values()]
+    subs = pieces + [p.union(q) for p in pieces for q in pieces]
+    subs += [p.intersection(q) for p in pieces for q in pieces]
+    for piece in subs:
+        assert Subcomplex(piece.parent, piece.cells) == piece
+        complexes.append(piece.as_complex())
+    for c in complexes:
+        c.validate()
 
 
 @pytest.mark.parametrize("k, boundary, expected", [

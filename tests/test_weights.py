@@ -151,6 +151,14 @@ def test_search_matches_product_oracle(inp):
     assert solve_weight_system(inp) == weights_oracle.solve_weight_system(inp)
 
 
+@given(weight_systems())
+@settings(max_examples=300, deadline=None)
+def test_search_output_passes_the_public_constructor(inp):
+    # the search builds its arrays without the constructor's row and sign checks
+    solutions = solve_weight_system(inp)
+    assert [WeightArray(w.rows) for w in solutions] == solutions
+
+
 def test_search_refuses_a_hostile_system_within_its_budget():
     # about 9 * 10^12 candidate arrays: the search must stop at its budget,
     # in well under 2 s
