@@ -157,7 +157,9 @@ def json_int(value, what: str, error: type[VirtBettiError], **context) -> int:
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise error(f"{what} must be an integer, not {value!r}", **context)
+    text = repr(value)  # a value nested too deeply raises RecursionError here
+    text = text if len(text) <= 60 else text[:60] + "..."
+    raise error(f"{what} must be an integer, not {text}", **context)
 
 
 class Verdict(Record):

@@ -8,11 +8,13 @@ vertex order, so lexicographic order is plain tuple order.  Vertex names
 appear only at the edges.  ``_normalize`` turns a vertex list into a cell;
 the ``simplices`` and ``simplices_of_dim`` views, ``maximal_simplices``,
 ``repr`` and every error message turn cells back into names.  ``_closure``
-enumerates the faces of cells (refusing oversized input before it
-enumerates anything) and ``_check_face_closed`` checks a family for
-missing facets, only where cells can arrive open (explicit simplex lists):
-every other route is face-closed by construction.  Matrices are built in
-lexicographic simplex order, so every Betti computation is reproducible.
+builds faces by dimension, top down: a level is the facets of the one above
+plus the given cells of its size, so ``_assemble`` only sorts each level.
+Its size bound is checked per simplex before any level, then chunk by chunk.
+``_check_face_closed`` checks a family for missing facets, only where cells
+can arrive open (explicit simplex lists): every other route is face-closed
+by construction.  Matrices are built in lexicographic simplex order, so
+every Betti computation is reproducible.
 One routine computes Betti numbers, top degree down with clearing: the
 relative cohomology of a pair (K, L); ordinary homology is (K, empty), as
 over a field dim H^q = dim H_q.
@@ -20,7 +22,7 @@ over a field dim H^q = dim H_q.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
 from typing import Container, Hashable, Iterable, Sequence
 
 from .errors import NotFaceClosed, Record, TooManySimplices, UnknownVertex
@@ -49,9 +51,8 @@ class BettiVector(tuple):
 
     def __new__(cls, dims: Iterable[int] = ()):
         ds = list(dims)
-        for d in ds:
-            if d < 0:
-                raise ValueError("negative Betti number")
+        if any(d < 0 for d in ds):
+            raise ValueError("negative Betti number")
         while ds and ds[-1] == 0:
             ds.pop()
         return super().__new__(cls, ds)
@@ -78,17 +79,34 @@ def _normalize(index: dict, simplex: Sequence[Vertex]) -> Simplex:
         raise UnknownVertex(f"unknown vertex {v!r}", vertex=repr(v)) from None
 
 
-def _closure(cells: Iterable[Simplex]) -> set[Simplex]:
-    """Every nonempty face of the given cells."""
-    faces: set[Simplex] = set()
-    for t in cells:
-        if t in faces:  # the family stays face-closed, so its faces are too
-            continue
-        # a simplex of n vertices has 2^n - 1 faces: bound them before building any
-        if len(faces) + (1 << len(t)) - 1 > 4 * MAX_SIMPLICES:
+def _grouped(cells: Iterable[Simplex]) -> dict[int, list[Simplex]]:
+    """{dimension: cells} of a family of cells."""
+    faces: dict[int, list[Simplex]] = {}
+    for s in cells:
+        faces.setdefault(len(s) - 1, []).append(s)
+    return faces
+
+
+def _closure(cells: Iterable[Simplex]) -> dict[int, set[Simplex]]:
+    """{dimension: cells} of every nonempty face of the given cells."""
+    given = _grouped(cells)
+    top = max(given, default=-1)
+    # a simplex of n vertices has 2^n - 1 faces: bound them before building any
+    if (1 << (top + 1)) - 1 > 4 * MAX_SIMPLICES:
+        raise TooManySimplices("face closure exceeds the supported size", limit=MAX_SIMPLICES)
+    faces: dict[int, set[Simplex]] = {}
+    size = 0
+    for d in range(top, -1, -1):  # the facets of the level above, and the given cells
+        facets = chain.from_iterable(map(combinations, faces.get(d + 1, ()), repeat(d + 1)))
+        faces[d] = level = set(given.get(d, ()))
+        while size + len(level) <= 4 * MAX_SIMPLICES:  # checked before each chunk is added
+            first = next(facets, None)
+            if first is None:
+                break
+            level.update((first,), islice(facets, 1 << 16))
+        else:
             raise TooManySimplices("face closure exceeds the supported size", limit=MAX_SIMPLICES)
-        for k in range(1, len(t) + 1):
-            faces.update(combinations(t, k))
+        size += len(level)
     return faces
 
 
@@ -98,11 +116,8 @@ def _check_face_closed(cells: frozenset, verts: tuple) -> None:
         if len(s) > 1 and not cells.issuperset(combinations(s, len(s) - 1)):
             face = next(f for f in combinations(s, len(s) - 1) if f not in cells)
             s, face = _named(verts, (s, face))
-            raise NotFaceClosed(
-                f"simplex {s!r} lacks face {face!r}",
-                simplex=repr(s),
-                missing_face=repr(face),
-            )
+            raise NotFaceClosed(f"simplex {s!r} lacks face {face!r}",
+                                simplex=repr(s), missing_face=repr(face))
 
 
 def _check_within(parent: SimplicialComplex, cells: frozenset) -> None:
@@ -133,7 +148,8 @@ class SimplicialComplex:
     def __init__(self, vertices: Iterable[Vertex], simplices: Iterable[Sequence[Vertex]]):
         verts = tuple(vertices)
         index = {v: i for i, v in enumerate(verts)}
-        self._assemble(verts, {_normalize(index, s) for s in simplices} - {()}, index).validate()
+        cells = {_normalize(index, s) for s in simplices} - {()}
+        self._assemble(verts, _grouped(cells), index).validate()
 
     @classmethod
     def from_maximal(
@@ -147,27 +163,25 @@ class SimplicialComplex:
         verts = tuple(vertices)
         index = {v: i for i, v in enumerate(verts)}
         faces = _closure(_normalize(index, s) for s in maximal)
-        faces.update((i,) for i in range(len(verts)))
+        faces.setdefault(0, set()).update((i,) for i in range(len(verts)))
         return cls.__new__(cls)._assemble(verts, faces, index)
 
-    def _assemble(self, verts: tuple, cells: set, index: dict | None = None) -> SimplicialComplex:
-        """Every construction ends here: vertex and size checks, sort.  Face
-        closure is the caller's, by construction or through ``validate``."""
+    def _assemble(self, verts: tuple, faces: dict, index: dict | None = None) -> SimplicialComplex:
+        """Every construction ends here, cells by dimension: vertex and size checks,
+        sort.  Face closure is the caller's, by construction or through ``validate``."""
         if index is None:
             index = {v: i for i, v in enumerate(verts)}
         if len(index) < len(verts):
             v = next(v for i, v in enumerate(verts) if index[v] != i)
             raise UnknownVertex(f"duplicate vertex {v!r} in vertex list", vertex=repr(v))
-        if len(cells) > MAX_SIMPLICES:
-            raise TooManySimplices(f"{len(cells)} simplices exceed the supported size",
+        size = sum(map(len, faces.values()))
+        if size > MAX_SIMPLICES:
+            raise TooManySimplices(f"{size} simplices exceed the supported size",
                                    limit=MAX_SIMPLICES)
         self._vertices = verts
         self._index = index
-        self._cells = frozenset(cells)
-        by_dim: dict[int, list[Simplex]] = {}
-        for s in cells:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {d: sorted(ss) for d, ss in sorted(by_dim.items())}
+        self._cells = frozenset().union(*faces.values())
+        self._by_dim = {d: sorted(faces[d]) for d in sorted(faces) if faces[d]}
         return self
 
     @classmethod
@@ -233,7 +247,7 @@ class SimplicialComplex:
         position = {i: j for j, i in enumerate(sorted({i for s in cells for i in s}))}
         verts = tuple(self._vertices[i] for i in position)
         return SimplicialComplex.__new__(SimplicialComplex)._assemble(
-            verts, {tuple(map(position.__getitem__, s)) for s in cells})
+            verts, _grouped(tuple(map(position.__getitem__, s)) for s in cells))
 
     def boundary_matrix(self, d: int) -> GF2Matrix:
         """Mod-2 boundary from d-chains to (d-1)-chains, lexicographic bases:
@@ -258,7 +272,7 @@ class SimplicialComplex:
         """Face-closed subcomplex from explicit simplices and/or maximal ones."""
         index = self._index
         chosen = {_normalize(index, s) for s in simplices}
-        cells = frozenset(chosen | _closure(_normalize(index, s) for s in maximal))
+        cells = frozenset(chosen.union(*_closure(_normalize(index, s) for s in maximal).values()))
         if chosen:
             return Subcomplex(self, cells)
         _check_within(self, cells)  # a closure is face-closed, but may leave the parent
@@ -385,8 +399,8 @@ def disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComp
     if set(a.vertices) & set(b.vertices):
         verts = tuple((0, v) for v in a.vertices) + tuple((1, v) for v in b.vertices)
     shift = len(a.vertices)
-    cells = a.cells | {tuple(i + shift for i in s) for s in b.cells}
-    return SimplicialComplex.__new__(SimplicialComplex)._assemble(verts, cells)
+    cells = chain(a.cells, (tuple(i + shift for i in s) for s in b.cells))
+    return SimplicialComplex.__new__(SimplicialComplex)._assemble(verts, _grouped(cells))
 
 
 def _staircase_paths(s: int, t: int):

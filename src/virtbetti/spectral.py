@@ -12,27 +12,32 @@ D is built once, as one list of columns per total degree, reduced once by
 the elimination kernel ``gf2.pivot_rows``, and dropped: a spectral
 sequence keeps only the persistence pairs.  Basis vectors of degree n are
 listed by ascending filtration p, so the low bit of a column is its entry
-of least filtration.  The columns are fed to the kernel one filtration
-block at a time, highest p first; each nonzero reduced column x is filed
-under its low bit low(x), and pairs its basis vector with low(x).  The
-pair's gap is p(low(x)) - p(x).  The number of pairs between two levels
-does not depend on the order inside a level.  A pair with gap r is one
-rank of the differential d_r, so it lives on E_0..E_r and is gone from
-E_{r+1} on; an unpaired vector lives forever.  Hence
+of least filtration.  The degrees go in ascending n, and each degree's
+columns go to the kernel by descending position: one filtration block at
+a time, highest p first, each from its end.  Each nonzero reduced column
+x is filed under its low bit low(x), and pairs its basis vector with
+low(x); the pair's gap is p(low(x)) - p(x).  The number of pairs between
+two levels does not depend on the order inside a level.  A pair with gap
+r is one rank of the differential d_r, so it lives on E_0..E_r and is gone
+from E_{r+1} on; an unpaired vector lives forever.  Hence
 
     dim E_r^{p,q} = #{vectors at (p, q) unpaired or paired with gap >= r}
     rank d_r^{p,q} = #{pairs starting at (p, q) with gap exactly r}
 
-(Edelsbrunner-Letscher-Zomorodian 2002; Basu-Parida 2017).
+(Edelsbrunner-Letscher-Zomorodian 2002; Basu-Parida 2017).  Clearing
+(Chen-Kerber 2011; Bauer, Ripser 2021): in degree n, the column of every
+vector y that was a low in degree n - 1 is fed as zero.  It would reduce
+to zero anyway: the reduced column with low y is y plus later positions
+and D of it is 0, so D y is a sum of the columns of later positions, all
+fed before y's.  When the homology is small, that is about half the columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import combinations, groupby, islice
+from itertools import chain, combinations, groupby, islice, repeat
 from math import inf
-from operator import itemgetter
 from typing import Mapping
 
 from .errors import ConvergenceMismatch, NotACover, Record, TooManyPieces
@@ -68,16 +73,12 @@ class Arrangement(Record):
         if not self.pieces:
             raise NotACover("an arrangement needs at least one piece")
         if len(self.pieces) > MAX_PIECES:
-            raise TooManyPieces(
-                f"an arrangement has at most {MAX_PIECES} pieces",
-                pieces=len(self.pieces),
-                limit=MAX_PIECES,
-            )
-        union = frozenset()
+            raise TooManyPieces(f"an arrangement has at most {MAX_PIECES} pieces",
+                                pieces=len(self.pieces), limit=MAX_PIECES)
         for name, piece in self.pieces:
             if piece.parent is not self.total:
                 raise NotACover(f"piece {name!r} is not a subcomplex of the total complex")
-            union |= piece.cells
+        union = frozenset().union(*(piece.cells for _, piece in self.pieces))
         if union != self.total.cells:
             missing = sorted(self.total.cells - union)
             raise NotACover(
@@ -147,10 +148,7 @@ class SpectralPage(Record):
         """One line per row q, top row first, columns by filtration p."""
         max_q, max_p = self.max_q(), self.max_p()
         labels = [f"p={p}" for p in range(max_p + 1)]
-        width = max(
-            max(len(label) for label in labels),
-            max((len(str(d)) for d in self.dims.values()), default=1),
-        )
+        width = max(len(labels[-1]), *(len(str(d)) for d in self.dims.values()))
         lines = [f"E_{self.r}:"]
         for q in range(max_q, -1, -1):
             lines.append(f"  q={q} | " + " ".join(
@@ -171,21 +169,13 @@ class FiltrationProfile(Record):
         return self.w.get((i, j), 0)
 
     def diagonal_sums(self) -> list[int]:
-        return [
-            sum(self.value(i, j) for j in range(i + 1))
-            for i in range(self.top_degree + 1)
-        ]
+        return [sum(self.value(i, j) for j in range(i + 1)) for i in range(self.top_degree + 1)]
 
     def row_alternating_sums(self) -> list[int]:
         """For each j: (-1)^j * sum_i (-1)^i w(i, j)."""
-        out = []
-        for j in range(self.top_degree + 1):
-            s = sum(
-                (-1) ** (i - j) * self.value(i, j)
-                for i in range(j, self.top_degree + 1)
-            )
-            out.append(s)
-        return out
+        top = self.top_degree
+        return [sum((-1) ** (i - j) * self.value(i, j) for i in range(j, top + 1))
+                for j in range(top + 1)]
 
 
 class StabilizationCertificate(Record):
@@ -197,37 +187,51 @@ class StabilizationCertificate(Record):
     detail: str
 
 
-def _double_complex(arrangement: Arrangement) -> tuple[dict[int, list], dict[int, list[int]]]:
+def _total_complex(arrangement: Arrangement) -> tuple[dict, dict, dict]:
     """The basis and the columns of the total differential D, by degree n = p + q.
 
-    basis[n] lists the entries (p, subset, cell) by ascending p, and inside
-    a level in the reverse of nerve and cell order, since ``_pair`` feeds
-    each level from its end.  cols[n][j] is D of basis[n][j], a bit mask over
-    basis[n + 1].  D sends (subset, s) to every entry (subset + one piece, s),
-    the horizontal part, and (subset, s + one vertex), the vertical part; so
-    each entry (subset, t) sets its bit in the column of every entry with one
-    index of subset or one vertex of t dropped.
+    runs[n] is the basis of degree n as runs (p, subset, cells), by ascending
+    p, and inside a level in the reverse of nerve and cell order, since
+    ``_pair`` feeds each level from its end; levels[n] is {p: vectors}.
+    cols[n][j] is D of vector j, a bit mask over the basis of degree n + 1.
+    D sends (subset, s) to every (subset + one piece, s) and (subset, s + one
+    vertex); so each entry (subset, t) sets its bit in the column of every
+    entry with one index of subset or one vertex of t dropped, all placed
+    before it: the smaller subsets first, and each meet by ascending dimension.
     """
     nerve = arrangement.nerve
-    basis: dict[int, list] = {}
-    for _, level in groupby(nerve, key=len):  # the nerve is ordered by size
-        for subset in reversed(list(level)):
+    runs: dict[int, list] = {}
+    levels: dict[int, Counter] = {}
+    cols: dict[int, list[int]] = {}
+    position: dict[tuple, dict] = {}  # {subset: {cell: its position in its degree}}
+    for _, group in groupby(nerve, key=len):  # the nerve is ordered by size
+        for subset in reversed(list(group)):
             p = len(subset) - 1
-            for s in sorted(nerve[subset], reverse=True):
-                basis.setdefault(p + len(s) - 1, []).append((p, subset, s))
-    index = {(subset, s): i for entries in basis.values() for i, (_, subset, s) in enumerate(entries)}
-    cols = {n: [0] * len(entries) for n, entries in basis.items()}
-    for n, entries in basis.items():
-        below = cols.get(n - 1)
-        for i, (_, subset, t) in enumerate(entries):
-            bit = 1 << i
-            if len(subset) > 1:  # every subset of a nerve member is a member
-                for k in range(len(subset)):
-                    below[index[subset[:k] + subset[k + 1:], t]] |= bit
-            if len(t) > 1:
-                for facet in combinations(t, len(t) - 1):
-                    below[index[subset, facet]] |= bit
-    return basis, cols
+            position[subset] = at = {}
+            # positions under each subset with one index dropped: a nerve member too
+            wider = [position[subset[:i] + subset[i + 1:]] for i in range(p + 1)] if p else ()
+            for k, run in groupby(sorted(sorted(nerve[subset], reverse=True), key=len), key=len):
+                run, n = list(run), p + k - 1
+                runs.setdefault(n, []).append((p, subset, run))
+                levels.setdefault(n, Counter())[p] += len(run)
+                column, below = cols.setdefault(n, []), cols.get(n - 1)
+                bits = range(len(column), len(column) + len(run))
+                at.update(zip(run, bits))
+                column += [0] * len(run)
+                for t, bit in zip(run, map((1).__lshift__, bits)):
+                    for facet_at in wider:
+                        below[facet_at[t]] |= bit
+                    if k > 1:
+                        for facet in combinations(t, k - 1):
+                            below[at[facet]] |= bit
+    return runs, levels, cols
+
+
+def _double_complex(arrangement: Arrangement) -> tuple[dict[int, list], dict[int, list[int]]]:
+    """The basis of D, entries (p, subset, cell) by degree, and its columns."""
+    runs, _, cols = _total_complex(arrangement)
+    return {n: [(p, subset, s) for p, subset, run in basis for s in run]
+            for n, basis in runs.items()}, cols
 
 
 class MVSpectralSequence:
@@ -237,7 +241,8 @@ class MVSpectralSequence:
         self.arrangement = arrangement
         self._m = len(arrangement.pieces)
         self._page_cache: dict[int, SpectralPage] = {}
-        self._pair(*_double_complex(arrangement))
+        _, levels, cols = _total_complex(arrangement)
+        self._pair(levels, cols)
 
     def dim_total(self, n: int) -> int:
         return sum(self.cpq_dim(p, n - p) for p in range(min(n, self._m - 1) + 1))
@@ -253,29 +258,27 @@ class MVSpectralSequence:
 
     # -- pages ---------------------------------------------------------------
 
-    def _pair(self, basis: Mapping[int, list], cols: Mapping[int, list[int]]):
-        """Reduce the total differential once and count its persistence pairs.
-
-        Each degree's columns go to ``pivot_rows`` one filtration block at a
-        time, highest p first and, inside a block, from the end of the basis
-        list.  The pivots a block adds, read in the dict's insertion order,
-        are its pairs: each pairs a vector at the block's p with the vector
-        low, the pivot's key, at gap p(low) - p.  One Counter holds every pair
-        as (p, q, gap); each vector's lifetime follows from it, with gap inf
-        for the unpaired.
-        """
+    def _pair(self, levels: Mapping[int, Counter], cols: dict[int, list[int]]):
+        """Reduce the total differential once, with clearing, and count its
+        persistence pairs as (p, q, gap): the pivots a filtration block adds,
+        in insertion order.  Each degree's columns leave ``cols`` once reduced;
+        each vector's lifetime follows from the pairs (gap inf if unpaired)."""
         pairs: Counter = Counter()
-        for n, entries in basis.items():
-            upper = [p for p, _, _ in basis.get(n + 1, [])]
-            levels = reversed([p for p, _, _ in entries])
-            pivots: dict[int, int] = {}
-            for p, block in groupby(zip(levels, reversed(cols[n])), key=itemgetter(0)):
-                found = len(pivots)
-                pivot_rows((col for _, col in block), pivots)
-                pairs.update((p, n - p, upper[low] - p) for low in islice(pivots, found, None))
+        lows: dict[int, int] = {}
+        for n in sorted(levels):
+            column = cols.pop(n)
+            for low in lows:
+                column[low] = 0
+            above = levels.get(n + 1, {})
+            upper = list(chain.from_iterable(map(repeat, above, above.values())))
+            lows, end = {}, len(column)
+            for p, size in reversed(levels[n].items()):
+                found, end = len(lows), end - size
+                pivot_rows(reversed(column[end:end + size]), lows)
+                pairs.update((p, n - p, upper[low] - p) for low in islice(lows, found, None))
         self._pair_counts = pairs
-        sizes = Counter((p, n - p) for n, entries in basis.items() for p, _, _ in entries)
-        self._lifetimes = {key: Counter({inf: size}) for key, size in sizes.items()}
+        self._lifetimes = {(p, n - p): Counter({inf: size})
+                           for n, level in levels.items() for p, size in level.items()}
         for (p, q, gap), count in pairs.items():
             for key in ((p, q), (p + gap, q + 1 - gap)):
                 self._lifetimes[key][gap] += count
@@ -294,18 +297,10 @@ class MVSpectralSequence:
         return self._pair_counts[(p, q, r)]
 
     def page(self, r: int) -> SpectralPage:
-        if r in self._page_cache:
-            return self._page_cache[r]
-        dims = {}
-        max_dim = self.arrangement.total.dim
-        for p in range(self._m):
-            for q in range(max_dim + 1):
-                d = self.entry_dim(r, p, q)
-                if d:
-                    dims[(p, q)] = d
-        page = SpectralPage(r, dims)
-        self._page_cache[r] = page
-        return page
+        if r not in self._page_cache:
+            dims = {key: self.entry_dim(r, *key) for key in sorted(self._lifetimes)}
+            self._page_cache[r] = SpectralPage(r, {key: d for key, d in dims.items() if d})
+        return self._page_cache[r]
 
     def pages(self, up_to: int) -> list[SpectralPage]:
         if up_to < 1:
@@ -339,12 +334,8 @@ class MVSpectralSequence:
     def converged_betti(self) -> BettiVector:
         """Total dimensions of the infinity page; must match direct homology."""
         inf = self.infinity_page()
-        max_dim = self.arrangement.total.dim
-        dims = [
-            sum(inf.dim(p, n - p) for p in range(min(n, self._m - 1) + 1))
-            for n in range(max_dim + 1)
-        ]
-        computed = BettiVector(dims)
+        computed = BettiVector(sum(inf.dim(p, n - p) for p in range(min(n, self._m - 1) + 1))
+                               for n in range(self.arrangement.total.dim + 1))
         direct = self.arrangement.total.betti_mod2()
         if computed != direct:
             raise ConvergenceMismatch(
@@ -358,13 +349,8 @@ class MVSpectralSequence:
     def filtration_profile(self) -> FiltrationProfile:
         inf = self.infinity_page()
         top = self.arrangement.total.dim
-        w = {}
-        for i in range(top + 1):
-            for j in range(i + 1):
-                d = inf.dim(i - j, j)
-                if d:
-                    w[(i, j)] = d
-        return FiltrationProfile(w, top)
+        w = {(i, j): inf.dim(i - j, j) for i in range(top + 1) for j in range(i + 1)}
+        return FiltrationProfile({key: d for key, d in w.items() if d}, top)
 
 
 def compute_pages(arrangement: Arrangement, up_to: int) -> list[SpectralPage]:
@@ -382,7 +368,5 @@ def mv_filtration(arrangement: Arrangement) -> FiltrationProfile:
 
 def row_alternating_sums(page: SpectralPage) -> list[int]:
     """For each row q: the alternating sum over p of the entry dimensions."""
-    out = []
-    for q in range(page.max_q() + 1):
-        out.append(sum((-1) ** p * page.dim(p, q) for p in range(page.max_p() + 1)))
-    return out
+    return [sum((-1) ** p * page.dim(p, q) for p in range(page.max_p() + 1))
+            for q in range(page.max_q() + 1)]

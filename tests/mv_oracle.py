@@ -16,16 +16,20 @@ either; quotienting by F_p clears its bits.
 
 It also keeps the arrangement's old all-subsets routes: the table of every
 subset's intersection, empty or not, and the virtual polynomial that
-intersects the pieces of each subset afresh.
+intersects the pieces of each subset afresh; and ``pair_counts``, the
+persistence pairing as ``MVSpectralSequence`` counted it before clearing:
+every column of every degree reduced, the degrees in the basis's order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, groupby, islice
+from operator import itemgetter
 from typing import Sequence
 
-from virtbetti.gf2 import kernel_vectors, span_dim
+from virtbetti.gf2 import kernel_vectors, pivot_rows, span_dim
 from virtbetti.simplicial import Subcomplex
 from virtbetti.spectral import _double_complex
 from virtbetti.stratified import inclusion_exclusion
@@ -48,6 +52,23 @@ class DoubleComplex:
 def double_complex(arrangement) -> DoubleComplex:
     """The oracle's D on the engine's basis order."""
     return DoubleComplex(arrangement, _double_complex(arrangement)[0])
+
+
+def pair_counts(basis, cols) -> Counter:
+    """{(p, q, gap): pairs} from reducing every column of D: each degree's
+    columns go to ``pivot_rows`` one filtration block at a time, highest p
+    first and, inside a block, from the end of the basis list; the pivots a
+    block adds pair a vector at its p with the vector low, the pivot's key."""
+    pairs: Counter = Counter()
+    for n, entries in basis.items():
+        upper = [p for p, _, _ in basis.get(n + 1, [])]
+        levels = reversed([p for p, _, _ in entries])
+        pivots: dict[int, int] = {}
+        for p, block in groupby(zip(levels, reversed(cols[n])), key=itemgetter(0)):
+            found = len(pivots)
+            pivot_rows((col for _, col in block), pivots)
+            pairs.update((p, n - p, upper[low] - p) for low in islice(pivots, found, None))
+    return pairs
 
 
 def apply(cols: Sequence[int], x: int) -> int:

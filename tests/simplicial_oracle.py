@@ -13,6 +13,9 @@ It also keeps the old ways from vertex lists to simplices: a face closure
 that builds frozensets and sorts them by ``repr``, a subcomplex closure
 that sorts each maximal simplex by vertex index, and ``maximal_simplices``
 by comparing every simplex with every maximal one found so far.
+``cell_closure`` is the face closure of cells one simplex at a time, into
+one set, with its size bound checked before each simplex, as the engine
+built it before it went level by level and grouped by dimension.
 
 ``NameComplex`` is how the engine stored a complex before it kept cells
 (ascending tuples of vertex positions): tuples of vertex names, normalized
@@ -110,6 +113,20 @@ def maximal_simplices(k: SimplicialComplex, simplices=None) -> list:
         if not any(set(s) < set(m) for m in out):
             out.append(s)
     return sorted(out, key=k.sort_key)
+
+
+def cell_closure(cells) -> set[tuple]:
+    """Every nonempty face of the given cells, in one set."""
+    faces: set[tuple] = set()
+    for t in cells:
+        if t in faces:  # the family stays face-closed, so its faces are too
+            continue
+        # a simplex of n vertices has 2^n - 1 faces: bound them before building any
+        if len(faces) + (1 << len(t)) - 1 > 4 * MAX_SIMPLICES:
+            raise TooManySimplices("face closure exceeds the supported size", limit=MAX_SIMPLICES)
+        for k in range(1, len(t) + 1):
+            faces.update(combinations(t, k))
+    return faces
 
 
 def _normalize(index: dict, simplex) -> tuple:

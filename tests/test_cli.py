@@ -492,6 +492,20 @@ def test_hostile_scene_and_constraints_files_exit_3_in_a_child(tmp_path, case):
     assert error["code"] == "scene-error"
 
 
+def test_a_huge_refused_constraint_value_is_quoted_by_a_bounded_prefix(tmp_path):
+    # the message quotes the start of the refused rhs, not all 200,000 zeros
+    path = tmp_path / "constraints.json"
+    path.write_text(json.dumps([{"lhs": {"w21": 1}, "op": ">=", "rhs": [0] * 200_000}]))
+    proc = _child("-m", "virtbetti.cli", "weights", "surface-443", "--constraints", str(path))
+    assert proc.returncode == 3, proc.stderr[:200]
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 1024
+    error = json.loads(proc.stderr)
+    assert error["code"] == "malformed-constraint"
+    assert error["message"].startswith("rhs must be an integer, not [0, 0, 0")
+    assert error["message"].endswith("...")
+
+
 def _boundary_chain(n: int) -> str:
     """Stratifications s0..s{n-1} of an open segment, each stratum's
     ``boundary_strata`` naming the next: a scene that nests n deep."""

@@ -14,12 +14,14 @@ from virtbetti import models
 from virtbetti.errors import NotFaceClosed, TooManySimplices, UnknownVertex
 from virtbetti.gf2 import rank
 from virtbetti.simplicial import (
+    MAX_SIMPLICES,
     BettiVector,
     PairSpace,
     SimplicialComplex,
     Subcomplex,
     disjoint_union,
     maximal_simplices,
+    _closure,
     product_complex,
 )
 from virtbetti.spectral import Arrangement
@@ -85,6 +87,32 @@ def test_size_guardrail_fires_before_enumerating():
     with pytest.raises(TooManySimplices):
         SimplicialComplex.from_maximal(tuple(range(40)), [tuple(range(40))])
     assert time.perf_counter() - start < 1.0
+
+
+def test_closure_bound_refuses_many_small_simplices_quickly():
+    # disjoint 4-simplices of 31 faces each: 12,904 of them have 400,024 faces
+    count = 4 * MAX_SIMPLICES // 31 + 1
+    maximal = [range(5 * i, 5 * i + 5) for i in range(count)]
+    start = time.perf_counter()
+    with pytest.raises(TooManySimplices) as info:
+        SimplicialComplex.from_maximal(range(5 * count), maximal)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.to_dict() == {"code": "too-many-simplices",
+                                    "message": "face closure exceeds the supported size",
+                                    "context": {"limit": MAX_SIMPLICES}}
+
+
+def test_closure_bound_counts_faces_not_facets():
+    # every 7-subset of 19 vertices: 94,183 simplices, within the cap, though
+    # the 50,388 maximal ones list 352,716 facets of 27,132 distinct 5-simplices
+    k = SimplicialComplex.from_maximal(range(19), combinations(range(19), 7))
+    assert k.simplex_counts() == [19, 171, 969, 3876, 11628, 27132, 50388]
+
+
+def test_the_cap_size_torus_still_builds():
+    k = models.torus_grid(129, 129)
+    assert k.n_simplices() == 99_846
+    assert k.simplex_counts() == [16641, 49923, 33282]
 
 
 def test_betti_circle():
@@ -295,6 +323,34 @@ def test_cells_match_the_name_oracle(case):
     explicit = [s[::-1] for s in ref.simplices]
     assert_matches_name_oracle(SimplicialComplex(verts, explicit),
                                simplicial_oracle.NameComplex(verts, explicit), boundary)
+
+
+@st.composite
+def maximal_cells(draw):
+    """Cells of 1-6 of the positions 0..8 in a random order, some of them
+    repeated and some faces of others."""
+    cell = st.sets(st.integers(0, 8), min_size=1, max_size=6).map(lambda s: tuple(sorted(s)))
+    cells = draw(st.lists(cell, max_size=8))
+    for c in draw(st.lists(st.sampled_from(cells), max_size=4)) if cells else ():
+        cells.append(c if draw(st.booleans()) else tuple(sorted(draw(
+            st.sets(st.sampled_from(c), min_size=1, max_size=len(c))))))
+    return draw(st.permutations(cells))
+
+
+@given(maximal_cells())
+@settings(max_examples=300, deadline=None)
+def test_level_wise_closure_matches_the_set_oracle(cells):
+    ref = simplicial_oracle.cell_closure(cells)
+    by_dim = {d: {f for f in ref if len(f) == d + 1} for d in range(max(map(len, ref), default=0))}
+    assert _closure(iter(cells)) == by_dim
+    k = SimplicialComplex.from_maximal(range(9), cells)
+    by_dim.setdefault(0, set()).update((v,) for v in range(9))
+    assert list(k._by_dim.items()) == [(d, sorted(by_dim[d])) for d in sorted(by_dim)]
+    assert k.cells == ref | {(v,) for v in range(9)}
+    assert k.subcomplex(maximal=cells).cells == ref
+    if cells:
+        big = SimplicialComplex.from_maximal(range(9), [range(9)])
+        assert big.subcomplex(maximal=cells).cells == ref
 
 
 @given(named_complexes(size=4, width=3), named_complexes(size=4, width=3), st.data())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import time
 
 import mv_oracle
@@ -352,6 +353,48 @@ def assert_matches_oracle(ss):
     assert all(ss.intersection_complex(s) == {arr.total.named(c) for c in meet}
                for s, meet in table.items())
     assert arr.virtual_betti() == mv_oracle.virtual_betti(arr)
+
+
+@st.composite
+def band_covers(draw):
+    """An n x n grid torus cut into k closed bands of rows (6x6 in 3, 8x8 in
+    4 or 10x10 in 8), with vertex names, vertex order, simplex order and
+    piece order drawn from a seed."""
+    n, k = draw(st.sampled_from([(6, 3), (8, 4), (10, 8)]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    names = [f"t{c}" for c in range(n * n)]
+    rng.shuffle(names)
+    name = {(i, j): names[i * n + j] for i in range(n) for j in range(n)}
+    # the squares' triangles, by row: (i, j), (i + 1, j), (i + 1, j + 1) and
+    # (i, j), (i, j + 1), (i + 1, j + 1), as vertex names in a random order
+    rows = [[rng.sample([name[(i + a) % n, (j + b) % n] for a, b in ((0, 0), corner, (1, 1))], 3)
+             for j in range(n) for corner in ((1, 0), (0, 1))] for i in range(n)]
+    order = names[:]
+    rng.shuffle(order)
+    total = SimplicialComplex.from_maximal(order, rng.sample(sum(rows, []), 2 * n * n))
+    shift = rng.randrange(n)
+    pieces = [(f"B{b}", total.subcomplex(maximal=[
+        t for i in range(round(b * n / k), round((b + 1) * n / k)) for t in rows[(i + shift) % n]]))
+        for b in range(k)]
+    rng.shuffle(pieces)
+    return Arrangement(total, tuple(pieces))
+
+
+@given(st.one_of(covered_complexes(), band_covers()))
+@settings(max_examples=200, deadline=None)
+def test_cleared_pairing_matches_the_uncleared_oracle(arr):
+    ss = MVSpectralSequence(arr)
+    assert ss._pair_counts == mv_oracle.pair_counts(*_double_complex(arr))
+
+
+@given(band_covers())
+@settings(max_examples=20, deadline=None)
+def test_band_covers_converge_to_the_torus(arr):
+    ss = MVSpectralSequence(arr)
+    k = len(arr.pieces)
+    assert tuple(ss.converged_betti()) == (1, 2, 1)
+    assert ss.page(1).dims == {(0, 0): k, (1, 0): k, (0, 1): k, (1, 1): k}
+    assert ss.stabilization_certificate().stable_from == 2
 
 
 @given(covered_complexes())

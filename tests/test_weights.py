@@ -264,6 +264,15 @@ def test_malformed_constraints_are_rejected():
         LinearConstraint.from_dict({"lhs": {"w21": 1}, "op": ">=", "rhs": "3"})
     with pytest.raises(MalformedConstraint, match="coefficient of 'w21' must be an integer"):
         LinearConstraint.from_dict({"lhs": {"w21": True}, "op": ">=", "rhs": 3})
+    # a long refused value is quoted by a bounded prefix; one too deep for repr is named so
+    with pytest.raises(MalformedConstraint) as info:
+        LinearConstraint.from_dict({"lhs": {"w21": 1}, "op": ">=", "rhs": [0] * 200_000})
+    assert info.value.message == "rhs must be an integer, not " + repr([0] * 30)[:60] + "..."
+    deep: list = []
+    for _ in range(100_000):
+        deep = [deep]
+    with pytest.raises(MalformedConstraint, match="^constraint nests too deeply$"):
+        LinearConstraint.from_dict({"lhs": {"w21": 1}, "op": ">=", "rhs": deep})
 
 
 def test_constraint_dict_round_trip():
