@@ -4,7 +4,7 @@ real algebraic varieties: exact GF(2) linear algebra, simplicial
 sequences, and weight-filtration arithmetic."""
 
 from .errors import VirtBettiError, Verdict
-from .gf2 import GF2Matrix, GF2Subspace, kernel_basis, rank
+from .gf2 import GF2Matrix, rank
 from .polynomial import IntPolynomial, NEG_INFINITY, degree_and_leading, parse_polynomial
 from .simplicial import (
     BettiVector,
@@ -38,14 +38,7 @@ from .stratified import (
     inclusion_exclusion,
     refinement_check,
 )
-from .spectral import (
-    Arrangement,
-    MVSpectralSequence,
-    compute_pages,
-    converged_betti,
-    mv_filtration,
-    row_alternating_sums,
-)
+from .spectral import Arrangement, MVSpectralSequence, row_alternating_sums
 from .weights import (
     LinearConstraint,
     WeightArray,

@@ -12,10 +12,11 @@ from disk.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from itertools import combinations
+from typing import Callable, Iterator
 
 from . import models
-from .errors import Record
+from .errors import Record, UnknownName
 from .polynomial import IntPolynomial, parse_polynomial
 from .scene import Scene
 from .scissor import (
@@ -31,7 +32,7 @@ from .scissor import (
     evaluate_beta,
     evaluate_chi_c,
 )
-from .simplicial import PairSpace, product_complex
+from .simplicial import PairSpace, SimplicialComplex, product_complex
 from .spectral import Arrangement, MVSpectralSequence, row_alternating_sums
 from .stratified import (
     CompactModel,
@@ -63,8 +64,6 @@ class CheckResult(Record):
 
 
 def _octahedron():
-    from .simplicial import SimplicialComplex
-
     verts = ("o0", "o1", "o2", "o3", "o4", "o5")
     # antipodal pairs (o0,o5), (o1,o4), (o2,o3); faces avoid them
     tris = []
@@ -76,8 +75,6 @@ def _octahedron():
 
 
 def _two_circles():
-    from .simplicial import SimplicialComplex
-
     verts = tuple(f"a{i}" for i in range(3)) + tuple(f"b{i}" for i in range(3))
     edges = [(f"a{i}", f"a{(i + 1) % 3}") for i in range(3)]
     edges += [(f"b{i}", f"b{(i + 1) % 3}") for i in range(3)]
@@ -89,9 +86,6 @@ def builtin_scene() -> Scene:
     """The embedded scene holding every fixture object."""
     scene = Scene()
     cx = scene.complexes
-
-    from .simplicial import SimplicialComplex
-
     cx["empty"] = SimplicialComplex.empty()
     cx["point"] = models.point()
     cx["two-points"] = models.points(2)
@@ -131,12 +125,10 @@ def builtin_scene() -> Scene:
     pair("space-3", "sphere-3", [("v0",)])
     pair("space-4", "sphere-4", [("v0",)])
     # S^n sitting inside S^(n+1) as the boundary of the first (n+1) vertices
-    from itertools import combinations as _comb
-
     for n in range(0, 4):
         total_name = "circle" if n == 0 else f"sphere-{n + 1}"
         sub_verts = [f"v{i}" for i in range(n + 2)]
-        boundary = list(_comb(sub_verts, n + 1))
+        boundary = list(combinations(sub_verts, n + 1))
         pair(f"sphere-pair-{n}", total_name, boundary)
 
     tp = [(v,) for v in ("t4_2", "t0_2", "t1_5", "t3_5")]
@@ -328,126 +320,87 @@ def builtin_scene() -> Scene:
     return scene
 
 
-# -- expectation helpers -------------------------------------------------------
-
-
-def _poly(text: str) -> IntPolynomial:
-    return parse_polynomial(text)
-
-
-def _check(out: list[CheckResult], fixture: str, check: str, passed: bool, detail: str = ""):
-    out.append(CheckResult(fixture, check, bool(passed), detail))
-
-
 # -- fixtures ------------------------------------------------------------------
 
 
-def _fx_chi_c(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _fx_chi_c(scene: Scene) -> Iterator[tuple]:
     circle = scene.atoms.lookup("circle")
     point = scene.atoms.lookup("point")
-    _check(out, "chi-c-basics", "chi_c(circle) = 0", circle.chi_c == 0)
-    _check(out, "chi-c-basics", "chi_c(point) = 1", point.chi_c == 1)
+    yield ("chi_c(circle) = 0", circle.chi_c == 0)
+    yield ("chi_c(point) = 1", point.chi_c == 1)
     expr = scene.expression("circle-minus-point")
     chi = evaluate_chi_c(expr, scene.atoms)
-    _check(out, "chi-c-basics", "chi_c(circle minus point) = -1", chi == -1, f"got {chi}")
+    yield ("chi_c(circle minus point) = -1", chi == -1, f"got {chi}")
     pair_chi = scene.pair("line").euler_compact_supports()
-    _check(out, "chi-c-basics", "compact-supports Euler of the pair = -1", pair_chi == -1)
+    yield ("compact-supports Euler of the pair = -1", pair_chi == -1)
     beta = evaluate_beta(expr, scene.atoms)
-    _check(
-        out, "chi-c-basics", "beta(t=-1) agrees with chi_c",
-        beta.evaluate(-1) == chi, f"{beta.evaluate(-1)} vs {chi}",
-    )
-    return out
+    yield ("beta(t=-1) agrees with chi_c",
+           beta.evaluate(-1) == chi, f"{beta.evaluate(-1)} vs {chi}")
 
 
-def _fx_ellipses(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _fx_ellipses(scene: Scene) -> Iterator[tuple]:
     beta = evaluate_beta(scene.expression("ellipses"), scene.atoms)
-    _check(out, "ellipses", "beta = -2 + 2*t", beta == _poly("-2 + 2*t"), beta.to_text())
-    _check(out, "ellipses", "beta_0 = -2", beta.coefficient(0) == -2)
+    yield ("beta = -2 + 2*t", beta == parse_polynomial("-2 + 2*t"), beta.to_text())
+    yield ("beta_0 = -2", beta.coefficient(0) == -2)
     verdict = degree_report(scene.expression("ellipses"), scene.atoms, 1)
-    _check(out, "ellipses", "degree 1 with positive leading coefficient", verdict.holds, verdict.detail)
-    return out
+    yield ("degree 1 with positive leading coefficient", verdict.holds, verdict.detail)
 
 
-def _fx_figure_eights(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _fx_figure_eights(scene: Scene) -> Iterator[tuple]:
     bx = evaluate_beta(scene.expression("figure-eight-x"), scene.atoms)
     by = evaluate_beta(scene.expression("figure-eight-y"), scene.atoms)
-    _check(out, "figure-eights", "beta_1(X) = 1 from the blowup presentation",
-           bx.coefficient(1) == 1, bx.to_text())
-    _check(out, "figure-eights", "beta_1(Y) = 2 from the union of circles",
-           by.coefficient(1) == 2, by.to_text())
+    yield ("beta_1(X) = 1 from the blowup presentation", bx.coefficient(1) == 1, bx.to_text())
+    yield ("beta_1(Y) = 2 from the union of circles", by.coefficient(1) == 2, by.to_text())
     strat = beta_of_stratified(scene.stratification("figure-eight-x"), strict=True)
-    _check(out, "figure-eights", "stratified engine agrees on X", strat == bx,
-           f"{strat} vs {bx}")
-    _check(out, "figure-eights",
-           "homeomorphic curves get different invariants", bx != by,
+    yield ("stratified engine agrees on X", strat == bx, f"{strat} vs {bx}")
+    yield ("homeomorphic curves get different invariants", bx != by,
            f"{bx.to_text()} vs {by.to_text()}")
-    return out
 
 
-def _fx_spheres(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _fx_spheres(scene: Scene) -> Iterator[tuple]:
     for n in range(0, 4):
         diff = evaluate_beta(scene.expression(f"sphere-diff-{n}"), scene.atoms)
         want = IntPolynomial.monomial(1, n + 1) - IntPolynomial.monomial(1, n)
-        _check(out, "spheres-complements",
-               f"beta_{n}(S^{n + 1} minus S^{n}) = -1",
+        yield (f"beta_{n}(S^{n + 1} minus S^{n}) = -1",
                diff == want and diff.coefficient(n) == -1, diff.to_text())
         strat = beta_of_stratified(scene.stratification(f"sphere-diff-{n}"), strict=True)
-        _check(out, "spheres-complements",
-               f"stratified engine agrees for n = {n}", strat == diff,
-               f"{strat} vs {diff}")
+        yield (f"stratified engine agrees for n = {n}", strat == diff, f"{strat} vs {diff}")
         affine = evaluate_beta(scene.expression(f"affine-{n + 1}"), scene.atoms)
-        _check(out, "spheres-complements",
-               f"beta_{n}(R^{n + 1}) = 0",
+        yield (f"beta_{n}(R^{n + 1}) = 0",
                affine == IntPolynomial.monomial(1, n + 1) and affine.coefficient(n) == 0,
                affine.to_text())
-    return out
 
 
-def _fx_torus(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _fx_torus(scene: Scene) -> Iterator[tuple]:
     b = scene.complex("torus").betti_mod2()
-    _check(out, "torus", "b(torus) = (1, 2, 1)", tuple(b) == (1, 2, 1), repr(b))
+    yield ("b(torus) = (1, 2, 1)", tuple(b) == (1, 2, 1), repr(b))
     product = evaluate_beta(scene.expression("torus-product"), scene.atoms)
-    _check(out, "torus", "beta(S1 x S1) = 1 + 2t + t^2",
-           product == _poly("1 + 2*t + t^2"), product.to_text())
+    yield ("beta(S1 x S1) = 1 + 2t + t^2",
+           product == parse_polynomial("1 + 2*t + t^2"), product.to_text())
     staircase = product_complex(scene.complex("circle"), scene.complex("circle"))
-    _check(out, "torus", "staircase product has torus homology",
-           tuple(staircase.betti_mod2()) == (1, 2, 1))
-    return out
+    yield ("staircase product has torus homology", tuple(staircase.betti_mod2()) == (1, 2, 1))
 
 
-def _fx_surface_homology(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _fx_surface_homology(scene: Scene) -> Iterator[tuple]:
     b = scene.complex("surface-443").betti_mod2()
-    _check(out, "surface-443-homology", "b = (1, 1, 8)", tuple(b) == (1, 1, 8), repr(b))
+    yield ("b = (1, 1, 8)", tuple(b) == (1, 1, 8), repr(b))
     arr = scene.arrangement("surface-443")
     pieces = dict(arr.pieces)
     b12 = pieces["X1"].union(pieces["X2"]).as_complex().betti_mod2()
     b13 = pieces["X1"].union(pieces["X3"]).as_complex().betti_mod2()
-    _check(out, "surface-443-homology", "b(X1 u X2) = (1, 0, 3)", tuple(b12) == (1, 0, 3), repr(b12))
-    _check(out, "surface-443-homology", "b(X1 u X3) = (1, 2, 3)", tuple(b13) == (1, 2, 3), repr(b13))
-    return out
+    yield ("b(X1 u X2) = (1, 0, 3)", tuple(b12) == (1, 0, 3), repr(b12))
+    yield ("b(X1 u X3) = (1, 2, 3)", tuple(b13) == (1, 2, 3), repr(b13))
 
 
-def _fx_surface_virtual(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    want = _poly("4 - t + 3*t^2")
+def _fx_surface_virtual(scene: Scene) -> Iterator[tuple]:
+    want = parse_polynomial("4 - t + 3*t^2")
     incl = scene.arrangement("surface-443").virtual_betti()
-    _check(out, "surface-443-virtual", "inclusion-exclusion gives 4 - t + 3*t^2",
-           incl == want, incl.to_text())
+    yield ("inclusion-exclusion gives 4 - t + 3*t^2", incl == want, incl.to_text())
     strat = beta_of_stratified(scene.stratification("surface-443"), strict=True)
-    _check(out, "surface-443-virtual",
-           "stratified engine (17 sheets / 12 arcs / 4 points) agrees",
+    yield ("stratified engine (17 sheets / 12 arcs / 4 points) agrees",
            strat == want, strat.to_text())
     chi = scene.complex("surface-443").euler_characteristic()
-    _check(out, "surface-443-virtual", "beta(-1) = chi_c = 8",
-           want.evaluate(-1) == chi == 8, f"{want.evaluate(-1)} vs {chi}")
-    return out
+    yield ("beta(-1) = chi_c = 8", want.evaluate(-1) == chi == 8, f"{want.evaluate(-1)} vs {chi}")
 
 
 _E1 = {(0, 0): 3, (1, 0): 3, (2, 0): 4, (0, 1): 2, (1, 1): 3, (0, 2): 3}
@@ -455,56 +408,46 @@ _E2 = {(0, 0): 1, (1, 0): 0, (2, 0): 3, (0, 1): 2, (1, 1): 3, (0, 2): 3}
 _E3 = {(0, 0): 1, (1, 0): 0, (2, 0): 2, (0, 1): 1, (1, 1): 3, (0, 2): 3}
 
 
-def _fx_surface_spectral(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _fx_surface_spectral(scene: Scene) -> Iterator[tuple]:
     ss = MVSpectralSequence(scene.arrangement("surface-443"))
     for r, table in ((1, _E1), (2, _E2), (3, _E3)):
         page = ss.page(r)
         got = {pq: page.dim(*pq) for pq in table}
-        _check(out, "surface-443-spectral", f"E_{r} table matches", got == table, repr(got))
-    _check(out, "surface-443-spectral", "d_2 from (0,1) to (2,0) has rank 1",
-           ss.d_rank(2, 0, 1) == 1, str(ss.d_rank(2, 0, 1)))
+        yield (f"E_{r} table matches", got == table, repr(got))
+    yield ("d_2 from (0,1) to (2,0) has rank 1", ss.d_rank(2, 0, 1) == 1, str(ss.d_rank(2, 0, 1)))
     cert = ss.stabilization_certificate()
-    _check(out, "surface-443-spectral", "E_3 = E_infinity with certificate",
+    yield ("E_3 = E_infinity with certificate",
            cert.stable_from == 3 and ss.page(3).dims == ss.page(4).dims, cert.detail)
     b = ss.converged_betti()
-    _check(out, "surface-443-spectral", "converged Betti = (1, 1, 8)",
-           tuple(b) == (1, 1, 8), repr(b))
+    yield ("converged Betti = (1, 1, 8)", tuple(b) == (1, 1, 8), repr(b))
     rows1 = row_alternating_sums(ss.page(1))
     rows2 = row_alternating_sums(ss.page(2))
     rows3 = row_alternating_sums(ss.page(3))
-    _check(out, "surface-443-spectral", "E_1 row sums = (4, -1, 3)", rows1 == [4, -1, 3], repr(rows1))
-    _check(out, "surface-443-spectral", "E_2 row sums = (4, -1, 3)", rows2 == [4, -1, 3], repr(rows2))
-    _check(out, "surface-443-spectral", "E_3 row sums differ (3, -2, 3)",
-           rows3 == [3, -2, 3], repr(rows3))
+    yield ("E_1 row sums = (4, -1, 3)", rows1 == [4, -1, 3], repr(rows1))
+    yield ("E_2 row sums = (4, -1, 3)", rows2 == [4, -1, 3], repr(rows2))
+    yield ("E_3 row sums differ (3, -2, 3)", rows3 == [3, -2, 3], repr(rows3))
     verdict = mv_profile_vs_virtual_betti(ss.filtration_profile(), [4, -1, 3])
-    _check(out, "surface-443-spectral",
-           "virtual Betti condition fails at row j=0 with 3 != 4",
+    yield ("virtual Betti condition fails at row j=0 with 3 != 4",
            (not verdict.holds) and "j=0" in verdict.detail and "3 != beta_0 = 4" in verdict.detail,
            verdict.detail)
-    return out
 
 
-def _fx_surface_weights(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _fx_surface_weights(scene: Scene) -> Iterator[tuple]:
     sols = solve_weight_system(scene.weight_input("surface-443"))
-    _check(out, "surface-443-weights", "exactly two solutions", len(sols) == 2,
-           f"{len(sols)} solutions")
+    yield ("exactly two solutions", len(sols) == 2, f"{len(sols)} solutions")
     expected = WeightArray(((1,), (0, 1), (3, 2, 3)))
     other = WeightArray(((1,), (1, 0), (4, 1, 3)))
-    _check(out, "surface-443-weights", "the filtration {1; 0,1; 3,2,3} is a solution",
-           expected in sols)
-    _check(out, "surface-443-weights", "the alternative {1; 1,0; 4,1,3} is the other",
-           other in sols)
+    yield ("the filtration {1; 0,1; 3,2,3} is a solution", expected in sols)
+    yield ("the alternative {1; 1,0; 4,1,3} is the other", other in sols)
     blocked = constraint_filter(
         sols,
         [LinearConstraint((((2, 1), 1),), ">=", 3,
                           "the three pairwise classes stay independent in weight 1")],
     )
-    _check(out, "surface-443-weights", "w21 >= 3 is infeasible", blocked.infeasible,
+    yield ("w21 >= 3 is infeasible", blocked.infeasible,
            "; ".join(c.describe() for c in blocked.blocking_constraints()))
     sub12 = solve_weight_system(scene.weight_input("surface-sub12"))
-    _check(out, "surface-443-weights", "X1 u X2: unique solution w2 = (0, 1, 2)",
+    yield ("X1 u X2: unique solution w2 = (0, 1, 2)",
            len(sub12) == 1 and sub12[0].rows[2] == (0, 1, 2),
            repr([s.rows for s in sub12]))
     sub13 = solve_weight_system(scene.weight_input("surface-sub13"))
@@ -513,7 +456,7 @@ def _fx_surface_weights(scene: Scene) -> list[CheckResult]:
         [LinearConstraint((((1, 0), 1),), "==", 0,
                           "restriction to the torus is injective on H^1")],
     )
-    _check(out, "surface-443-weights", "X1 u X3 with w10 = 0: w2 = (0, 1, 2)",
+    yield ("X1 u X3 with w10 = 0: w2 = (0, 1, 2)",
            len(kept.survivors) == 1 and kept.survivors[0].rows[2] == (0, 1, 2),
            repr([s.rows for s in kept.survivors]))
     torus_sols = solve_weight_system(scene.weight_input("torus"))
@@ -525,84 +468,70 @@ def _fx_surface_weights(scene: Scene) -> list[CheckResult]:
             for w in torus_sols
         )
     )
-    _check(out, "surface-443-weights", "torus admits the diagonal (manifold) profile", diag_ok)
-    return out
+    yield ("torus admits the diagonal (manifold) profile", diag_ok)
 
 
-def _fx_tangent_circles(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _fx_tangent_circles(scene: Scene) -> Iterator[tuple]:
     x = scene.complex("tangent-circles")
     b = x.betti_mod2()
-    _check(out, "tangent-circles", "dim H^1(X) = 3", b.get(1) == 3, repr(b))
+    yield ("dim H^1(X) = 3", b.get(1) == 3, repr(b))
     ss = MVSpectralSequence(scene.arrangement("tangent-circles"))
     conv = ss.converged_betti()
-    _check(out, "tangent-circles", "cover by the two circles converges to (1, 3)",
-           tuple(conv) == (1, 3), repr(conv))
+    yield ("cover by the two circles converges to (1, 3)", tuple(conv) == (1, 3), repr(conv))
     resolution = _two_circles().betti_mod2()
     core = scene.complex("circle").betti_mod2()
-    _check(out, "tangent-circles",
-           "exact sequence dimensions: 1 + 2 = 3",
+    yield ("exact sequence dimensions: 1 + 2 = 3",
            core.get(1) + resolution.get(1) == b.get(1),
            f"{core.get(1)} + {resolution.get(1)} vs {b.get(1)}")
-    return out
 
 
-def _fx_blowups(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _fx_blowups(scene: Scene) -> Iterator[tuple]:
     reg = scene.atoms
     s2 = reg.lookup("sphere-2").beta
     pt = reg.lookup("point").beta
     rp2 = reg.lookup("projective-plane").beta
     s1 = reg.lookup("circle").beta
     v = check_blowup_relation(s2, pt, rp2, s1)
-    _check(out, "blowup-checks",
-           "sphere blown up at a point is the projective plane", v.holds, v.detail)
+    yield ("sphere blown up at a point is the projective plane", v.holds, v.detail)
     zero = IntPolynomial.zero()
     two_circles = s1 + s1
     v2 = check_blowup_relation(two_circles, s1, s1, zero)
-    _check(out, "blowup-checks",
-           "blowup along a whole component just removes it", v2.holds, v2.detail)
+    yield ("blowup along a whole component just removes it", v2.holds, v2.detail)
     v3 = check_blowup_relation(s2, pt, s2, pt)
-    _check(out, "blowup-checks", "trivial blowup (empty-center form) holds",
-           v3.holds, v3.detail)
+    yield ("trivial blowup (empty-center form) holds", v3.holds, v3.detail)
     corrupted = check_blowup_relation(s2, pt, rp2 + IntPolynomial.monomial(1, 1), s1)
-    _check(out, "blowup-checks", "corrupted quadruple is rejected",
-           not corrupted.holds, corrupted.detail)
+    yield ("corrupted quadruple is rejected", not corrupted.holds, corrupted.detail)
     blowup_beta = evaluate_beta(scene.expression("blowup-plane"), scene.atoms)
-    _check(out, "blowup-checks", "blowup node: plane at a point gives t + t^2",
-           blowup_beta == _poly("t + t^2"), blowup_beta.to_text())
-    return out
+    yield ("blowup node: plane at a point gives t + t^2",
+           blowup_beta == parse_polynomial("t + t^2"), blowup_beta.to_text())
 
 
-def _fx_refinement(scene: Scene) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _fx_refinement(scene: Scene) -> Iterator[tuple]:
     v = refinement_check(
         scene.stratification("circle-as-one"),
         scene.stratification("circle-as-two"),
         {"circle": ["arc", "pt"]},
     )
-    _check(out, "refinements", "circle = (circle minus point) + point", v.holds, v.detail)
+    yield ("circle = (circle minus point) + point", v.holds, v.detail)
     v2 = refinement_check(
         scene.stratification("figure-eight-x"),
         scene.stratification("figure-eight-x-fine"),
         {"smooth": ["arc3", "extra-point"], "node": ["node-fine"]},
     )
-    _check(out, "refinements", "figure-eight stratifications agree", v2.holds, v2.detail)
+    yield ("figure-eight stratifications agree", v2.holds, v2.detail)
     a = beta_of_stratum(StratumRecord("r2-a", 2, OpenModel(scene.pairs["plane"])), strict=True)
     b = beta_of_stratum(StratumRecord("r2-b", 2, OpenModel(scene.pairs["plane-oct"])), strict=True)
-    _check(out, "refinements",
-           "two triangulations of the same compactification pair agree",
-           a == b, f"{a} vs {b}")
+    yield ("two triangulations of the same compactification pair agree", a == b, f"{a} vs {b}")
     c1 = beta_of_stratum(StratumRecord("r1-a", 1, OpenModel(scene.pairs["line"])), strict=True)
     c2 = beta_of_stratum(
         StratumRecord("r1-b", 1, OpenModel(scene.pairs["circle5-minus-point"])), strict=True
     )
-    _check(out, "refinements", "line from 3-vertex and 5-vertex circles agrees",
-           c1 == c2 == _poly("t"), f"{c1} vs {c2}")
-    return out
+    yield ("line from 3-vertex and 5-vertex circles agrees",
+           c1 == c2 == parse_polynomial("t"), f"{c1} vs {c2}")
 
 
-FIXTURES: dict[str, Callable[[Scene], list[CheckResult]]] = {
+# Each fixture yields (check, passed[, detail]); run_fixture files them under its key.
+FIXTURES: dict[str, Callable[[Scene], Iterator[tuple]]] = {
     "chi-c-basics": _fx_chi_c,
     "ellipses": _fx_ellipses,
     "figure-eights": _fx_figure_eights,
@@ -635,17 +564,11 @@ def declared_atoms_used(scene: Scene) -> list[tuple[str, str]]:
 def run_fixture(name: str, scene: Scene | None = None) -> list[CheckResult]:
     scene = scene or builtin_scene()
     if name not in FIXTURES:
-        from .errors import UnknownName
-
-        raise UnknownName(
-            f"no fixture named {name!r}", name=name, known=fixture_names()
-        )
-    return FIXTURES[name](scene)
+        raise UnknownName(f"no fixture named {name!r}", name=name, known=fixture_names())
+    return [CheckResult(name, check, bool(passed), *detail)
+            for check, passed, *detail in FIXTURES[name](scene)]
 
 
 def run_fixtures(names: list[str] | None = None, scene: Scene | None = None) -> list[CheckResult]:
     scene = scene or builtin_scene()
-    out: list[CheckResult] = []
-    for name in names or fixture_names():
-        out.extend(run_fixture(name, scene))
-    return out
+    return [res for name in names or fixture_names() for res in run_fixture(name, scene)]

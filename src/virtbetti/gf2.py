@@ -4,8 +4,7 @@ Vectors are Python ints used as bit masks (bit k = coordinate k), so a row
 operation is a single word-wide XOR regardless of width.  One forward
 elimination, ``pivot_rows``, serves every caller: the ranks of homology and
 the persistence pairs of the Mayer-Vietoris spectral sequence.
-``GF2Subspace`` and ``reduced_echelon`` keep the reduced row-echelon form,
-unique for a span, so equal subspaces have bit-identical bases.
+``GF2Matrix`` carries a boundary matrix and its transpose to ``rank``.
 """
 
 from __future__ import annotations
@@ -14,16 +13,7 @@ from typing import Iterable, Sequence
 
 from .errors import Record
 
-__all__ = [
-    "GF2Matrix",
-    "GF2Subspace",
-    "rank",
-    "pivot_rows",
-    "kernel_basis",
-    "reduced_echelon",
-    "kernel_vectors",
-    "span_dim",
-]
+__all__ = ["GF2Matrix", "rank", "pivot_rows", "reduced_echelon", "kernel_vectors", "span_dim"]
 
 
 def _low_bit(x: int) -> int:
@@ -48,6 +38,11 @@ def pivot_rows(vectors: Iterable[int], pivots: dict[int, int] | None = None) -> 
                 break
             v ^= r
     return pivots
+
+
+# No engine module calls reduced_echelon, span_dim or kernel_vectors.  They
+# stay because the benchmark's span tracer looks span_dim and kernel_vectors
+# up by name, and kernel_vectors needs reduced_echelon.
 
 
 def reduced_echelon(vectors: Iterable[int]) -> tuple[int, ...]:
@@ -112,46 +107,8 @@ class GF2Matrix(Record):
     def transpose(self) -> GF2Matrix:
         return GF2Matrix(self.cols, self.rows, self.column_bits())
 
-    def matvec(self, v: int) -> int:
-        """Matrix-vector product; v is a bit vector over the columns."""
-        out = 0
-        for i, r in enumerate(self.row_bits):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
-        return out
-
-
-class GF2Subspace(Record):
-    """Subspace of GF(2)^ambient_dim with canonical reduced-echelon basis."""
-
-    ambient_dim: int
-    basis: tuple[int, ...]
-
-    def __post_init__(self):
-        limit = 1 << self.ambient_dim
-        above, later = limit, 0  # from the last row: next row's pivot, later pivots
-        for v in reversed(self.basis):
-            if not 0 <= v < limit:
-                raise ValueError("basis vector outside ambient space")
-            low = v & -v  # pivots (low bits) ascend, no row holds a later one's
-            if not 0 < low < above or v & later:
-                raise ValueError("basis is not in reduced row-echelon form")
-            above, later = low, later | low
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[int]) -> GF2Subspace:
-        return cls(ambient_dim, reduced_echelon(vectors))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
 
 def rank(m: GF2Matrix) -> int:
     """GF(2) rank; the input is not modified."""
     return len(pivot_rows(m.row_bits))
 
-
-def kernel_basis(m: GF2Matrix) -> GF2Subspace:
-    """Right kernel {v : m v = 0}, echelonized; dim = cols - rank."""
-    return GF2Subspace.from_vectors(m.cols, kernel_vectors(m.row_bits, m.cols))

@@ -52,9 +52,6 @@ __all__ = [
     "FiltrationProfile",
     "StabilizationCertificate",
     "MVSpectralSequence",
-    "compute_pages",
-    "converged_betti",
-    "mv_filtration",
     "row_alternating_sums",
 ]
 
@@ -148,7 +145,7 @@ class SpectralPage(Record):
         """One line per row q, top row first, columns by filtration p."""
         max_q, max_p = self.max_q(), self.max_p()
         labels = [f"p={p}" for p in range(max_p + 1)]
-        width = max(len(labels[-1]), *(len(str(d)) for d in self.dims.values()))
+        width = max(map(len, [labels[-1], *map(str, self.dims.values())]))
         lines = [f"E_{self.r}:"]
         for q in range(max_q, -1, -1):
             lines.append(f"  q={q} | " + " ".join(
@@ -225,13 +222,6 @@ def _total_complex(arrangement: Arrangement) -> tuple[dict, dict, dict]:
                         for facet in combinations(t, k - 1):
                             below[at[facet]] |= bit
     return runs, levels, cols
-
-
-def _double_complex(arrangement: Arrangement) -> tuple[dict[int, list], dict[int, list[int]]]:
-    """The basis of D, entries (p, subset, cell) by degree, and its columns."""
-    runs, _, cols = _total_complex(arrangement)
-    return {n: [(p, subset, s) for p, subset, run in basis for s in run]
-            for n, basis in runs.items()}, cols
 
 
 class MVSpectralSequence:
@@ -351,19 +341,6 @@ class MVSpectralSequence:
         top = self.arrangement.total.dim
         w = {(i, j): inf.dim(i - j, j) for i in range(top + 1) for j in range(i + 1)}
         return FiltrationProfile({key: d for key, d in w.items() if d}, top)
-
-
-def compute_pages(arrangement: Arrangement, up_to: int) -> list[SpectralPage]:
-    """Pages E_1..E_up_to of the Mayer-Vietoris spectral sequence."""
-    return MVSpectralSequence(arrangement).pages(up_to)
-
-
-def converged_betti(arrangement: Arrangement) -> BettiVector:
-    return MVSpectralSequence(arrangement).converged_betti()
-
-
-def mv_filtration(arrangement: Arrangement) -> FiltrationProfile:
-    return MVSpectralSequence(arrangement).filtration_profile()
 
 
 def row_alternating_sums(page: SpectralPage) -> list[int]:

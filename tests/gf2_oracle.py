@@ -4,7 +4,8 @@ against the rows so far, then back-substitute it into every row at once.
 This is the insertion-time reduction ``virtbetti.gf2`` used before its
 forward-elimination kernel.  It is slow but simple, and reduced row-echelon
 form is unique, so the kernel's ``reduced_echelon`` must equal it bit for
-bit.
+bit.  ``span_dim``, ``kernel_vectors`` and ``matvec`` build on it, or on
+nothing, so tests that use them share no code with ``virtbetti.gf2``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ def reduced_echelon(vectors: Iterable[int]) -> tuple[int, ...]:
             rows.append((p, v))
     rows.sort()
     return tuple(r for _, r in rows)
+
+
+def span_dim(vectors: Iterable[int]) -> int:
+    return len(reduced_echelon(vectors))
+
+
+def matvec(row_bits: Sequence[int], v: int) -> int:
+    """The matrix with these rows times v: bit i is the parity of row i & v."""
+    return sum(((r & v).bit_count() & 1) << i for i, r in enumerate(row_bits))
 
 
 def kernel_vectors(row_bits: Sequence[int], cols: int) -> list[int]:

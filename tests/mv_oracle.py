@@ -12,7 +12,9 @@ all-subsets intersection table; so the pages here never read the engine's
 columns, and the tests compare those columns with this D bit for bit.  F_p
 is the bit mask of the basis vectors whose filtration is at least p, read
 off each basis entry, so the pages do not depend on the order of the basis
-either; quotienting by F_p clears its bits.
+either; quotienting by F_p clears its bits.  Their spans and kernels come
+from ``gf2_oracle``, not from the engine's ``gf2``.  ``engine_complex``
+reads the engine's basis, one entry per vector, and its columns.
 
 It also keeps the arrangement's old all-subsets routes: the table of every
 subset's intersection, empty or not, and the virtual polynomial that
@@ -29,9 +31,10 @@ from itertools import combinations, groupby, islice
 from operator import itemgetter
 from typing import Sequence
 
-from virtbetti.gf2 import kernel_vectors, pivot_rows, span_dim
+from gf2_oracle import kernel_vectors, span_dim
+from virtbetti.gf2 import pivot_rows
 from virtbetti.simplicial import Subcomplex
-from virtbetti.spectral import _double_complex
+from virtbetti.spectral import _total_complex
 from virtbetti.stratified import inclusion_exclusion
 
 
@@ -49,9 +52,16 @@ class DoubleComplex:
         self.cols = {n: [h ^ v for h, v in zip(self.cols_h[n], self.cols_v[n])] for n in basis}
 
 
+def engine_complex(arrangement) -> tuple[dict[int, list], dict[int, list[int]]]:
+    """The engine's basis of D, entries (p, subset, cell) by degree, and its columns."""
+    runs, _, cols = _total_complex(arrangement)
+    return {n: [(p, subset, s) for p, subset, run in basis for s in run]
+            for n, basis in runs.items()}, cols
+
+
 def double_complex(arrangement) -> DoubleComplex:
     """The oracle's D on the engine's basis order."""
-    return DoubleComplex(arrangement, _double_complex(arrangement)[0])
+    return DoubleComplex(arrangement, engine_complex(arrangement)[0])
 
 
 def pair_counts(basis, cols) -> Counter:

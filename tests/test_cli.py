@@ -95,6 +95,25 @@ def test_mvss_tangent_circles(capsys):
     assert "converged b: 1 3" in out
 
 
+def test_mvss_text_on_an_empty_cover(capsys, tmp_path):
+    # every page of an empty total complex has no nonzero entry
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "complexes": {"e": {"vertices": [], "maximal_simplices": []}},
+        "arrangements": {"a": {"total": "e", "pieces": [{"name": "X", "maximal_simplices": []}]}},
+    }))
+    code, out, _ = run(capsys, "mvss", "a", "--scene", str(path))
+    assert code == 0
+    prefix = "  row alternating sums: "
+    sums = [json.loads(line[len(prefix):]) for line in out.splitlines()
+            if line.startswith(prefix)]
+    code, out, _ = run(capsys, "mvss", "a", "--scene", str(path), "--json")
+    assert code == 0
+    rows = json.loads(out)["row_alternating_sums"]
+    assert sums == [rows[str(r)] for r in range(1, len(sums) + 1)] == [[0]] * 3
+
+
 def test_mvss_json(capsys):
     _, out, _ = run(capsys, "mvss", "surface-443", "--json")
     payload = json.loads(out)
@@ -203,7 +222,7 @@ def test_fixture_failure_exit_1(capsys, monkeypatch):
     from virtbetti import fixtures as fx
 
     def broken(scene):
-        return [fx.CheckResult("broken", "always fails", False, "injected")]
+        yield ("always fails", False, "injected")
 
     monkeypatch.setitem(fx.FIXTURES, "broken", broken)
     code, out, _ = run(capsys, "fixtures", "--run", "broken")

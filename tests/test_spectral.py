@@ -19,10 +19,6 @@ from virtbetti.spectral import (
     Arrangement,
     MVSpectralSequence,
     SpectralPage,
-    _double_complex,
-    compute_pages,
-    converged_betti,
-    mv_filtration,
     row_alternating_sums,
 )
 
@@ -54,7 +50,7 @@ def test_single_piece_double_complex_is_the_cochain_complex():
     assert ss.cpq_dim(0, 0) == 3
     assert ss.cpq_dim(0, 1) == 3
     assert ss.cpq_dim(1, 0) == 0
-    assert converged_betti(arr) == circle.betti_mod2()
+    assert ss.converged_betti() == circle.betti_mod2()
 
 
 def test_two_circles_meeting_in_a_point():
@@ -161,7 +157,7 @@ def test_two_disjoint_circles(scene):
 def test_single_compact_piece_profile_is_diagonal():
     torus = models.torus_minimal()
     arr = Arrangement(torus, (("X", torus.full_subcomplex()),))
-    prof = mv_filtration(arr)
+    prof = MVSpectralSequence(arr).filtration_profile()
     b = torus.betti_mod2()
     for i in range(len(b)):
         assert prof.value(i, i) == b[i]
@@ -170,7 +166,7 @@ def test_single_compact_piece_profile_is_diagonal():
 
 
 def test_compute_pages_function(scene):
-    pages = compute_pages(scene.arrangement("two-circles"), 2)
+    pages = MVSpectralSequence(scene.arrangement("two-circles")).pages(2)
     assert [p.r for p in pages] == [1, 2]
 
 
@@ -214,7 +210,7 @@ MV_SIGNATURES = {
 @pytest.mark.parametrize("name", sorted(MV_SIGNATURES))
 def test_basis_order_and_pair_counts_are_unchanged(scene, name):
     arr = scene.arrangement(name)
-    basis, _ = _double_complex(arr)
+    basis, _ = mv_oracle.engine_complex(arr)
     rows = [(n, [(p, subset, arr.total.named(s)) for p, subset, s in entries])
             for n, entries in sorted(basis.items())]
     pairs = sorted(MVSpectralSequence(arr)._pair_counts.items())
@@ -325,7 +321,7 @@ def assert_matches_oracle(ss):
     arr = ss.arrangement
     m = len(arr.pieces)
     table = mv_oracle.intersections(arr)
-    basis, cols = _double_complex(arr)
+    basis, cols = mv_oracle.engine_complex(arr)
     # each (subset, simplex) of a nonempty intersection once, under its degree
     # n = p + q, by ascending filtration p
     entries = [e for level in basis.values() for e in level]
@@ -384,7 +380,7 @@ def band_covers(draw):
 @settings(max_examples=200, deadline=None)
 def test_cleared_pairing_matches_the_uncleared_oracle(arr):
     ss = MVSpectralSequence(arr)
-    assert ss._pair_counts == mv_oracle.pair_counts(*_double_complex(arr))
+    assert ss._pair_counts == mv_oracle.pair_counts(*mv_oracle.engine_complex(arr))
 
 
 @given(band_covers())

@@ -299,18 +299,19 @@ def test_mv_profile_vs_virtual_betti_surface(surface_ss):
 
 def test_mv_profile_vs_virtual_betti_compact_piece():
     from virtbetti import models
-    from virtbetti.spectral import Arrangement, mv_filtration
+    from virtbetti.spectral import Arrangement, MVSpectralSequence
 
     torus = models.torus_minimal()
     arr = Arrangement(torus, (("X", torus.full_subcomplex()),))
-    verdict = mv_profile_vs_virtual_betti(mv_filtration(arr), [1, 2, 1])
+    profile = MVSpectralSequence(arr).filtration_profile()
+    verdict = mv_profile_vs_virtual_betti(profile, [1, 2, 1])
     assert verdict.holds
 
 
 def test_mv_profile_vs_virtual_betti_disjoint_pieces(scene):
-    from virtbetti.spectral import mv_filtration
+    from virtbetti.spectral import MVSpectralSequence
 
-    profile = mv_filtration(scene.arrangement("two-circles"))
+    profile = MVSpectralSequence(scene.arrangement("two-circles")).filtration_profile()
     assert mv_profile_vs_virtual_betti(profile, [2, 2]).holds
 
 
