@@ -41,7 +41,7 @@ print("converged b =", tuple(ss.converged_betti()), "(matches direct homology)")
 profile = ss.filtration_profile()
 print()
 print("Induced filtration profile w(i,j) = dim E_inf^(i-j,j):")
-for i in range(profile.top_degree, -1, -1):
+for i in range(profile.n, -1, -1):
     print(f"  i={i}:", " ".join(str(profile.value(i, j)) for j in range(i + 1)))
 verdict = mv_profile_vs_virtual_betti(profile, list(beta.coeffs))
 print("virtual Betti condition on the limit:", verdict.detail)

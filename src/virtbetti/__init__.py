@@ -5,7 +5,7 @@ sequences, and weight-filtration arithmetic."""
 
 from .errors import VirtBettiError, Verdict
 from .gf2 import GF2Matrix, rank
-from .polynomial import IntPolynomial, NEG_INFINITY, degree_and_leading, parse_polynomial
+from .polynomial import IntPolynomial, NEG_INFINITY, parse_polynomial
 from .simplicial import (
     BettiVector,
     PairSpace,

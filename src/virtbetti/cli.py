@@ -160,7 +160,7 @@ def cmd_mvss(args) -> int:
     print(f"E_infinity = E_{cert.stable_from}  ({cert.detail})")
     print(f"converged b: {_betti_text(converged)}")
     print("filtration profile w(i,j) = dim E_infinity^(i-j,j):")
-    for i in range(profile.top_degree, -1, -1):
+    for i in range(profile.n, -1, -1):
         row = " ".join(str(profile.value(i, j)) for j in range(i + 1))
         print(f"  i={i}: {row}")
     print(f"virtual Betti numbers by inclusion-exclusion: {beta.to_text()}")

@@ -53,7 +53,7 @@ from .weights import (
     solve_weight_system,
 )
 
-__all__ = ["CheckResult", "builtin_scene", "fixture_names", "run_fixture", "run_fixtures"]
+__all__ = ["CheckResult", "builtin_scene", "fixture_names", "run_fixture"]
 
 
 class CheckResult(Record):
@@ -74,13 +74,6 @@ def _octahedron():
     return SimplicialComplex.from_maximal(verts, tris)
 
 
-def _two_circles():
-    verts = tuple(f"a{i}" for i in range(3)) + tuple(f"b{i}" for i in range(3))
-    edges = [(f"a{i}", f"a{(i + 1) % 3}") for i in range(3)]
-    edges += [(f"b{i}", f"b{(i + 1) % 3}") for i in range(3)]
-    return SimplicialComplex.from_maximal(verts, edges)
-
-
 @lru_cache(maxsize=1)
 def builtin_scene() -> Scene:
     """The embedded scene holding every fixture object."""
@@ -92,7 +85,11 @@ def builtin_scene() -> Scene:
     cx["four-points"] = models.points(4)
     cx["circle"] = models.circle(3)
     cx["circle-5"] = models.circle(5)
-    cx["two-circles"] = _two_circles()
+    circles = {"A": [(f"a{i}", f"a{(i + 1) % 3}") for i in range(3)],
+               "B": [(f"b{i}", f"b{(i + 1) % 3}") for i in range(3)]}
+    cx["two-circles"] = SimplicialComplex.from_maximal(
+        ("a0", "a1", "a2", "b0", "b1", "b2"), circles["A"] + circles["B"]
+    )
     cx["sphere-0"] = models.sphere(0)
     cx["sphere-2"] = models.sphere(2)
     cx["sphere-3"] = models.sphere(3)
@@ -134,21 +131,10 @@ def builtin_scene() -> Scene:
     tp = [(v,) for v in ("t4_2", "t0_2", "t1_5", "t3_5")]
     for curve in ("curve12", "curve13", "curve23"):
         pair(f"surface-{curve}-arcs", f"surface-{curve}", tp)
-    pair(
-        "surface-sphere1-smooth",
-        "surface-sphere1",
-        [list(e) for e in models.maximal_curve_edges("12", "13")],
-    )
-    pair(
-        "surface-sphere2-smooth",
-        "surface-sphere2",
-        [list(e) for e in models.maximal_curve_edges("12", "23")],
-    )
-    pair(
-        "surface-torus-smooth",
-        "surface-torus",
-        [list(e) for e in models.maximal_curve_edges("13", "23")],
-    )
+    # each piece less the two double-point curves on it
+    for piece, a, b in (("sphere1", "12", "13"), ("sphere2", "12", "23"), ("torus", "13", "23")):
+        pair(f"surface-{piece}-smooth", f"surface-{piece}",
+             models.curve_edges(a) + models.curve_edges(b))
 
     # atoms
     atoms = scene.atoms
@@ -300,11 +286,7 @@ def builtin_scene() -> Scene:
     )
     two = cx["two-circles"]
     ar["two-circles"] = Arrangement(
-        two,
-        (
-            ("A", two.subcomplex(maximal=[(f"a{i}", f"a{(i + 1) % 3}") for i in range(3)])),
-            ("B", two.subcomplex(maximal=[(f"b{i}", f"b{(i + 1) % 3}") for i in range(3)])),
-        ),
+        two, tuple((name, two.subcomplex(maximal=edges)) for name, edges in circles.items())
     )
     ar["circle-alone"] = Arrangement(
         cx["circle"], (("X", cx["circle"].full_subcomplex()),)
@@ -478,7 +460,7 @@ def _fx_tangent_circles(scene: Scene) -> Iterator[tuple]:
     ss = MVSpectralSequence(scene.arrangement("tangent-circles"))
     conv = ss.converged_betti()
     yield ("cover by the two circles converges to (1, 3)", tuple(conv) == (1, 3), repr(conv))
-    resolution = _two_circles().betti_mod2()
+    resolution = scene.complex("two-circles").betti_mod2()
     core = scene.complex("circle").betti_mod2()
     yield ("exact sequence dimensions: 1 + 2 = 3",
            core.get(1) + resolution.get(1) == b.get(1),
@@ -568,7 +550,3 @@ def run_fixture(name: str, scene: Scene | None = None) -> list[CheckResult]:
     return [CheckResult(name, check, bool(passed), *detail)
             for check, passed, *detail in FIXTURES[name](scene)]
 
-
-def run_fixtures(names: list[str] | None = None, scene: Scene | None = None) -> list[CheckResult]:
-    scene = scene or builtin_scene()
-    return [res for name in names or fixture_names() for res in run_fixture(name, scene)]

@@ -69,19 +69,23 @@ def sphere(n: int) -> SimplicialComplex:
     return SimplicialComplex.from_maximal(verts, maximal)
 
 
-def torus_grid(nt: int = 8, nf: int = 8) -> SimplicialComplex:
-    """Torus as an nt x nf grid, each square split along the (i,j)-(i+1,j+1)
-    diagonal; valid for nt, nf >= 3."""
-    if nt < 3 or nf < 3:
-        raise ValueError("grid torus needs at least 3 cells per direction")
+def _grid(nt: int, nf: int) -> tuple[tuple, list[tuple]]:
+    """Vertices t{i}_{j} and triangles of the nt x nf grid torus, each square
+    split along the (i,j)-(i+1,j+1) diagonal."""
     name = lambda i, j: f"t{i % nt}_{j % nf}"
-    verts = tuple(name(i, j) for i in range(nt) for j in range(nf))
     tris = []
     for i in range(nt):
         for j in range(nf):
             tris.append((name(i, j), name(i + 1, j), name(i + 1, j + 1)))
             tris.append((name(i, j), name(i, j + 1), name(i + 1, j + 1)))
-    return SimplicialComplex.from_maximal(verts, tris)
+    return tuple(name(i, j) for i in range(nt) for j in range(nf)), tris
+
+
+def torus_grid(nt: int = 8, nf: int = 8) -> SimplicialComplex:
+    """Torus as an nt x nf grid; valid for nt, nf >= 3."""
+    if nt < 3 or nf < 3:
+        raise ValueError("grid torus needs at least 3 cells per direction")
+    return SimplicialComplex.from_maximal(*_grid(nt, nf))
 
 
 def torus_minimal() -> SimplicialComplex:
@@ -106,24 +110,20 @@ def projective_plane() -> SimplicialComplex:
     )
 
 
-def tangent_circles() -> SimplicialComplex:
-    """Two circles glued at two common points (the double-tangency curve).
-
-    Connected, with first mod-2 cohomology of dimension 3.
-    """
-    verts = ("u", "v", "x0", "x1", "y0", "y1")
-    edges = [
-        ("u", "x0"), ("x0", "v"), ("v", "x1"), ("x1", "u"),
-        ("u", "y0"), ("y0", "v"), ("v", "y1"), ("y1", "u"),
-    ]
-    return SimplicialComplex.from_maximal(verts, edges)
-
-
 def tangent_circle_components() -> tuple[list, list]:
     """Maximal simplices of the two circles inside tangent_circles()."""
     first = [("u", "x0"), ("x0", "v"), ("v", "x1"), ("x1", "u")]
     second = [("u", "y0"), ("y0", "v"), ("v", "y1"), ("y1", "u")]
     return first, second
+
+
+def tangent_circles() -> SimplicialComplex:
+    """Two circles glued at two common points (the double-tangency curve).
+
+    Connected, with first mod-2 cohomology of dimension 3.
+    """
+    first, second = tangent_circle_components()
+    return SimplicialComplex.from_maximal(("u", "v", "x0", "x1", "y0", "y1"), first + second)
 
 
 # --- the two-spheres-plus-torus surface -----------------------------------
@@ -204,11 +204,6 @@ def curve_edges(tag: str) -> list[tuple]:
     return edges
 
 
-def maximal_curve_edges(tag_a: str, tag_b: str) -> list[tuple]:
-    """Edges of the union of two double-point curves of the surface model."""
-    return curve_edges(tag_a) + curve_edges(tag_b)
-
-
 class SurfaceModel(Record):
     """The assembled surface: total complex plus the named pieces."""
 
@@ -227,13 +222,7 @@ class SurfaceModel(Record):
 
 @lru_cache(maxsize=1)
 def surface_model() -> SurfaceModel:
-    # torus triangles
-    torus_tris = []
-    for i in range(_N):
-        for j in range(_N):
-            torus_tris.append((_g(i, j), _g(i + 1, j), _g(i + 1, j + 1)))
-            torus_tris.append((_g(i, j), _g(i, j + 1), _g(i + 1, j + 1)))
-
+    grid_verts, torus_tris = _grid(_N, _N)
     a13, a23, a12 = _ARC13, _ARC23, _ARC12
 
     # sphere1: six faces bounded by curve12 and curve13 arcs
@@ -265,10 +254,9 @@ def surface_model() -> SurfaceModel:
     for k, cyc in enumerate(s2_cycles):
         s2_tris.extend(_cone(f"x2_f{k}", cyc))
 
-    grid_verts = [_g(i, j) for i in range(_N) for j in range(_N)]
-    extra_verts = [f"c12_{k}" for k in range(8)]
-    apex_verts = [f"x1_f{k}" for k in range(6)] + [f"x2_f{k}" for k in range(6)]
-    verts = tuple(grid_verts + extra_verts + apex_verts)
+    extra_verts = tuple(f"c12_{k}" for k in range(8))
+    apex_verts = tuple(f"x1_f{k}" for k in range(6)) + tuple(f"x2_f{k}" for k in range(6))
+    verts = grid_verts + extra_verts + apex_verts
 
     total = SimplicialComplex.from_maximal(verts, torus_tris + s1_tris + s2_tris)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-__all__ = ["IntPolynomial", "NEG_INFINITY", "degree_and_leading", "parse_polynomial"]
+__all__ = ["IntPolynomial", "NEG_INFINITY", "parse_polynomial"]
 
 NEG_INFINITY = float("-inf")
 
@@ -39,10 +39,6 @@ class IntPolynomial:
     @classmethod
     def one(cls) -> IntPolynomial:
         return cls((1,))
-
-    @classmethod
-    def constant(cls, c: int) -> IntPolynomial:
-        return cls((c,))
 
     @classmethod
     def variable(cls) -> IntPolynomial:
@@ -102,9 +98,6 @@ class IntPolynomial:
                 out[i + j] += c * d
         return IntPolynomial(out)
 
-    def scale(self, k: int) -> IntPolynomial:
-        return IntPolynomial(tuple(k * c for c in self._coeffs))
-
     def evaluate(self, x: int) -> int:
         """Exact integer evaluation by Horner's rule."""
         acc = 0
@@ -144,11 +137,6 @@ class IntPolynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def degree_and_leading(p: IntPolynomial) -> tuple[float | int, int]:
-    """(degree, leading coefficient); (NEG_INFINITY, 0) for the zero polynomial."""
-    return p.degree, p.leading_coefficient
 
 
 def parse_polynomial(text: str) -> IntPolynomial:

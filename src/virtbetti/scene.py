@@ -243,6 +243,9 @@ def scene_from_dict(data: Mapping) -> Scene:
                 if chi is not None:
                     json_int(chi, f"{path}: chi_c", SceneError, atom=name)
                 provenance = spec.get("provenance", "declared")
+                if provenance not in ("declared", "recursive"):  # checked, not coerced
+                    raise SceneError(f'{path}: provenance must be "declared" or "recursive"',
+                                     atom=name)
                 if provenance == "recursive":
                     scene.atoms.recursive(name, beta, chi_c=chi)
                 else:

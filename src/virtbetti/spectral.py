@@ -44,12 +44,12 @@ from .errors import ConvergenceMismatch, NotACover, Record, TooManyPieces
 from .gf2 import pivot_rows
 from .polynomial import IntPolynomial
 from .simplicial import BettiVector, SimplicialComplex, Subcomplex
+from .weights import WeightArray
 
 __all__ = [
     "Arrangement",
     "MAX_PIECES",
     "SpectralPage",
-    "FiltrationProfile",
     "StabilizationCertificate",
     "MVSpectralSequence",
     "row_alternating_sums",
@@ -154,25 +154,6 @@ class SpectralPage(Record):
         lines.append("        " + "-" * ((width + 1) * (max_p + 1) - 1))
         lines.append("        " + " ".join(label.rjust(width) for label in labels))
         return lines
-
-
-class FiltrationProfile(Record):
-    """w(i, j) = dim of the infinity page at column i-j, row j."""
-
-    w: Mapping[tuple[int, int], int]
-    top_degree: int
-
-    def value(self, i: int, j: int) -> int:
-        return self.w.get((i, j), 0)
-
-    def diagonal_sums(self) -> list[int]:
-        return [sum(self.value(i, j) for j in range(i + 1)) for i in range(self.top_degree + 1)]
-
-    def row_alternating_sums(self) -> list[int]:
-        """For each j: (-1)^j * sum_i (-1)^i w(i, j)."""
-        top = self.top_degree
-        return [sum((-1) ** (i - j) * self.value(i, j) for i in range(j, top + 1))
-                for j in range(top + 1)]
 
 
 class StabilizationCertificate(Record):
@@ -323,9 +304,7 @@ class MVSpectralSequence:
 
     def converged_betti(self) -> BettiVector:
         """Total dimensions of the infinity page; must match direct homology."""
-        inf = self.infinity_page()
-        computed = BettiVector(sum(inf.dim(p, n - p) for p in range(min(n, self._m - 1) + 1))
-                               for n in range(self.arrangement.total.dim + 1))
+        computed = BettiVector(self.filtration_profile().diagonal_sums())
         direct = self.arrangement.total.betti_mod2()
         if computed != direct:
             raise ConvergenceMismatch(
@@ -336,11 +315,11 @@ class MVSpectralSequence:
             )
         return computed
 
-    def filtration_profile(self) -> FiltrationProfile:
+    def filtration_profile(self) -> WeightArray:
+        """w(i, j) = dim of the infinity page at column i - j, row j."""
         inf = self.infinity_page()
-        top = self.arrangement.total.dim
-        w = {(i, j): inf.dim(i - j, j) for i in range(top + 1) for j in range(i + 1)}
-        return FiltrationProfile({key: d for key, d in w.items() if d}, top)
+        return WeightArray(tuple(tuple(inf.dim(i - j, j) for j in range(i + 1))
+                                 for i in range(self.arrangement.total.dim + 1)))
 
 
 def row_alternating_sums(page: SpectralPage) -> list[int]:

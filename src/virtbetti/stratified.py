@@ -134,6 +134,11 @@ def beta_of_stratum(
     stratum: StratumRecord, *, strict: bool = False, warnings: list[str] | None = None
 ) -> IntPolynomial:
     """Virtual Poincare polynomial of one stratum from its model."""
+    return _beta_of_stratum(stratum, strict, warnings, {})
+
+
+def _beta_of_stratum(stratum: StratumRecord, strict: bool, warnings: list[str] | None,
+                     done: dict[int, IntPolynomial]) -> IntPolynomial:
     model = stratum.model
     if isinstance(model, CompactModel):
         beta = model.complex.poincare_polynomial()
@@ -143,9 +148,7 @@ def beta_of_stratum(
         if boundary.is_empty():
             boundary_beta = IntPolynomial.zero()
         elif model.boundary_strata is not None:
-            boundary_beta = beta_of_stratified(
-                model.boundary_strata, strict=strict, warnings=warnings
-            )
+            boundary_beta = _beta_of_stratified(model.boundary_strata, strict, warnings, done)
         elif model.boundary_nonsingular:
             boundary_beta = boundary.as_complex().poincare_polynomial()
         else:
@@ -182,9 +185,19 @@ def beta_of_stratified(
 ) -> IntPolynomial:
     """Sum of the strata's polynomials, with a degree check against the
     largest declared stratum dimension."""
+    return _beta_of_stratified(spec, strict, warnings, {})
+
+
+def _beta_of_stratified(spec: StratifiedSpec, strict: bool, warnings: list[str] | None,
+                        done: dict[int, IntPolynomial]) -> IntPolynomial:
+    """``done`` holds each stratification evaluated so far in this call, by
+    id: two strata may share one ``boundary_strata``, and a chain of such
+    diamonds would otherwise be evaluated once per path, 2^k times."""
+    if id(spec) in done:
+        return done[id(spec)]
     total = IntPolynomial.zero()
     for stratum in spec.strata:
-        total = total + beta_of_stratum(stratum, strict=strict, warnings=warnings)
+        total = total + _beta_of_stratum(stratum, strict, warnings, done)
     if spec.strata:
         top = max(s.dim for s in spec.strata)
         if total.degree != top or total.leading_coefficient <= 0:
@@ -193,6 +206,7 @@ def beta_of_stratified(
                 f"have degree {top} with positive leading coefficient",
                 strict, warnings, stratification=spec.name,
             )
+    done[id(spec)] = total
     return total
 
 

@@ -23,7 +23,6 @@ import re
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedConstraint, Record, Verdict, WeightSearchTooLarge, json_int
-from .spectral import FiltrationProfile
 
 __all__ = [
     "WeightSystemInput",
@@ -58,7 +57,8 @@ class WeightSystemInput(Record):
 
 
 class WeightArray(Record):
-    """Triangular array rows[i] = (w(i,0), ..., w(i,i))."""
+    """Triangular array rows[i] = (w(i,0), ..., w(i,i)): a candidate of the
+    search, or the E_infinity profile of a Mayer-Vietoris cover."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -76,6 +76,11 @@ class WeightArray(Record):
     def value(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
+    @property
+    def w(self) -> dict[tuple[int, int], int]:
+        """{(i, j): w(i, j)} for the nonzero entries, in (i, j) order."""
+        return {(i, j): x for i, row in enumerate(self.rows) for j, x in enumerate(row) if x}
+
     def flat(self) -> tuple[int, ...]:
         """Entries in lexicographic (i, j) order; the canonical sort key."""
         return tuple(x for row in self.rows for x in row)
@@ -90,11 +95,6 @@ class WeightArray(Record):
             sum((-1) ** (i - j) * self.rows[i][j] for i in range(j, n + 1))
             for j in range(n + 1)
         ]
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.rows[i][j] == 0 for i in range(self.n + 1) for j in range(i)
-        )
 
     def triangle_lines(self) -> list[str]:
         """The triangular layout, top row j = n first."""
@@ -191,21 +191,15 @@ def check_conditions(
     themselves.  "compact-nonsingular": diagonal with w(i,i) = b_i = beta_i.
     """
     report: dict[str, Verdict] = {}
+    # the first nonzero entry below the diagonal: "manifold" and "compact-nonsingular" want none
+    below = next((f"w({i},{j}) = {x}" for (i, j), x in w.w.items() if j < i), None)
     for flag in flags:
         if flag == "manifold":
-            bad = [
-                (i, j)
-                for i in range(w.n + 1)
-                for j in range(i)
-                if w.value(i, j) != 0
-            ]
-            if bad:
-                i, j = bad[0]
-                report[flag] = Verdict(
-                    False, f"below-diagonal entry w({i},{j}) = {w.value(i, j)} is nonzero"
-                )
-            else:
-                report[flag] = Verdict(True, "all below-diagonal entries vanish")
+            report[flag] = Verdict(
+                below is None,
+                f"below-diagonal entry {below} is nonzero" if below
+                else "all below-diagonal entries vanish",
+            )
         elif flag == "virtual-betti":
             sums = w.row_alternating_sums()
             diag = w.diagonal_sums()
@@ -218,7 +212,7 @@ def check_conditions(
                      f"diagonal sums {diag} vs b {list(inp.b)}",
             )
         elif flag == "compact-nonsingular":
-            ok = w.is_diagonal() and all(
+            ok = below is None and all(
                 w.value(i, i) == inp.b[i] == inp.beta[i] for i in range(w.n + 1)
             )
             report[flag] = Verdict(
@@ -354,9 +348,7 @@ def constraint_filter(
     return FilterResult(tuple(survivors), tuple(eliminations))
 
 
-def mv_profile_vs_virtual_betti(
-    profile: FiltrationProfile, beta: Sequence[int]
-) -> Verdict:
+def mv_profile_vs_virtual_betti(profile: WeightArray, beta: Sequence[int]) -> Verdict:
     """Do the profile's row alternating sums equal the virtual Betti numbers?
 
     Fails with the first offending row named; for covers whose induced

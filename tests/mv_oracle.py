@@ -50,6 +50,7 @@ class DoubleComplex:
         self.cols_h = horizontal_columns(self)
         self.cols_v = vertical_columns(self)
         self.cols = {n: [h ^ v for h, v in zip(self.cols_h[n], self.cols_v[n])] for n in basis}
+        self.memo: dict[tuple, object] = {}  # see ``_memo``
 
 
 def engine_complex(arrangement) -> tuple[dict[int, list], dict[int, list[int]]]:
@@ -105,11 +106,24 @@ def differentials_square_to_zero(dc: DoubleComplex) -> bool:
     return True
 
 
+def _memo(f):
+    """``f(dc, *args)`` computed once per ``DoubleComplex`` and arguments: the
+    page entries and ranks ask for the same spaces many times over."""
+    def memoized(dc, *args):
+        key = (f.__name__, *args)
+        if key not in dc.memo:
+            dc.memo[key] = f(dc, *args)
+        return dc.memo[key]
+    return memoized
+
+
+@_memo
 def _filtration_mask(dc, n: int, p: int) -> int:
     """F_p in degree n: the bits of the basis vectors with filtration >= p."""
     return sum(1 << i for i, (pp, _, _) in enumerate(dc.basis.get(n, [])) if pp >= p)
 
 
+@_memo
 def _rows(dc, n: int) -> list[int]:
     """Rows of the degree-n total differential (the transpose of its columns)."""
     out = [0] * len(dc.basis.get(n + 1, []))
@@ -121,6 +135,7 @@ def _rows(dc, n: int) -> list[int]:
     return out
 
 
+@_memo
 def _z_space(dc, r: int, p: int, n: int) -> list[int]:
     """Basis of Z_r(p, n) = {x in F_p T^n : D x in F_{p+r} T^{n+1}}."""
     support = _filtration_mask(dc, n, p)
@@ -134,6 +149,7 @@ def _z_space(dc, r: int, p: int, n: int) -> list[int]:
     return kernel_vectors(rows, size)
 
 
+@_memo
 def _d_of_z(dc, r: int, p: int, n: int) -> list[int]:
     """D-images (degree n+1) of a basis of Z_r(p, n)."""
     support = _filtration_mask(dc, n, p)

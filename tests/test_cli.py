@@ -559,6 +559,39 @@ def test_long_boundary_strata_chains_resolve_or_are_a_scene_error(tmp_path):
                                        "message": "scene nests too deeply"}
 
 
+def _diamond_chain(k: int) -> str:
+    """Stratifications s0..s{k-1}: two open strata of each s_i name s_{i+1} as
+    their ``boundary_strata``, and the last is a point."""
+    strats = {f"s{k - 1}": {"strata": [
+        {"name": "p", "dim": 0, "model": {"kind": "compact", "complex": "pt"}}]}}
+    for i in range(k - 1):
+        model = {"kind": "open", "pair": "line", "boundary_strata": f"s{i + 1}"}
+        strats[f"s{i}"] = {"strata": [{"name": name, "dim": 1, "model": model}
+                                      for name in ("a", "b")]}
+    return json.dumps({
+        "schema_version": 1,
+        "complexes": {"circle": {"vertices": ["a", "b", "c"],
+                                 "maximal_simplices": [["a", "b"], ["b", "c"], ["c", "a"]]},
+                      "pt": {"vertices": ["a"], "maximal_simplices": [["a"]]}},
+        "pairs": {"line": {"total": "circle", "boundary_maximal": [["a"]]}},
+        "stratifications": strats,
+    })
+
+
+def test_a_boundary_strata_diamond_chain_is_evaluated_once_per_level(tmp_path):
+    # x_i = 2 P(circle) - 2 x_{i+1}: evaluated once per reference, s_0 would
+    # cost 2^k evaluations; at 18 levels that took 9 s, and 40 never finished
+    path = tmp_path / "scene.json"
+    for k, beta in ((16, "-10922 + 21846*t"), (40, "-183251937962 + 366503875926*t")):
+        path.write_text(_diamond_chain(k))
+        start = time.perf_counter()
+        proc = _child("-m", "virtbetti.cli", "vbetti", "s0", "--json", "--quiet",
+                      "--scene", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["beta"] == beta
+
+
 def test_a_scene_file_command_does_not_import_the_embedded_scene(tmp_path):
     # each CLI process compiles what it imports; the embedded scene and its
     # models are only for commands without --scene

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from virtbetti.polynomial import (
     IntPolynomial,
     NEG_INFINITY,
-    degree_and_leading,
     parse_polynomial,
 )
 
@@ -55,11 +54,11 @@ def test_eval_matches_sphere_euler():
 
 
 def test_degree_and_leading():
-    assert degree_and_leading(P([-2, 2])) == (1, 2)
-    assert degree_and_leading(P()) == (NEG_INFINITY, 0)
+    assert (P([-2, 2]).degree, P([-2, 2]).leading_coefficient) == (1, 2)
+    assert (P().degree, P().leading_coefficient) == (NEG_INFINITY, 0)
     for n in (1, 3, 6):
         p = P.monomial(1, n + 1) - P.monomial(1, n)
-        assert degree_and_leading(p) == (n + 1, 1)
+        assert (p.degree, p.leading_coefficient) == (n + 1, 1)
 
 
 def test_zero_polynomial_is_canonical():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from test_scissor import random_expressions
 
+from virtbetti.cli import main
 from virtbetti.errors import SceneError, UnknownName
 from virtbetti.fixtures import builtin_scene
 from virtbetti.polynomial import IntPolynomial
@@ -295,6 +296,23 @@ def test_atom_chi_c_must_be_an_integer(chi_c):
     with pytest.raises(SceneError) as info:
         scene_from_dict(_with(("atoms", "exotic", "chi_c"), chi_c))
     assert info.value.context == {"atom": "exotic"}
+
+
+@pytest.mark.parametrize("provenance", ["bogus", "model:circle", 5, None, ["declared"]])
+def test_atom_provenance_is_declared_or_recursive(provenance, tmp_path, capsys):
+    # any other value used to load as "declared", and the dump then wrote "declared"
+    bad = _with(("atoms", "exotic", "provenance"), provenance)
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(bad)
+    assert info.value.message == "atom 'exotic': provenance must be \"declared\" or \"recursive\""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(bad))
+    assert main(["vbetti", "line", "--scene", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err)["code"] == "scene-error"
+    for ok in ("declared", "recursive"):
+        scene = scene_from_dict(_with(("atoms", "exotic", "provenance"), ok))
+        assert scene.atoms.lookup("exotic").provenance == ok
+        assert scene_to_dict(scene)["atoms"]["exotic"]["provenance"] == ok
 
 
 ARC = ("stratifications", "circle-two", "strata", 0)

@@ -21,6 +21,7 @@ from virtbetti.spectral import (
     SpectralPage,
     row_alternating_sums,
 )
+from virtbetti.weights import WeightArray
 
 E1 = {(0, 0): 3, (1, 0): 3, (2, 0): 4, (0, 1): 2, (1, 1): 3, (0, 2): 3}
 E2 = {(0, 0): 1, (1, 0): 0, (2, 0): 3, (0, 1): 2, (1, 1): 3, (0, 2): 3}
@@ -125,6 +126,10 @@ def test_surface_filtration_profile(surface_ss):
     for (i, j), want in values.items():
         assert prof.value(i, j) == want
     assert prof.diagonal_sums() == [1, 1, 8]
+    # the weight search's type: nonzero entries in (i, j) order, and the row sums
+    assert isinstance(prof, WeightArray) and prof.n == 2
+    assert list(prof.w.items()) == [((0, 0), 1), ((1, 1), 1), ((2, 0), 2), ((2, 1), 3), ((2, 2), 3)]
+    assert prof.row_alternating_sums() == [3, -2, 3]
 
 
 def test_page_monotonicity_and_euler_invariance(surface_ss):
