@@ -3,13 +3,16 @@
 Vectors are Python ints used as bit masks (bit k = coordinate k), so a row
 operation is a single word-wide XOR regardless of width.  One forward
 elimination, ``pivot_rows``, serves every caller: the ranks of homology and
-the persistence pairs of the Mayer-Vietoris spectral sequence.
+the persistence pairs of the Mayer-Vietoris spectral sequence.  A caller
+may file a row under its low bit unbuilt, as any value that is not an int,
+and give a ``build`` hook: the elimination builds a filed row the first
+time another row meets its key, and never builds one that no row meets.
 ``GF2Matrix`` carries a boundary matrix and its transpose to ``rank``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import Record
 
@@ -20,12 +23,16 @@ def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def pivot_rows(vectors: Iterable[int], pivots: dict[int, int] | None = None) -> dict[int, int]:
+def pivot_rows(vectors: Iterable[int], pivots: dict | None = None,
+               build: Callable[[object, int], int] | None = None) -> dict:
     """Forward elimination: rows spanning the input, keyed by their low bit.
 
     Given a dict, the vectors are reduced against its rows and their new
     pivots are added to it in input order, so feeding the input in several
-    calls that share one dict gives the same dict as one call.
+    calls that share one dict gives the same dict as one call.  A value
+    that is not an int is a filed row, not built yet: the first time a
+    vector meets its key p, ``build(value, 1 << p)`` makes the row, which
+    replaces it.  A filed key no vector meets is never built.
     """
     if pivots is None:
         pivots = {}
@@ -36,6 +43,8 @@ def pivot_rows(vectors: Iterable[int], pivots: dict[int, int] | None = None) -> 
             if r is None:
                 pivots[p] = v
                 break
+            if r.__class__ is not int:
+                pivots[p] = r = build(r, v & -v)
             v ^= r
     return pivots
 
@@ -105,7 +114,7 @@ class GF2Matrix(Record):
         return tuple(cols)
 
     def transpose(self) -> GF2Matrix:
-        return GF2Matrix(self.cols, self.rows, self.column_bits())
+        return GF2Matrix._trusted(self.cols, self.rows, self.column_bits())
 
 
 def rank(m: GF2Matrix) -> int:

@@ -17,13 +17,20 @@ by construction.  Matrices are built in lexicographic simplex order, so
 every Betti computation is reproducible.
 One routine computes Betti numbers, top degree down with clearing: the
 relative cohomology of a pair (K, L); ordinary homology is (K, empty), as
-over a field dim H^q = dim H_q.
+over a field dim H^q = dim H_q.  In degrees q >= 1 a coboundary row is
+built only once it meets another: the faces of a cell come in lexicographic
+order, so the first one in the relative basis is the row's low, and a row
+whose low no pivot holds yet is filed under it unbuilt until a later row
+meets it.  One helper, ``_row``, builds every coboundary row: those of
+``relative_coboundary_matrix``, those fed to the elimination and the filed
+ones it meets.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, combinations, islice, repeat
-from typing import Container, Hashable, Iterable, Sequence
+from typing import Container, Hashable, Iterable, Iterator, Sequence
 
 from .errors import NotFaceClosed, Record, TooManySimplices, UnknownVertex
 from .gf2 import GF2Matrix, pivot_rows, rank
@@ -108,6 +115,15 @@ def _closure(cells: Iterable[Simplex]) -> dict[int, set[Simplex]]:
             raise TooManySimplices("face closure exceeds the supported size", limit=MAX_SIMPLICES)
         size += len(level)
     return faces
+
+
+def _row(cols: dict[Simplex, int], faces: Iterable[Simplex], bits: int = 0) -> int:
+    """A coboundary row: ``bits`` and a bit for each face in the basis ``cols``."""
+    for face in faces:
+        j = cols.get(face)
+        if j is not None:
+            bits |= 1 << j
+    return bits
 
 
 def _check_face_closed(cells: frozenset, verts: tuple) -> None:
@@ -358,26 +374,49 @@ class PairSpace(Record):
     def relative_coboundary_matrix(self, q: int, cleared: Container[int] = ()) -> GF2Matrix:
         """Coboundary on relative cochains: rows = (q+1)-simplices, zero at ``cleared``; cols = q."""
         cols, rows = self._basis(q), self._basis(q + 1)
-        bits = [0] * len(rows)
-        for i, s in enumerate(rows):
+        bits = tuple([0 if i in cleared else _row(cols, combinations(s, q + 1))
+                      for i, s in enumerate(rows)])
+        return GF2Matrix._trusted(len(rows), len(cols), bits)
+
+    def _unfiled_rows(self, q: int, cleared: Container[int], filed: dict) -> Iterator[int]:
+        """The rows of delta^q outside ``cleared`` whose low a pivot in
+        ``filed`` holds.  Each other nonzero row is filed there under its
+        low, unbuilt: as the rest of its face iterator, past the low face."""
+        cols = self._basis(q)
+        for i, s in enumerate(self._basis(q + 1)):
             if i in cleared:
                 continue
-            for face in combinations(s, len(s) - 1):
+            faces = combinations(s, q + 1)
+            for face in faces:  # in basis order: the first face in the basis is the low
                 j = cols.get(face)
                 if j is not None:
-                    bits[i] ^= 1 << j
-        return GF2Matrix(len(rows), len(cols), tuple(bits))
+                    if j in filed:
+                        yield _row(cols, faces, 1 << j)
+                    else:
+                        filed[j] = faces
+                    break
 
     def betti_compact_supports(self) -> BettiVector:
-        """dim H^q(total, boundary; GF(2)) for each q, top degree down.  Each
-        pivot row e_j + (higher bits) of delta^q is a boundary, so row j of
-        delta^{q-1} is a sum of later rows: zeroing all such j keeps the rank."""
+        """dim H^q(total, boundary; GF(2)) for each q, top degree down.
+
+        Each pivot row e_j + (higher bits) of delta^q is a boundary, so row
+        j of delta^{q-1} is a sum of later rows: zeroing all such j keeps the
+        rank.  A row of delta^q (q >= 1) that no other row meets is never
+        built: it stays filed under its low, and ``pivot_rows`` builds a
+        filed row only when a row meets it.  The lows of every echelon basis
+        of a span are the same set, so filing changes no rank and no key that
+        clears the degree below.  delta^0 clears nothing further and is the
+        last rank: it goes to ``rank`` as a matrix, the one GF(2) rank call
+        of a Betti computation.
+        """
         top = self.total.dim
         ranks, pivots = [0] * (top + 2), {}  # rank delta^{q-1} at index q
         for q in range(top - 1, 0, -1):
-            pivots = pivot_rows(self.relative_coboundary_matrix(q, pivots).row_bits)
+            filed = {}  # a met filed row is built as _row(cols, faces, 1 << low)
+            pivots = pivot_rows(self._unfiled_rows(q, pivots, filed), filed,
+                                partial(_row, self._basis(q)))
             ranks[q + 1] = len(pivots)
-        if top > 0:  # delta^0 clears no further rows: its rank is all it gives
+        if top > 0:
             ranks[1] = rank(self.relative_coboundary_matrix(0, pivots))
         return BettiVector(len(self._basis(q)) - ranks[q] - ranks[q + 1]
                            for q in range(top + 1))

@@ -9,6 +9,12 @@ from the ranks, b_d = #d-simplices - rank d_d - rank d_{d+1}.  For a pair
 relative chain complex; over a field its homology has the dimensions of
 the relative cohomology.
 
+``cleared_homology`` is how ``PairSpace.betti_compact_supports`` took its
+ranks before it filed rows that no other row meets: every row of
+``relative_coboundary_matrix`` built and fed to ``pivot_rows``, top degree
+down with clearing.  It returns the pivots of each degree, whose keys are
+what clearing reads.
+
 It also keeps the old ways from vertex lists to simplices: a face closure
 that builds frozensets and sorts them by ``repr``, a subcomplex closure
 that sorts each maximal simplex by vertex index, and ``maximal_simplices``
@@ -31,7 +37,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from virtbetti.errors import NotFaceClosed, TooManySimplices, UnknownVertex
-from virtbetti.gf2 import GF2Matrix, rank
+from virtbetti.gf2 import GF2Matrix, pivot_rows, rank
 from virtbetti.simplicial import (
     MAX_SIMPLICES,
     BettiVector,
@@ -74,6 +80,20 @@ def betti_compact_supports(pair: PairSpace) -> BettiVector:
     """Relative homology of the pair, which over GF(2) has the dimensions
     of its relative cohomology."""
     return betti_mod2(pair.total, pair.boundary.simplices)
+
+
+def cleared_homology(pair: PairSpace) -> tuple[BettiVector, dict[int, dict[int, int]]]:
+    """The Betti numbers of the pair and {q: pivots of delta^q} for q >= 1,
+    every coboundary row built."""
+    top = pair.total.dim
+    ranks, pivots, by_degree = [0] * (top + 2), {}, {}  # rank delta^{q-1} at index q
+    for q in range(top - 1, 0, -1):
+        pivots = by_degree[q] = pivot_rows(pair.relative_coboundary_matrix(q, pivots).row_bits)
+        ranks[q + 1] = len(pivots)
+    if top > 0:
+        ranks[1] = rank(pair.relative_coboundary_matrix(0, pivots))
+    counts = [pair.relative_coboundary_matrix(q).cols for q in range(top + 1)]
+    return BettiVector(counts[q] - ranks[q] - ranks[q + 1] for q in range(top + 1)), by_degree
 
 
 def closure_of(maximal) -> set[frozenset]:

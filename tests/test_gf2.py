@@ -187,6 +187,59 @@ def test_pivot_rows_fed_in_two_calls_equals_one_call(matrix, data):
     assert list(shared.items()) == list(pivot_rows(rows).items())
 
 
+class Filed:
+    """A row filed unbuilt: not an int, so the kernel hands it to ``build``."""
+
+    def __init__(self, row):
+        self.row = row
+
+
+class MetKeys(dict):
+    """Pivots that record each key whose row the elimination meets."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.met = set()
+
+    def get(self, key, default=None):
+        row = super().get(key, default)
+        if row is not None:
+            self.met.add(key)
+        return row
+
+
+@given(st.one_of(bit_rows(), masked_bit_rows()), st.data())
+@settings(max_examples=200)
+def test_filed_rows_are_built_once_and_only_when_met(matrix, data):
+    _, rows = matrix
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    filed, fed = {}, []
+    for row, file in zip(rows, chosen):
+        low = (row & -row).bit_length() - 1
+        if file and row and low not in filed:
+            filed[low] = Filed(row)
+        else:
+            fed.append(row)
+    built = []
+
+    def build(value, low_bit):
+        assert value.row & -value.row == low_bit
+        built.append(low_bit.bit_length() - 1)
+        return value.row
+
+    pivots = pivot_rows(fed, dict(filed), build)
+    # the same elimination with every filed row built beforehand
+    eager = MetKeys({low: value.row for low, value in filed.items()})
+    pivot_rows(fed, eager)
+    assert pivots.keys() == pivot_rows(rows).keys()
+    assert sorted(built) == sorted(set(built)) == sorted(eager.met & filed.keys())
+    for low, row in pivots.items():
+        if low in filed and low not in built:
+            assert row is filed[low]
+        else:
+            assert row.__class__ is int and row == eager[low]
+
+
 @given(st.one_of(bit_rows(), masked_bit_rows()))
 @settings(max_examples=200)
 def test_kernel_vectors_match_oracle(matrix):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
+from unittest import mock
 
 import gf2_oracle
 import pytest
@@ -11,9 +12,9 @@ import simplicial_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virtbetti import models
+from virtbetti import models, simplicial
 from virtbetti.errors import NotFaceClosed, TooManySimplices, UnknownVertex
-from virtbetti.gf2 import rank
+from virtbetti.gf2 import pivot_rows, rank
 from virtbetti.simplicial import (
     MAX_SIMPLICES,
     BettiVector,
@@ -115,6 +116,21 @@ def test_the_cap_size_torus_still_builds():
     k = models.torus_grid(129, 129)
     assert k.n_simplices() == 99_846
     assert k.simplex_counts() == [16641, 49923, 33282]
+    assert k.betti_mod2() == (1, 2, 1)
+    assert models.sphere(12).betti_mod2() == (1,) + (0,) * 11 + (1,)
+
+
+def test_sphere_builds_only_the_rows_that_meet_another(monkeypatch):
+    # built eagerly, the uncleared coboundary rows of S^10 number 2,047
+    row, built = simplicial._row, []
+
+    def counted(*args):
+        built.append(args)
+        return row(*args)
+
+    monkeypatch.setattr(simplicial, "_row", counted)
+    assert models.sphere(10).betti_mod2() == (1,) + (0,) * 9 + (1,)
+    assert len(built) == 23
 
 
 def test_betti_circle():
@@ -268,6 +284,38 @@ def high_dimensional_pairs(draw):
 def test_cleared_homology_matches_uncleared_oracle_up_to_dimension_5(case):
     k, boundary = case
     assert_matches_row_wise_oracle(k, boundary)
+
+
+def filed_homology(pair):
+    """The Betti numbers of the pair and {q: pivots of delta^q} for q >= 1,
+    as ``betti_compact_supports`` left them, filed rows and all."""
+    degrees = iter(range(pair.total.dim - 1, 0, -1))
+    by_degree = {}
+
+    def spy(*args):
+        pivots = by_degree[next(degrees)] = pivot_rows(*args)
+        return pivots
+
+    with mock.patch.object(simplicial, "pivot_rows", spy):
+        return pair.betti_compact_supports(), by_degree
+
+
+@given(st.one_of(complexes_with_subcomplexes().map(lambda case: case[2::2]),
+                 high_dimensional_pairs()))
+@settings(max_examples=300, deadline=None)
+def test_filed_pivots_match_the_eager_clearing_oracle(case):
+    k, boundary = case
+    betti, filed = filed_homology(PairSpace(k, boundary))
+    expected_betti, expected = simplicial_oracle.cleared_homology(PairSpace(k, boundary))
+    assert betti == expected_betti
+    # clearing reads the keys, so each degree must have the oracle's key set
+    assert {q: set(pivots) for q, pivots in filed.items()} == {
+        q: set(pivots) for q, pivots in expected.items()}
+    # a built row is the row the oracle holds under its key
+    for q, pivots in filed.items():
+        for key, row in pivots.items():
+            if isinstance(row, int):
+                assert row == expected[q][key]
 
 
 # names of three types: the engine never compares names, only positions
