@@ -1,53 +1,48 @@
 """Virtual Betti numbers and mod-2 homology for combinatorial models of
 real algebraic varieties: exact GF(2) linear algebra, simplicial
 (co)homology, scissor-calculus evaluation, Mayer-Vietoris spectral
-sequences, and weight-filtration arithmetic."""
+sequences, and weight-filtration arithmetic.
 
-from .errors import VirtBettiError, Verdict
-from .gf2 import GF2Matrix, rank
-from .polynomial import IntPolynomial, NEG_INFINITY, parse_polynomial
-from .simplicial import (
-    BettiVector,
-    PairSpace,
-    SimplicialComplex,
-    Subcomplex,
-    disjoint_union,
-    product_complex,
-)
-from .scissor import (
-    Atom,
-    AtomRegistry,
-    Blowup,
-    ClosedDifference,
-    DisjointUnion,
-    Empty,
-    Product,
-    check_blowup_relation,
-    degree_report,
-    evaluate_beta,
-    evaluate_chi_c,
-)
-from .stratified import (
-    CompactModel,
-    DeclaredBeta,
-    OpenModel,
-    StratifiedSpec,
-    StratumRecord,
-    beta_of_stratified,
-    beta_of_stratum,
-    inclusion_exclusion,
-    refinement_check,
-)
-from .spectral import Arrangement, MVSpectralSequence, row_alternating_sums
-from .weights import (
-    LinearConstraint,
-    WeightArray,
-    WeightSystemInput,
-    check_conditions,
-    constraint_filter,
-    mv_profile_vs_virtual_betti,
-    solve_weight_system,
-)
-from .scene import Scene, load_scene, dump_scene, scene_from_dict, scene_to_dict
+The namespace is lazy: ``import virtbetti`` loads no submodule.  Each name
+in ``__all__`` is looked up in its home module, per ``_HOMES``, whenever it
+is read, and the first read imports that module, so ``import
+virtbetti.simplicial`` loads only ``errors``, ``gf2``, ``polynomial`` and
+``simplicial``.  Nothing is cached here: the package hands out whatever its
+home module holds at that moment, a monkeypatched function included.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# home module: the public names it exports through the package
+_HOMES = {
+    "errors": ("VirtBettiError", "Verdict"),
+    "gf2": ("GF2Matrix", "rank"),
+    "polynomial": ("IntPolynomial", "NEG_INFINITY", "parse_polynomial"),
+    "simplicial": ("BettiVector", "PairSpace", "SimplicialComplex", "Subcomplex",
+                   "disjoint_union", "product_complex"),
+    "scissor": ("Atom", "AtomRegistry", "Blowup", "ClosedDifference", "DisjointUnion",
+                "Empty", "Product", "check_blowup_relation", "degree_report",
+                "evaluate_beta", "evaluate_chi_c"),
+    "stratified": ("CompactModel", "DeclaredBeta", "OpenModel", "StratifiedSpec",
+                   "StratumRecord", "beta_of_stratified", "beta_of_stratum",
+                   "inclusion_exclusion", "refinement_check"),
+    "spectral": ("Arrangement", "MVSpectralSequence", "row_alternating_sums"),
+    "weights": ("LinearConstraint", "WeightArray", "WeightSystemInput", "check_conditions",
+                "constraint_filter", "mv_profile_vs_virtual_betti", "solve_weight_system"),
+    "scene": ("Scene", "load_scene", "dump_scene", "scene_from_dict", "scene_to_dict"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys())

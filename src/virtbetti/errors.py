@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+from contextvars import ContextVar
+
+# {(id, id): (verdict, record, record)} for the top-level == this context runs:
+# a record shared by several parents is compared once, not once per path to
+# it, which took 2^k steps on a k-level diamond of ``boundary_strata``
+_COMPARED = ContextVar("virtbetti_compared_records", default=None)
+
 
 class Record:
     """The one base class of the package's value types.
@@ -57,7 +64,17 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        compared = _COMPARED.get()
+        if compared is None:  # a top-level ==: its verdicts are kept until it returns
+            token = _COMPARED.set({})
+            try:
+                return self.__eq__(other)
+            finally:
+                _COMPARED.reset(token)
+        key = (id(self), id(other))
+        if key not in compared:  # the pair is held, so neither id is reused meanwhile
+            compared[key] = (self._values() == other._values(), self, other)
+        return compared[key][0]
 
     def __hash__(self):
         return hash(self._values())

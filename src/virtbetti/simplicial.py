@@ -469,12 +469,15 @@ def product_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialCom
     width = len(b.vertices)
     # one int object per position, shared by every cell that holds it
     grid = [list(range(i * width, (i + 1) * width)) for i in range(len(a.vertices))]
-    maximal_b = _maximal(b.cells)
+    maximal_a, maximal_b = _maximal(a.cells), _maximal(b.cells)
+    # the paths depend only on the two dimensions: made once per pair of them
+    paths = {(s, t): tuple(_staircase_paths(s, t))
+             for s in {len(sa) - 1 for sa in maximal_a} for t in {len(sb) - 1 for sb in maximal_b}}
     cells = (
         tuple(grid[sa[i]][sb[j]] for i, j in path)
-        for sa in _maximal(a.cells)
+        for sa in maximal_a
         for sb in maximal_b
-        for path in _staircase_paths(len(sa) - 1, len(sb) - 1)
+        for path in paths[len(sa) - 1, len(sb) - 1]
     )
     return SimplicialComplex.__new__(SimplicialComplex)._assemble(verts, _closure(cells))
 

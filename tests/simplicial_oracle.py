@@ -30,6 +30,10 @@ by ``_normalize``, closed by ``_closure`` and sorted in each dimension by
 ``product`` is the staircase product built on those names.  The row-wise
 functions above read any object with ``simplices``, ``simplices_of_dim``
 and ``dim``, so they run on a ``NameComplex`` as well.
+
+``staircase_cells`` is the staircase product on cells as the engine built
+it before it made the lattice paths once per pair of dimensions: anew for
+each pair of maximal simplices.
 """
 
 from __future__ import annotations
@@ -94,6 +98,17 @@ def cleared_homology(pair: PairSpace) -> tuple[BettiVector, dict[int, dict[int, 
         ranks[1] = rank(pair.relative_coboundary_matrix(0, pivots))
     counts = [pair.relative_coboundary_matrix(q).cols for q in range(top + 1)]
     return BettiVector(counts[q] - ranks[q] - ranks[q + 1] for q in range(top + 1)), by_degree
+
+
+def staircase_cells(a: SimplicialComplex, b: SimplicialComplex) -> set[tuple]:
+    """The maximal cells of the staircase product of a and b, on positions
+    i * len(b.vertices) + j, the paths generated for each pair of maximal cells."""
+    width = len(b.vertices)
+    maximal_a, maximal_b = ([s for s in k.cells if not any(set(s) < set(t) for t in k.cells)]
+                            for k in (a, b))
+    return {tuple(sa[i] * width + sb[j] for i, j in path)
+            for sa in maximal_a for sb in maximal_b
+            for path in _staircase_paths(len(sa) - 1, len(sb) - 1)}
 
 
 def closure_of(maximal) -> set[frozenset]:

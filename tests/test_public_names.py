@@ -4,20 +4,27 @@ A stale ``__all__`` entry, or the deletion of a function the benchmark's
 span tracer looks up by name, fails here and not only when the benchmark
 runs.  The tracer's ``TARGETS`` table is read from ``perfbench/spans.py``;
 the tracer itself is not installed.
+
+The package namespace is lazy: what an import loads is checked in a fresh
+interpreter, since this one has loaded every module already.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
 import pytest
+from test_cli import _child
 
 import virtbetti
+from virtbetti import simplicial
 
-MODULES = sorted(f"virtbetti.{info.name}" for info in pkgutil.iter_modules(virtbetti.__path__))
+MODULES = ["virtbetti"] + sorted(
+    f"virtbetti.{info.name}" for info in pkgutil.iter_modules(virtbetti.__path__))
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -42,3 +49,77 @@ def test_every_tracing_target_resolves(target):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+# home module: every name the package exported when it imported each module eagerly
+EXPORTS = {
+    "errors": ["VirtBettiError", "Verdict"],
+    "gf2": ["GF2Matrix", "rank"],
+    "polynomial": ["IntPolynomial", "NEG_INFINITY", "parse_polynomial"],
+    "simplicial": ["BettiVector", "PairSpace", "SimplicialComplex", "Subcomplex",
+                   "disjoint_union", "product_complex"],
+    "scissor": ["Atom", "AtomRegistry", "Blowup", "ClosedDifference", "DisjointUnion", "Empty",
+                "Product", "check_blowup_relation", "degree_report", "evaluate_beta",
+                "evaluate_chi_c"],
+    "stratified": ["CompactModel", "DeclaredBeta", "OpenModel", "StratifiedSpec",
+                   "StratumRecord", "beta_of_stratified", "beta_of_stratum",
+                   "inclusion_exclusion", "refinement_check"],
+    "spectral": ["Arrangement", "MVSpectralSequence", "row_alternating_sums"],
+    "weights": ["LinearConstraint", "WeightArray", "WeightSystemInput", "check_conditions",
+                "constraint_filter", "mv_profile_vs_virtual_betti", "solve_weight_system"],
+    "scene": ["Scene", "load_scene", "dump_scene", "scene_from_dict", "scene_to_dict"],
+}
+NAMES = sorted(name for names in EXPORTS.values() for name in names)
+LOADED = ("print(json.dumps(sorted(name for name in sys.modules"
+          " if name.split('.')[0] == 'virtbetti')))")
+
+
+def _child_json(code: str, *args: str):
+    """What ``code`` prints as JSON in a fresh interpreter on this very package."""
+    proc = _child("-c", "import json, sys\n" + code, *args)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _child_json("import virtbetti\n" + LOADED) == ["virtbetti"]
+
+
+def test_importing_simplicial_loads_only_what_it_uses():
+    assert _child_json("import virtbetti.simplicial\n" + LOADED) == [
+        "virtbetti", "virtbetti.errors", "virtbetti.gf2", "virtbetti.polynomial",
+        "virtbetti.simplicial"]
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    code = """
+import importlib, virtbetti
+exports = json.loads(sys.argv[1])
+print(json.dumps([name for module, names in exports.items() for name in names
+                  if name not in virtbetti.__all__ or name not in dir(virtbetti)
+                  or getattr(virtbetti, name)
+                  is not getattr(importlib.import_module(f"virtbetti.{module}"), name)]))
+"""
+    assert _child_json(code, json.dumps(EXPORTS)) == []
+    assert virtbetti.__all__ == NAMES  # and nothing more
+
+
+def test_star_import_binds_every_exported_name():
+    code = "from virtbetti import *\nprint(json.dumps(sorted(set(json.loads(sys.argv[1])) - set(globals()))))"
+    assert _child_json(code, json.dumps(NAMES)) == []
+
+
+def test_an_unknown_name_raises_attribute_error():
+    proc = _child("-c", "import virtbetti\nvirtbetti.no_such_name")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "AttributeError: module 'virtbetti' has no attribute 'no_such_name'")
+    assert not hasattr(virtbetti, "no_such_name")
+
+
+def test_the_package_name_is_whatever_its_home_module_holds(monkeypatch):
+    # nothing is cached in the namespace: a patched or traced function shows through
+    assert virtbetti.product_complex is simplicial.product_complex
+    replacement = object()
+    monkeypatch.setattr(simplicial, "product_complex", replacement)
+    assert virtbetti.product_complex is replacement

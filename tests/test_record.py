@@ -3,12 +3,14 @@ is checked beside a ``@dataclass`` twin with the same name and fields."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from dataclasses import field, make_dataclass
 
 import pytest
+from test_cli import _child, _diamond_chain
 
 import virtbetti
 from virtbetti import models
@@ -96,6 +98,13 @@ def test_product_and_disjoint_union_differ_as_in_dataclasses():
     assert {Product(a, b), DisjointUnion(a, b), Product(a, b)} == {Product(a, b), DisjointUnion(a, b)}
 
 
+def test_a_record_shared_on_one_side_is_compared_with_each_counterpart():
+    # within one ==, a verdict belongs to a pair of records, not to one record
+    a = Atom("a")
+    assert Product(a, a) != Product(Atom("a"), Atom("b"))
+    assert Product(a, a) == Product(Atom("a"), Atom("a"))
+
+
 def test_verdict_default_is_a_class_attribute():
     assert Verdict.detail == ""
     assert Verdict(True).detail == "" and bool(Verdict(True)) and not Verdict(False, "no")
@@ -149,3 +158,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                           env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_record_shared_by_two_parents_is_compared_once(tmp_path):
+    # each level of a boundary_strata diamond is the child of both strata of the
+    # level above: compared once per path, == of two loads took 2^k steps, 2.45 s
+    # at k = 18; in a fresh interpreter, so a hang ends at the timeout
+    data = json.loads(_diamond_chain(40))
+    same, other = tmp_path / "same.json", tmp_path / "other.json"
+    same.write_text(json.dumps(data))
+    data["stratifications"]["s39"]["strata"][0]["name"] = "q"  # the deepest leaf
+    other.write_text(json.dumps(data))
+    code = """
+import json, sys, time
+from virtbetti.scene import scene_from_dict
+first, same, other = (scene_from_dict(json.load(open(p))).stratifications["s0"]
+                      for p in (sys.argv[1], sys.argv[1], sys.argv[2]))
+start = time.perf_counter()
+print(json.dumps([first == same, time.perf_counter() - start, first == other, first != other]))
+"""
+    proc = _child("-c", code, str(same), str(other))
+    assert proc.returncode == 0, proc.stderr
+    equal, seconds, differs_equal, differs_unequal = json.loads(proc.stdout)
+    assert equal and seconds < 1.0
+    assert not differs_equal and differs_unequal

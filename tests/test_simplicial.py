@@ -415,6 +415,16 @@ def test_products_match_the_name_oracle(case_a, case_b, data):
     assert_matches_name_oracle(k, ref, boundary)
 
 
+@given(named_complexes(size=4, width=3), named_complexes(size=4, width=3))
+@settings(max_examples=60, deadline=None)
+def test_product_cells_match_paths_made_per_pair_of_simplices(case_a, case_b):
+    a, b = (SimplicialComplex.from_maximal(*c[:2]) for c in (case_a, case_b))
+    faces = simplicial_oracle.cell_closure(simplicial_oracle.staircase_cells(a, b))
+    by_dim = [(d, sorted(f for f in faces if len(f) == d + 1))
+              for d in sorted({len(f) - 1 for f in faces})]
+    assert list(product_complex(a, b)._by_dim.items()) == by_dim
+
+
 @given(complexes_with_subcomplexes(), named_complexes(size=4, width=3),
        named_complexes(size=4, width=3), st.data())
 @settings(max_examples=100, deadline=None)
