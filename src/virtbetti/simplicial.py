@@ -5,12 +5,16 @@ subsets, and the correspondence between a variety and its combinatorial
 model is the caller's responsibility.  Inside the engine a simplex is a
 cell: the ascending tuple of its vertices' positions in the complex's
 vertex order, so lexicographic order is plain tuple order.  Vertex names
-appear only at the edges.  ``_normalize`` turns a vertex list into a cell;
-the ``simplices`` and ``simplices_of_dim`` views, ``maximal_simplices``,
-``repr`` and every error message turn cells back into names.  ``_closure``
-builds faces by dimension, top down: a level is the facets of the one above
-plus the given cells of its size, so ``_assemble`` only sorts each level.
-Its size bound is checked per simplex before any level, then chunk by chunk.
+appear only at the edges.  ``_normalize`` turns a batch of vertex lists into
+cells in one pass of nested maps; the ``simplices`` and ``simplices_of_dim``
+views, ``maximal_simplices``, ``repr`` and every error message turn cells
+back into names.  ``_closure`` builds faces by dimension, top down: a level
+is the facets of the one above plus the given cells of its size, so
+``_assemble`` only sorts each level.  Where every vertex is known to be in
+the complex (``from_maximal``, the product) the vertex level is given, not
+derived: the facets of the edges are never made.  The size bound counts the
+given vertex level first, is checked per simplex before any level, then
+chunk by chunk.
 ``_check_face_closed`` checks a family for missing facets, only where cells
 can arrive open (explicit simplex lists): every other route is face-closed
 by construction.  Matrices are built in lexicographic simplex order, so
@@ -29,7 +33,7 @@ ones it meets.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, filterfalse, islice, repeat
 from typing import Container, Hashable, Iterable, Iterator, Sequence
 
 from .errors import NotFaceClosed, Record, TooManySimplices, UnknownVertex
@@ -77,11 +81,13 @@ class BettiVector(tuple):
         return f"BettiVector({tuple(self)})"
 
 
-def _normalize(index: dict, simplex: Sequence[Vertex]) -> Simplex:
-    """The ascending positions of a simplex's vertices, without repeats."""
+def _normalize(index: dict, simplices: Iterable[Sequence[Vertex]]) -> list[Simplex]:
+    """The cells of a batch of simplices: each one's ascending vertex
+    positions, without repeats.  One pass of nested maps, no frame per simplex."""
     try:
-        return tuple(sorted({index[v] for v in simplex}))
-    except KeyError as exc:
+        return list(map(tuple, map(sorted, map(set, map(partial(map, index.__getitem__),
+                                                        simplices)))))
+    except KeyError as exc:  # raised by the first unknown vertex in input order
         v = exc.args[0]
         raise UnknownVertex(f"unknown vertex {v!r}", vertex=repr(v)) from None
 
@@ -94,16 +100,19 @@ def _grouped(cells: Iterable[Simplex]) -> dict[int, list[Simplex]]:
     return faces
 
 
-def _closure(cells: Iterable[Simplex]) -> dict[int, set[Simplex]]:
-    """{dimension: cells} of every nonempty face of the given cells."""
+def _closure(cells: Iterable[Simplex], vertices: int | None = None) -> dict[int, set[Simplex]]:
+    """{dimension: cells} of every nonempty face of the given cells.  Given a
+    vertex count, level 0 is every position below it: it is counted first and
+    never built from the facets of the 1-cells."""
     given = _grouped(cells)
     top = max(given, default=-1)
+    size = vertices or 0
     # a simplex of n vertices has 2^n - 1 faces: bound them before building any
-    if (1 << (top + 1)) - 1 > 4 * MAX_SIMPLICES:
+    if size + (1 << (top + 1)) - 1 > 4 * MAX_SIMPLICES:
         raise TooManySimplices("face closure exceeds the supported size", limit=MAX_SIMPLICES)
     faces: dict[int, set[Simplex]] = {}
-    size = 0
-    for d in range(top, -1, -1):  # the facets of the level above, and the given cells
+    bottom = 0 if vertices is None else 1
+    for d in range(top, bottom - 1, -1):  # the facets of the level above, and the given cells
         facets = chain.from_iterable(map(combinations, faces.get(d + 1, ()), repeat(d + 1)))
         faces[d] = level = set(given.get(d, ()))
         while size + len(level) <= 4 * MAX_SIMPLICES:  # checked before each chunk is added
@@ -114,6 +123,8 @@ def _closure(cells: Iterable[Simplex]) -> dict[int, set[Simplex]]:
         else:
             raise TooManySimplices("face closure exceeds the supported size", limit=MAX_SIMPLICES)
         size += len(level)
+    if vertices is not None:
+        faces[0] = set(zip(range(vertices)))
     return faces
 
 
@@ -153,7 +164,8 @@ def _named(verts: tuple, cells: Iterable[Simplex]) -> list[Simplex]:
 
 def _maximal(cells: frozenset) -> frozenset:
     """The non-facets of a face-closed family: exactly its maximal members."""
-    return cells - {f for s in cells for f in combinations(s, len(s) - 1)}
+    return cells.difference(chain.from_iterable(
+        map(combinations, cells, map((-1).__add__, map(len, cells)))))
 
 
 class SimplicialComplex:
@@ -164,7 +176,7 @@ class SimplicialComplex:
     def __init__(self, vertices: Iterable[Vertex], simplices: Iterable[Sequence[Vertex]]):
         verts = tuple(vertices)
         index = {v: i for i, v in enumerate(verts)}
-        cells = {_normalize(index, s) for s in simplices} - {()}
+        cells = set(_normalize(index, simplices)) - {()}
         self._assemble(verts, _grouped(cells), index).validate()
 
     @classmethod
@@ -178,8 +190,7 @@ class SimplicialComplex:
         """
         verts = tuple(vertices)
         index = {v: i for i, v in enumerate(verts)}
-        faces = _closure(_normalize(index, s) for s in maximal)
-        faces.setdefault(0, set()).update((i,) for i in range(len(verts)))
+        faces = _closure(_normalize(index, maximal), len(verts))
         return cls.__new__(cls)._assemble(verts, faces, index)
 
     def _assemble(self, verts: tuple, faces: dict, index: dict | None = None) -> SimplicialComplex:
@@ -254,7 +265,7 @@ class SimplicialComplex:
 
     def contains_simplex(self, s: Sequence[Vertex]) -> bool:
         try:
-            return _normalize(self._index, s) in self._cells
+            return _normalize(self._index, (s,))[0] in self._cells
         except UnknownVertex:
             return False
 
@@ -287,8 +298,8 @@ class SimplicialComplex:
                    maximal: Iterable[Sequence[Vertex]] = ()) -> Subcomplex:
         """Face-closed subcomplex from explicit simplices and/or maximal ones."""
         index = self._index
-        chosen = {_normalize(index, s) for s in simplices}
-        cells = frozenset(chosen.union(*_closure(_normalize(index, s) for s in maximal).values()))
+        chosen = set(_normalize(index, simplices))
+        cells = frozenset(chosen.union(*_closure(_normalize(index, maximal)).values()))
         if chosen:
             return Subcomplex(self, cells)
         _check_within(self, cells)  # a closure is face-closed, but may leave the parent
@@ -366,8 +377,8 @@ class PairSpace(Record):
         """{relative d-simplex: position} in lexicographic order, built once."""
         bases = self.__dict__.setdefault("_bases", {})  # not a field: no ==, hash or repr
         if d not in bases:
-            skip = self.boundary.cells
-            rel = [s for s in self.total._by_dim.get(d, ()) if s not in skip]
+            level = self.total._by_dim.get(d, ())
+            rel = list(filterfalse(self.boundary.cells.__contains__, level))
             bases[d] = dict(zip(rel, range(len(rel))))
         return bases[d]
 
@@ -479,7 +490,8 @@ def product_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialCom
         for sb in maximal_b
         for path in paths[len(sa) - 1, len(sb) - 1]
     )
-    return SimplicialComplex.__new__(SimplicialComplex)._assemble(verts, _closure(cells))
+    faces = _closure(cells, len(verts))  # every product vertex lies in some cell
+    return SimplicialComplex.__new__(SimplicialComplex)._assemble(verts, faces)
 
 
 def maximal_simplices(k: SimplicialComplex, simplices: Iterable[Simplex] | None = None) -> list[Simplex]:

@@ -131,13 +131,16 @@ def _note_mismatch(message: str, strict: bool, warnings: list[str] | None, **con
 
 
 def beta_of_stratum(
-    stratum: StratumRecord, *, strict: bool = False, warnings: list[str] | None = None
+    stratum: StratumRecord, *, strict: bool = False, warnings: list[str] | None = None,
+    stratification: str | None = None,
 ) -> IntPolynomial:
-    """Virtual Poincare polynomial of one stratum from its model."""
-    return _beta_of_stratum(stratum, strict, warnings, {})
+    """Virtual Poincare polynomial of one stratum from its model.  Degree
+    warnings and errors name ``stratification``, the stratum's own, if given."""
+    return _beta_of_stratum(stratum, stratification, strict, warnings, {})
 
 
-def _beta_of_stratum(stratum: StratumRecord, strict: bool, warnings: list[str] | None,
+def _beta_of_stratum(stratum: StratumRecord, stratification: str | None, strict: bool,
+                     warnings: list[str] | None,
                      done: dict[int, IntPolynomial]) -> IntPolynomial:
     model = stratum.model
     if isinstance(model, CompactModel):
@@ -163,19 +166,23 @@ def _beta_of_stratum(stratum: StratumRecord, strict: bool, warnings: list[str] |
     else:
         raise TypeError(f"unknown stratum model {model!r}")
 
+    # strata of different stratifications may share a name: name both
+    where, context = f"stratum {stratum.name!r}", {"stratum": stratum.name}
+    if stratification is not None:
+        where = f"stratification {stratification!r}, {where}"
+        context["stratification"] = stratification
     if beta.is_zero():
         if stratum.dim >= 0:
             _note_mismatch(
-                f"stratum {stratum.name!r}: polynomial is zero but dimension "
-                f"{stratum.dim} was declared",
-                strict, warnings, stratum=stratum.name,
+                f"{where}: polynomial is zero but dimension {stratum.dim} was declared",
+                strict, warnings, **context,
             )
     elif beta.degree != stratum.dim or beta.leading_coefficient <= 0:
         _note_mismatch(
-            f"stratum {stratum.name!r}: polynomial {beta} has degree "
+            f"{where}: polynomial {beta} has degree "
             f"{beta.degree} and leading coefficient {beta.leading_coefficient}, "
             f"declared dimension is {stratum.dim}",
-            strict, warnings, stratum=stratum.name,
+            strict, warnings, **context,
         )
     return beta
 
@@ -197,7 +204,7 @@ def _beta_of_stratified(spec: StratifiedSpec, strict: bool, warnings: list[str] 
         return done[id(spec)]
     total = IntPolynomial.zero()
     for stratum in spec.strata:
-        total = total + _beta_of_stratum(stratum, strict, warnings, done)
+        total = total + _beta_of_stratum(stratum, spec.name, strict, warnings, done)
     if spec.strata:
         top = max(s.dim for s in spec.strata)
         if total.degree != top or total.leading_coefficient <= 0:
@@ -269,10 +276,11 @@ def refinement_check(
             unknown=sorted(unknown),
         )
     for stratum in coarse.strata:
-        lhs = beta_of_stratum(stratum, strict=strict)
+        lhs = beta_of_stratum(stratum, strict=strict, stratification=coarse.name)
         rhs = IntPolynomial.zero()
         for name in mapping[stratum.name]:
-            rhs = rhs + beta_of_stratum(fine.stratum(name), strict=strict)
+            rhs = rhs + beta_of_stratum(fine.stratum(name), strict=strict,
+                                        stratification=fine.name)
         if lhs != rhs:
             return Verdict(
                 False,

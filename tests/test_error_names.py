@@ -74,6 +74,22 @@ def test_construction_errors_name_vertices(case):
         assert error_of(lambda: build(*args)) == expected(*want)
 
 
+def test_the_first_unknown_vertex_of_a_batch_is_named():
+    # a batch is normalized in one pass: the error names the first unknown
+    # vertex in input order, in the second simplex, not the one after it
+    batch = [["a", "b"], ["c", "z"], ["y"]]
+    want = expected("unknown-vertex", "unknown vertex 'z'", {"vertex": "'z'"})
+    for cls in (SimplicialComplex, simplicial_oracle.NameComplex):
+        k = cls.from_maximal(*ABCD)
+        for build in (lambda: cls(ABCD[0], batch), lambda: cls.from_maximal(ABCD[0], batch),
+                      lambda: k.subcomplex(simplices=batch),
+                      lambda: k.subcomplex(maximal=batch)):
+            assert error_of(build) == want
+    k = SimplicialComplex.from_maximal(*ABCD)
+    assert k.contains_simplex(batch[0])
+    assert not k.contains_simplex(batch[1]) and not k.contains_simplex(batch[2])
+
+
 def test_stray_subcomplex_and_uncovered_complex_errors_name_vertices():
     path = (["a", "b", "c"], [["a", "b"], ["b", "c"]])
     k = SimplicialComplex.from_maximal(*path)

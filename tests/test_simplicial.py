@@ -395,6 +395,7 @@ def test_level_wise_closure_matches_the_set_oracle(cells):
     assert _closure(iter(cells)) == by_dim
     k = SimplicialComplex.from_maximal(range(9), cells)
     by_dim.setdefault(0, set()).update((v,) for v in range(9))
+    assert _closure(iter(cells), vertices=9) == by_dim
     assert list(k._by_dim.items()) == [(d, sorted(by_dim[d])) for d in sorted(by_dim)]
     assert k.cells == ref | {(v,) for v in range(9)}
     assert k.subcomplex(maximal=cells).cells == ref

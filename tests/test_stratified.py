@@ -68,6 +68,22 @@ def test_dimension_mismatch_is_warning_then_error(scene):
         beta_of_stratum(s, strict=True)
 
 
+def test_degree_warnings_name_the_stratification_and_the_stratum(scene):
+    # two stratifications with a stratum "arc" each: one warning line apiece,
+    # told apart by the stratification's name
+    specs = [StratifiedSpec(name, (StratumRecord("arc", 3, OpenModel(scene.pair("line"))),))
+             for name in ("left", "right")]
+    warnings: list[str] = []
+    for spec in specs:
+        assert beta_of_stratified(spec, warnings=warnings) == P("t")
+    arc = [w for w in warnings if "stratum 'arc'" in w]
+    assert len(arc) == 2 and arc[0] != arc[1]
+    assert arc[0].startswith("stratification 'left', stratum 'arc': polynomial t ")
+    with pytest.raises(DimensionMismatch) as info:
+        beta_of_stratified(specs[1], strict=True)
+    assert info.value.context == {"stratum": "arc", "stratification": "right"}
+
+
 def test_figure_eight_stratification(scene):
     assert beta_of_stratified(scene.stratification("figure-eight-x"), strict=True) == P("t")
 
