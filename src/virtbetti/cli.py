@@ -56,14 +56,13 @@ def _scene_from_args(args) -> Scene:
     return builtin_scene()
 
 
-def _virtual_betti_lines(beta: IntPolynomial, chi_c: int | None, want_chi: bool) -> list[str]:
+def _virtual_betti_lines(beta: IntPolynomial, chi_c: int, want_chi: bool) -> list[str]:
     lines = [f"beta: {beta.to_text()}"]
     if not beta.is_zero():
         for i, c in enumerate(beta.coeffs):
             lines.append(f"beta_{i}: {c}")
     if want_chi:
-        value = beta.evaluate(-1) if chi_c is None else chi_c
-        lines.append(f"chi_c: {value}")
+        lines.append(f"chi_c: {chi_c}")
     return lines
 
 
@@ -79,27 +78,28 @@ def cmd_betti(args) -> int:
 
 
 def _vbetti_target(scene: Scene, name: str, strict: bool):
-    """Resolve a vbetti target: expression, stratification, or arrangement."""
+    """Resolve a vbetti target (expression, stratification or arrangement)
+    to (beta, chi_c, warnings); chi_c is beta(-1) unless an expression's
+    atoms give it independently."""
+    warnings: list[str] = []
     if name in scene.expressions:
         expr = scene.expressions[name]
-        beta = evaluate_beta(expr, scene.atoms)
-        return beta, evaluate_chi_c(expr, scene.atoms), []
+        return evaluate_beta(expr, scene.atoms), evaluate_chi_c(expr, scene.atoms), warnings
     if name in scene.stratifications:
-        warnings: list[str] = []
         beta = beta_of_stratified(
             scene.stratifications[name], strict=strict, warnings=warnings
         )
-        return beta, None, warnings
-    if name in scene.arrangements:
+    elif name in scene.arrangements:
         beta = scene.arrangements[name].virtual_betti()
-        return beta, None, []
-    raise UnknownName(
-        f"{name!r} is not an expression, stratification or arrangement",
-        name=name,
-        known=sorted(
-            set(scene.expressions) | set(scene.stratifications) | set(scene.arrangements)
-        ),
-    )
+    else:
+        raise UnknownName(
+            f"{name!r} is not an expression, stratification or arrangement",
+            name=name,
+            known=sorted(
+                set(scene.expressions) | set(scene.stratifications) | set(scene.arrangements)
+            ),
+        )
+    return beta, beta.evaluate(-1), warnings
 
 
 def cmd_vbetti(args) -> int:
@@ -115,7 +115,7 @@ def cmd_vbetti(args) -> int:
             "coefficients": list(beta.coeffs),
         }
         if args.chi_c:
-            payload["chi_c"] = beta.evaluate(-1) if chi is None else chi
+            payload["chi_c"] = chi
         print(json.dumps(payload))
     else:
         for line in _virtual_betti_lines(beta, chi, args.chi_c):
@@ -125,11 +125,12 @@ def cmd_vbetti(args) -> int:
 
 def cmd_mvss(args) -> int:
     scene = _scene_from_args(args)
-    arrangement = scene.arrangement(args.name)
-    ss = MVSpectralSequence(arrangement)
+    ss = MVSpectralSequence(scene.arrangement(args.name))
     upto = max(args.pages, ss.infinity_index)
     pages = ss.pages(upto)
-    beta = arrangement.virtual_betti()
+    # E_1^{p,q} is the sum of H^q over the (p+1)-fold meets, so its row
+    # alternating sums are the inclusion-exclusion over the nerve
+    beta = IntPolynomial(row_alternating_sums(ss.page(1)))
     profile = ss.filtration_profile()
     verdict = mv_profile_vs_virtual_betti(profile, list(beta.coeffs))
     cert = ss.stabilization_certificate()

@@ -142,6 +142,11 @@ def beta_of_stratum(
 def _beta_of_stratum(stratum: StratumRecord, stratification: str | None, strict: bool,
                      warnings: list[str] | None,
                      done: dict[int, IntPolynomial]) -> IntPolynomial:
+    # strata of different stratifications may share a name: name both
+    where, context = f"stratum {stratum.name!r}", {"stratum": stratum.name}
+    if stratification is not None:
+        where = f"stratification {stratification!r}, {where}"
+        context["stratification"] = stratification
     model = stratum.model
     if isinstance(model, CompactModel):
         beta = model.complex.poincare_polynomial()
@@ -156,9 +161,9 @@ def _beta_of_stratum(stratum: StratumRecord, stratification: str | None, strict:
             boundary_beta = boundary.as_complex().poincare_polynomial()
         else:
             raise MissingBoundaryData(
-                f"stratum {stratum.name!r}: complement is flagged singular but "
+                f"{where}: complement is flagged singular but "
                 "no stratification of it was supplied",
-                stratum=stratum.name,
+                **context,
             )
         beta = total - boundary_beta
     elif isinstance(model, DeclaredBeta):
@@ -166,11 +171,6 @@ def _beta_of_stratum(stratum: StratumRecord, stratification: str | None, strict:
     else:
         raise TypeError(f"unknown stratum model {model!r}")
 
-    # strata of different stratifications may share a name: name both
-    where, context = f"stratum {stratum.name!r}", {"stratum": stratum.name}
-    if stratification is not None:
-        where = f"stratification {stratification!r}, {where}"
-        context["stratification"] = stratification
     if beta.is_zero():
         if stratum.dim >= 0:
             _note_mismatch(

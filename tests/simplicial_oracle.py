@@ -165,9 +165,10 @@ def cell_closure(cells) -> set[tuple]:
 
 
 def _normalize(index: dict, simplex) -> tuple:
-    """The vertices of a simplex, without repeats, in index order."""
+    """The vertices of a simplex, without repeats, in index order.  They are
+    looked up in input order, so the first unknown one is the one named."""
     try:
-        return tuple(sorted(set(simplex), key=index.__getitem__))
+        return tuple(v for _, v in sorted({index[v]: v for v in simplex}.items()))
     except KeyError as exc:
         v = exc.args[0]
         raise UnknownVertex(f"unknown vertex {v!r}", vertex=repr(v)) from None

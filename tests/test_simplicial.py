@@ -72,6 +72,18 @@ def test_validate_rejects_unknown_vertex():
         SimplicialComplex(("a",), [("a", "z")])
 
 
+def test_engine_and_oracle_name_the_same_unknown_vertex():
+    # two unknown vertices in one simplex: both name the first in input order,
+    # whatever order the hash gives the set of names
+    simplex = ["c", "z", "y"]
+    with pytest.raises(UnknownVertex) as engine:
+        SimplicialComplex(("c",), [simplex])
+    with pytest.raises(UnknownVertex) as oracle:
+        simplicial_oracle.NameComplex(("c",), [simplex])
+    assert engine.value.context == oracle.value.context == {"vertex": "'z'"}
+    assert engine.value.message == oracle.value.message == "unknown vertex 'z'"
+
+
 def test_empty_complex_is_valid():
     k = SimplicialComplex.empty()
     k.validate()

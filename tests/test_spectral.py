@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from virtbetti import models
 from virtbetti.errors import NotACover, TooManyPieces
+from virtbetti.polynomial import IntPolynomial
 from virtbetti.simplicial import SimplicialComplex
 from virtbetti.spectral import (
     MAX_PIECES,
@@ -386,6 +387,15 @@ def band_covers(draw):
 def test_cleared_pairing_matches_the_uncleared_oracle(arr):
     ss = MVSpectralSequence(arr)
     assert ss._pair_counts == mv_oracle.pair_counts(*mv_oracle.engine_complex(arr))
+
+
+@given(st.one_of(covered_complexes(), band_covers()))
+@settings(max_examples=100, deadline=None)
+def test_e1_row_sums_are_the_inclusion_exclusion(arr):
+    # E_1^{p,q} is the sum of H^q over the (p+1)-fold meets, so the route
+    # mvss takes to beta and the meet-by-meet route vbetti takes agree
+    beta = IntPolynomial(row_alternating_sums(MVSpectralSequence(arr).page(1)))
+    assert beta == arr.virtual_betti()
 
 
 @given(band_covers())

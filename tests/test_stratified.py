@@ -55,8 +55,16 @@ def test_missing_boundary_data(scene):
         "bad", 2,
         OpenModel(scene.pair("surface-sphere1-smooth"), boundary_nonsingular=False),
     )
-    with pytest.raises(MissingBoundaryData):
+    with pytest.raises(MissingBoundaryData) as info:
         beta_of_stratum(s)
+    assert str(info.value).startswith("stratum 'bad': complement is flagged singular")
+    assert info.value.context == {"stratum": "bad"}
+    # through a named stratification the refusal names it too
+    with pytest.raises(MissingBoundaryData) as info:
+        beta_of_stratified(StratifiedSpec("outer", (s,)))
+    assert str(info.value).startswith(
+        "stratification 'outer', stratum 'bad': complement is flagged singular")
+    assert info.value.context == {"stratum": "bad", "stratification": "outer"}
 
 
 def test_dimension_mismatch_is_warning_then_error(scene):
