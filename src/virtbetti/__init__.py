@@ -9,6 +9,13 @@ is read, and the first read imports that module, so ``import
 virtbetti.simplicial`` loads only ``errors``, ``gf2``, ``polynomial`` and
 ``simplicial``.  Nothing is cached here: the package hands out whatever its
 home module holds at that moment, a monkeypatched function included.
+
+The value types that loaders and engines share live apart from the
+engines: ``Arrangement`` in ``cover`` and ``WeightArray`` and
+``WeightSystemInput`` in ``triangle``.  So loading a scene file, or
+running ``betti`` or ``vbetti`` on one, imports neither the
+Mayer-Vietoris engine (``spectral``) nor the weight search (``weights``),
+and ``spectral`` imports no ``weights``.
 """
 
 import importlib
@@ -28,9 +35,11 @@ _HOMES = {
     "stratified": ("CompactModel", "DeclaredBeta", "OpenModel", "StratifiedSpec",
                    "StratumRecord", "beta_of_stratified", "beta_of_stratum",
                    "inclusion_exclusion", "refinement_check"),
-    "spectral": ("Arrangement", "MVSpectralSequence", "row_alternating_sums"),
-    "weights": ("LinearConstraint", "WeightArray", "WeightSystemInput", "check_conditions",
-                "constraint_filter", "mv_profile_vs_virtual_betti", "solve_weight_system"),
+    "cover": ("Arrangement",),
+    "spectral": ("MVSpectralSequence", "row_alternating_sums"),
+    "triangle": ("WeightArray", "WeightSystemInput"),
+    "weights": ("LinearConstraint", "check_conditions", "constraint_filter",
+                "mv_profile_vs_virtual_betti", "solve_weight_system"),
     "scene": ("Scene", "load_scene", "dump_scene", "scene_from_dict", "scene_to_dict"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -24,14 +24,7 @@ from .errors import (
 from .polynomial import IntPolynomial
 from .scene import Scene, load_scene
 from .scissor import evaluate_beta, evaluate_chi_c
-from .spectral import MVSpectralSequence, row_alternating_sums
 from .stratified import beta_of_stratified
-from .weights import (
-    LinearConstraint,
-    constraint_filter,
-    mv_profile_vs_virtual_betti,
-    solve_weight_system,
-)
 
 EXIT_OK = 0
 EXIT_FIXTURE_FAILURE = 1
@@ -124,6 +117,11 @@ def cmd_vbetti(args) -> int:
 
 
 def cmd_mvss(args) -> int:
+    # a cold process compiles what it imports: only mvss runs the MV engine
+    from .spectral import MVSpectralSequence, row_alternating_sums
+    # the virtual Betti check on the limit; only mvss and weights load this module
+    from .weights import mv_profile_vs_virtual_betti
+
     scene = _scene_from_args(args)
     ss = MVSpectralSequence(scene.arrangement(args.name))
     upto = max(args.pages, ss.infinity_index)
@@ -175,6 +173,9 @@ def _triangle_lines(w) -> list[str]:
 
 
 def cmd_weights(args) -> int:
+    # only weights runs the weight search: betti and vbetti never compile it
+    from .weights import LinearConstraint, constraint_filter, solve_weight_system
+
     scene = _scene_from_args(args)
     inp = scene.weight_input(args.name)
     solutions = solve_weight_system(inp)
@@ -269,6 +270,17 @@ def cmd_fixtures(args) -> int:
     return EXIT_FIXTURE_FAILURE if failures else EXIT_OK
 
 
+def _page_count(text: str) -> int:
+    """An int of at least 1: the pages start at E_1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {count}")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -301,7 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Mayer-Vietoris spectral sequence of an arrangement")
     p.add_argument("name")
     p.add_argument("--scene")
-    p.add_argument("--pages", type=int, default=3, help="pages to print (default 3)")
+    p.add_argument("--pages", type=_page_count, default=3,
+                   help="pages to print, at least 1 (default 3)")
     p.set_defaults(func=cmd_mvss)
 
     p = sub.add_parser("weights", parents=[common],

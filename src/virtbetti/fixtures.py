@@ -16,6 +16,7 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from . import models
+from .cover import Arrangement
 from .errors import Record, UnknownName
 from .polynomial import IntPolynomial, parse_polynomial
 from .scene import Scene
@@ -33,7 +34,7 @@ from .scissor import (
     evaluate_chi_c,
 )
 from .simplicial import PairSpace, SimplicialComplex, product_complex
-from .spectral import Arrangement, MVSpectralSequence, row_alternating_sums
+from .spectral import MVSpectralSequence, row_alternating_sums
 from .stratified import (
     CompactModel,
     OpenModel,
@@ -43,10 +44,9 @@ from .stratified import (
     beta_of_stratum,
     refinement_check,
 )
+from .triangle import WeightArray, WeightSystemInput
 from .weights import (
     LinearConstraint,
-    WeightArray,
-    WeightSystemInput,
     check_conditions,
     constraint_filter,
     mv_profile_vs_virtual_betti,

@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
+from .cover import Arrangement
 from .errors import Record, SceneError, UnknownName, VirtBettiError, json_int
 from .polynomial import parse_polynomial
 from .scissor import NODES, OP_OF, Atom, AtomRegistry, Empty, ScissorExpr, children
 from .simplicial import PairSpace, SimplicialComplex, Subcomplex, maximal_simplices
-from .spectral import Arrangement
 from .stratified import (
     CompactModel,
     DeclaredBeta,
@@ -26,7 +26,7 @@ from .stratified import (
     StratifiedSpec,
     StratumRecord,
 )
-from .weights import WeightSystemInput
+from .triangle import WeightSystemInput
 
 __all__ = ["Scene", "scene_from_dict", "scene_to_dict", "load_scene", "dump_scene"]
 

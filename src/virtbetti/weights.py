@@ -15,6 +15,10 @@ too, which bounds time and memory but also refuses any b of 317 or more
 entries, whose diagonals i < n alone hold more than the budget.  Further conditions
 enter only as linear constraints on the entries, each carrying a
 provenance note.
+
+The types ``WeightArray`` and ``WeightSystemInput`` live in ``triangle``,
+so that scene loading and the spectral sequence can use them without
+importing this search; they are imported here under their old names.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import re
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedConstraint, Record, Verdict, WeightSearchTooLarge, json_int
+from .triangle import WeightArray, WeightSystemInput
 
 __all__ = [
     "WeightSystemInput",
@@ -35,75 +40,6 @@ __all__ = [
     "constraint_filter",
     "mv_profile_vs_virtual_betti",
 ]
-
-
-class WeightSystemInput(Record):
-    """Betti numbers b_0..b_n and virtual Betti numbers beta_0..beta_n."""
-
-    b: tuple[int, ...]
-    beta: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.b) != len(self.beta):
-            raise ValueError("b and beta must have the same length")
-        if not self.b:
-            raise ValueError("empty weight system")
-        if any(x < 0 for x in self.b):
-            raise ValueError("Betti numbers must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.b) - 1
-
-
-class WeightArray(Record):
-    """Triangular array rows[i] = (w(i,0), ..., w(i,i)): a candidate of the
-    search, or the E_infinity profile of a Mayer-Vietoris cover."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for i, row in enumerate(self.rows):
-            if len(row) != i + 1:
-                raise ValueError("row lengths must be 1, 2, ..., n+1")
-            if any(x < 0 for x in row):
-                raise ValueError("weight entries must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows) - 1
-
-    def value(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    @property
-    def w(self) -> dict[tuple[int, int], int]:
-        """{(i, j): w(i, j)} for the nonzero entries, in (i, j) order."""
-        return {(i, j): x for i, row in enumerate(self.rows) for j, x in enumerate(row) if x}
-
-    def flat(self) -> tuple[int, ...]:
-        """Entries in lexicographic (i, j) order; the canonical sort key."""
-        return tuple(x for row in self.rows for x in row)
-
-    def diagonal_sums(self) -> list[int]:
-        return [sum(row) for row in self.rows]
-
-    def row_alternating_sums(self) -> list[int]:
-        """(-1)^j sum_i (-1)^i w(i, j) for each j."""
-        n = self.n
-        return [
-            sum((-1) ** (i - j) * self.rows[i][j] for i in range(j, n + 1))
-            for j in range(n + 1)
-        ]
-
-    def triangle_lines(self) -> list[str]:
-        """The triangular layout, top row j = n first."""
-        n = self.n
-        lines = []
-        for j in range(n, -1, -1):
-            entries = [str(self.rows[i][j]) for i in range(j, n + 1)]
-            lines.append(" ".join(entries))
-        return lines
 
 
 # Entries the search may place before it refuses, forced ones included:

@@ -82,6 +82,18 @@ def test_mvss_surface_tables(capsys):
     assert "FAILS" in out and "j=0" in out
 
 
+@pytest.mark.parametrize("pages", ["0", "-2"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_mvss_refuses_fewer_than_one_page(capsys, pages, json_flag):
+    # the pages start at E_1: a count below 1 is a usage error, not a slice from the end
+    with pytest.raises(SystemExit) as info:
+        main(["mvss", "surface-443", "--pages", pages, *json_flag])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert f"argument --pages: must be at least 1, not {int(pages)}" in captured.err
+
+
 def test_mvss_single_piece(capsys):
     code, out, _ = run(capsys, "mvss", "circle-alone")
     assert code == 0

@@ -22,6 +22,8 @@ from test_cli import _child
 
 import virtbetti
 from virtbetti import simplicial
+from virtbetti.fixtures import builtin_scene
+from virtbetti.scene import dump_scene
 
 MODULES = ["virtbetti"] + sorted(
     f"virtbetti.{info.name}" for info in pkgutil.iter_modules(virtbetti.__path__))
@@ -89,6 +91,50 @@ def test_importing_simplicial_loads_only_what_it_uses():
     assert _child_json("import virtbetti.simplicial\n" + LOADED) == [
         "virtbetti", "virtbetti.errors", "virtbetti.gf2", "virtbetti.polynomial",
         "virtbetti.simplicial"]
+
+
+def _engines_loaded(code: str, *args: str) -> set[str]:
+    """Which of the two engine modules ``code`` loads in a fresh interpreter."""
+    loaded = _child_json(code + "\n" + LOADED, *args)
+    return {name for name in ("spectral", "weights") if f"virtbetti.{name}" in loaded}
+
+
+def test_the_spectral_sequence_does_not_load_the_weight_search():
+    assert _engines_loaded("import virtbetti.spectral") == {"spectral"}
+
+
+def test_the_weight_search_does_not_load_the_spectral_sequence():
+    assert _engines_loaded("import virtbetti.weights") == {"weights"}
+
+
+@pytest.fixture(scope="module")
+def scene_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scene") / "scene.json"
+    dump_scene(builtin_scene(), str(path))
+    return str(path)
+
+
+def test_loading_a_scene_file_loads_no_engine(scene_file):
+    code = "from virtbetti.scene import load_scene\nload_scene(sys.argv[1])"
+    assert _engines_loaded(code, scene_file) == set()
+
+
+@pytest.mark.parametrize("argv, engines", [
+    (["betti", "torus"], set()),
+    (["vbetti", "tangent-circles"], set()),  # an arrangement
+    (["vbetti", "ellipses", "--chi-c"], set()),  # an expression
+    (["vbetti", "circle-as-two"], set()),  # a stratification
+    (["mvss", "tangent-circles"], {"spectral", "weights"}),
+    (["weights", "torus"], {"weights"}),
+], ids=lambda value: "-".join(value if isinstance(value, list) else sorted(value)) or "none")
+def test_a_scene_file_command_loads_only_the_engine_it_runs(scene_file, argv, engines):
+    code = """
+import contextlib, io
+from virtbetti.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(json.loads(sys.argv[1])) == 0
+"""
+    assert _engines_loaded(code, json.dumps(argv + ["--scene", scene_file])) == engines
 
 
 def test_every_exported_name_is_its_home_modules_object():
