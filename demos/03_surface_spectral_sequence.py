@@ -9,7 +9,6 @@ virtual Betti numbers and its limit does not.
 
 from virtbetti.fixtures import builtin_scene
 from virtbetti.spectral import MVSpectralSequence, row_alternating_sums
-from virtbetti.weights import mv_profile_vs_virtual_betti
 
 scene = builtin_scene()
 arr = scene.arrangement("surface-443")
@@ -43,7 +42,7 @@ print()
 print("Induced filtration profile w(i,j) = dim E_inf^(i-j,j):")
 for i in range(profile.n, -1, -1):
     print(f"  i={i}:", " ".join(str(profile.value(i, j)) for j in range(i + 1)))
-verdict = mv_profile_vs_virtual_betti(profile, list(beta.coeffs))
+verdict = profile.check_virtual_betti(beta.coeffs)
 print("virtual Betti condition on the limit:", verdict.detail)
 print()
 print("So the rows of E_1 and E_2 alternate-sum to the virtual Betti numbers,")

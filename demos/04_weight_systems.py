@@ -11,7 +11,6 @@ surface.
 from virtbetti.fixtures import builtin_scene
 from virtbetti.weights import (
     LinearConstraint,
-    check_conditions,
     constraint_filter,
     solve_weight_system,
 )
@@ -55,7 +54,10 @@ print("  after w10 = 0:", [s.rows for s in kept.survivors])
 print()
 print("A compact nonsingular model wants the diagonal profile:")
 torus_sols = show("torus")
-report = check_conditions(torus_sols[0], scene.weight_input("torus"),
-                          ("manifold", "virtual-betti", "compact-nonsingular"))
-for flag, verdict in report.items():
-    print(f"  {flag}: {'holds' if verdict.holds else 'fails'} ({verdict.detail})")
+torus = scene.weight_input("torus")
+for condition, verdict in (
+    ("manifold", torus_sols[0].check_manifold()),
+    ("virtual Betti", torus_sols[0].check_virtual_betti(torus.beta)),
+    ("compact nonsingular", torus_sols[0].check_compact_nonsingular(torus)),
+):
+    print(f"  {condition}: {'holds' if verdict.holds else 'fails'} ({verdict.detail})")

@@ -38,8 +38,7 @@ _HOMES = {
     "cover": ("Arrangement",),
     "spectral": ("MVSpectralSequence", "row_alternating_sums"),
     "triangle": ("WeightArray", "WeightSystemInput"),
-    "weights": ("LinearConstraint", "check_conditions", "constraint_filter",
-                "mv_profile_vs_virtual_betti", "solve_weight_system"),
+    "weights": ("LinearConstraint", "constraint_filter", "solve_weight_system"),
     "scene": ("Scene", "load_scene", "dump_scene", "scene_from_dict", "scene_to_dict"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

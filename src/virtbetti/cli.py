@@ -119,8 +119,6 @@ def cmd_vbetti(args) -> int:
 def cmd_mvss(args) -> int:
     # a cold process compiles what it imports: only mvss runs the MV engine
     from .spectral import MVSpectralSequence, row_alternating_sums
-    # the virtual Betti check on the limit; only mvss and weights load this module
-    from .weights import mv_profile_vs_virtual_betti
 
     scene = _scene_from_args(args)
     ss = MVSpectralSequence(scene.arrangement(args.name))
@@ -130,7 +128,7 @@ def cmd_mvss(args) -> int:
     # alternating sums are the inclusion-exclusion over the nerve
     beta = IntPolynomial(row_alternating_sums(ss.page(1)))
     profile = ss.filtration_profile()
-    verdict = mv_profile_vs_virtual_betti(profile, list(beta.coeffs))
+    verdict = profile.check_virtual_betti(beta.coeffs)
     cert = ss.stabilization_certificate()
     converged = ss.converged_betti()
     if args.json:

@@ -4,12 +4,18 @@ A ``WeightArray`` is a candidate of the weight-profile search in
 ``weights`` or the E_infinity profile of a Mayer-Vietoris cover in
 ``spectral``; a ``WeightSystemInput`` is what a scene file declares.  Both
 live here, apart from either engine, so that loading a scene or building a
-spectral sequence does not import the weight search.
+spectral sequence does not import the weight search.  A ``WeightArray``
+checks its own conditions (no weight below the diagonal, row sums equal
+to the virtual Betti numbers, the diagonal profile of a compact
+nonsingular variety), each returning a ``Verdict``.
 """
 
 from __future__ import annotations
 
-from .errors import Record
+from itertools import zip_longest
+from typing import Sequence
+
+from .errors import Record, Verdict
 
 __all__ = ["WeightArray", "WeightSystemInput"]
 
@@ -72,6 +78,40 @@ class WeightArray(Record):
             sum((-1) ** (i - j) * self.rows[i][j] for i in range(j, n + 1))
             for j in range(n + 1)
         ]
+
+    def check_manifold(self) -> Verdict:
+        """All weight below the diagonal vanishes."""
+        below = next((f"w({i},{j}) = {x}" for (i, j), x in self.w.items() if j < i), None)
+        if below:
+            return Verdict(False, f"below-diagonal entry {below} is nonzero")
+        return Verdict(True, "all below-diagonal entries vanish")
+
+    def check_virtual_betti(self, beta: Sequence[int]) -> Verdict:
+        """Do the row alternating sums equal the virtual Betti numbers?
+
+        Missing rows on either side count as zero; fails with the first
+        offending row named.  For covers whose induced filtration mixes
+        weights under a nonzero d_2 this is expected to fail.
+        """
+        sums = self.row_alternating_sums()
+        for j, (have, want) in enumerate(zip_longest(sums, beta, fillvalue=0)):
+            if have != want:
+                return Verdict(False, f"virtual Betti condition fails at row j={j}: "
+                                      f"alternating sum {have} != beta_{j} = {want}")
+        return Verdict(True, "row alternating sums match the virtual Betti numbers")
+
+    def check_compact_nonsingular(self, inp: WeightSystemInput) -> Verdict:
+        """Diagonal with w(i,i) = b_i = beta_i, the profile of a compact
+        nonsingular variety (McCrory-Parusinski)."""
+        if self.n != inp.n:
+            return Verdict(False, f"profile has top degree {self.n}, the input {inp.n}")
+        diagonal = {(i, i): b for i, b in enumerate(inp.b) if b}
+        ok = self.w == diagonal and list(inp.b) == list(inp.beta)
+        return Verdict(
+            ok,
+            "profile is diagonal with w(i,i) = b_i = beta_i" if ok
+            else "profile is not concentrated on the diagonal with b = beta",
+        )
 
     def triangle_lines(self) -> list[str]:
         """The triangular layout, top row j = n first."""

@@ -18,15 +18,17 @@ provenance note.
 
 The types ``WeightArray`` and ``WeightSystemInput`` live in ``triangle``,
 so that scene loading and the spectral sequence can use them without
-importing this search; they are imported here under their old names.
+importing this search; they are imported here under their old names.  The
+checks of a profile against b and beta (manifold, virtual Betti, compact
+nonsingular) are methods of ``WeightArray``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import MalformedConstraint, Record, Verdict, WeightSearchTooLarge, json_int
+from .errors import MalformedConstraint, Record, WeightSearchTooLarge, json_int
 from .triangle import WeightArray, WeightSystemInput
 
 __all__ = [
@@ -36,9 +38,7 @@ __all__ = [
     "FilterResult",
     "solve_weight_system",
     "MAX_WEIGHT_NODES",
-    "check_conditions",
     "constraint_filter",
-    "mv_profile_vs_virtual_betti",
 ]
 
 
@@ -115,51 +115,6 @@ def solve_weight_system(inp: WeightSystemInput) -> list[WeightArray]:
         left[i] -= lo
         stack.append((i, j, lo, hi))
         i, j = (i, j + 1) if j < i else (i + 1, 0)
-
-
-def check_conditions(
-    w: WeightArray, inp: WeightSystemInput, flags: Iterable[str] = ("manifold", "virtual-betti")
-) -> dict[str, Verdict]:
-    """Per-condition verdicts for a candidate profile.
-
-    "manifold": all weight below the diagonal vanishes (expected for models
-    of compact nonsingular varieties).  "virtual-betti": the row equations
-    themselves.  "compact-nonsingular": diagonal with w(i,i) = b_i = beta_i.
-    """
-    report: dict[str, Verdict] = {}
-    # the first nonzero entry below the diagonal: "manifold" and "compact-nonsingular" want none
-    below = next((f"w({i},{j}) = {x}" for (i, j), x in w.w.items() if j < i), None)
-    for flag in flags:
-        if flag == "manifold":
-            report[flag] = Verdict(
-                below is None,
-                f"below-diagonal entry {below} is nonzero" if below
-                else "all below-diagonal entries vanish",
-            )
-        elif flag == "virtual-betti":
-            sums = w.row_alternating_sums()
-            diag = w.diagonal_sums()
-            ok = sums == list(inp.beta) and diag == list(inp.b)
-            report[flag] = Verdict(
-                ok,
-                "row and diagonal equations hold"
-                if ok
-                else f"row sums {sums} vs beta {list(inp.beta)}; "
-                     f"diagonal sums {diag} vs b {list(inp.b)}",
-            )
-        elif flag == "compact-nonsingular":
-            ok = below is None and all(
-                w.value(i, i) == inp.b[i] == inp.beta[i] for i in range(w.n + 1)
-            )
-            report[flag] = Verdict(
-                ok,
-                "profile is diagonal with w(i,i) = b_i = beta_i"
-                if ok
-                else "profile is not concentrated on the diagonal with b = beta",
-            )
-        else:
-            raise MalformedConstraint(f"unknown condition flag {flag!r}", flag=flag)
-    return report
 
 
 _KEY_RE = re.compile(r"^w(\d+)_(\d+)$|^w(\d)(\d)$")
@@ -282,23 +237,3 @@ def constraint_filter(
         else:
             eliminations.append((w, violated))
     return FilterResult(tuple(survivors), tuple(eliminations))
-
-
-def mv_profile_vs_virtual_betti(profile: WeightArray, beta: Sequence[int]) -> Verdict:
-    """Do the profile's row alternating sums equal the virtual Betti numbers?
-
-    Fails with the first offending row named; for covers whose induced
-    filtration mixes weights under a nonzero d_2 this is expected to fail.
-    """
-    sums = profile.row_alternating_sums()
-    top = max(len(sums), len(beta))
-    for j in range(top):
-        have = sums[j] if j < len(sums) else 0
-        want = beta[j] if j < len(beta) else 0
-        if have != want:
-            return Verdict(
-                False,
-                f"virtual Betti condition fails at row j={j}: "
-                f"alternating sum {have} != beta_{j} = {want}",
-            )
-    return Verdict(True, "row alternating sums match the virtual Betti numbers")

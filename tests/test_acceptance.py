@@ -25,7 +25,6 @@ from virtbetti.weights import (
     LinearConstraint,
     WeightArray,
     constraint_filter,
-    mv_profile_vs_virtual_betti,
     solve_weight_system,
 )
 
@@ -131,7 +130,7 @@ def test_criterion_8_row_alternating_sums(surface_ss):
     assert row_alternating_sums(surface_ss.page(1)) == [4, -1, 3]
     assert row_alternating_sums(surface_ss.page(2)) == [4, -1, 3]
     assert row_alternating_sums(surface_ss.page(3)) == [3, -2, 3]
-    verdict = mv_profile_vs_virtual_betti(surface_ss.filtration_profile(), [4, -1, 3])
+    verdict = surface_ss.filtration_profile().check_virtual_betti([4, -1, 3])
     assert not verdict.holds
     assert "j=0" in verdict.detail and "3 != beta_0 = 4" in verdict.detail
     report(8, "rows sum to (4,-1,3) at E_1 and E_2; at E_3 row j=0 gives 3 != 4")

@@ -67,8 +67,8 @@ EXPORTS = {
                    "StratumRecord", "beta_of_stratified", "beta_of_stratum",
                    "inclusion_exclusion", "refinement_check"],
     "spectral": ["Arrangement", "MVSpectralSequence", "row_alternating_sums"],
-    "weights": ["LinearConstraint", "WeightArray", "WeightSystemInput", "check_conditions",
-                "constraint_filter", "mv_profile_vs_virtual_betti", "solve_weight_system"],
+    "weights": ["LinearConstraint", "WeightArray", "WeightSystemInput", "constraint_filter",
+                "solve_weight_system"],
     "scene": ["Scene", "load_scene", "dump_scene", "scene_from_dict", "scene_to_dict"],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
@@ -99,6 +99,17 @@ def _engines_loaded(code: str, *args: str) -> set[str]:
     return {name for name in ("spectral", "weights") if f"virtbetti.{name}" in loaded}
 
 
+def _cli_engines(argv: list[str]) -> set[str]:
+    """Which engine modules ``virtbetti argv`` loads in a fresh interpreter."""
+    code = """
+import contextlib, io
+from virtbetti.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(json.loads(sys.argv[1])) == 0
+"""
+    return _engines_loaded(code, json.dumps(argv))
+
+
 def test_the_spectral_sequence_does_not_load_the_weight_search():
     assert _engines_loaded("import virtbetti.spectral") == {"spectral"}
 
@@ -119,22 +130,29 @@ def test_loading_a_scene_file_loads_no_engine(scene_file):
     assert _engines_loaded(code, scene_file) == set()
 
 
+def _case_id(value) -> str:
+    return "-".join(value if isinstance(value, list) else sorted(value)) or "none"
+
+
 @pytest.mark.parametrize("argv, engines", [
     (["betti", "torus"], set()),
     (["vbetti", "tangent-circles"], set()),  # an arrangement
     (["vbetti", "ellipses", "--chi-c"], set()),  # an expression
     (["vbetti", "circle-as-two"], set()),  # a stratification
-    (["mvss", "tangent-circles"], {"spectral", "weights"}),
+    (["mvss", "tangent-circles"], {"spectral"}),
     (["weights", "torus"], {"weights"}),
-], ids=lambda value: "-".join(value if isinstance(value, list) else sorted(value)) or "none")
+], ids=_case_id)
 def test_a_scene_file_command_loads_only_the_engine_it_runs(scene_file, argv, engines):
-    code = """
-import contextlib, io
-from virtbetti.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(json.loads(sys.argv[1])) == 0
-"""
-    assert _engines_loaded(code, json.dumps(argv + ["--scene", scene_file])) == engines
+    assert _cli_engines(argv + ["--scene", scene_file]) == engines
+
+
+@pytest.mark.parametrize("argv, engines", [
+    (["betti", "surface-443"], set()),
+    (["vbetti", "ellipses"], set()),
+    (["fixtures"], {"spectral", "weights"}),
+], ids=_case_id)
+def test_an_embedded_scene_command_loads_only_the_engine_it_runs(argv, engines):
+    assert _cli_engines(argv) == engines
 
 
 def test_every_exported_name_is_its_home_modules_object():

@@ -12,15 +12,13 @@ import weights_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from virtbetti.errors import MalformedConstraint, WeightSearchTooLarge
+from virtbetti.errors import MalformedConstraint, Verdict, WeightSearchTooLarge
 from virtbetti.weights import (
     MAX_WEIGHT_NODES,
     LinearConstraint,
     WeightArray,
     WeightSystemInput,
-    check_conditions,
     constraint_filter,
-    mv_profile_vs_virtual_betti,
     solve_weight_system,
 )
 
@@ -105,8 +103,8 @@ def test_general_degree_three_system():
     sols = solve_weight_system(inp)
     diagonal = WeightArray(((1,), (0, 0), (0, 0, 0), (0, 0, 0, 1)))
     assert sols == [diagonal]
-    report = check_conditions(diagonal, inp, ("manifold", "compact-nonsingular"))
-    assert all(v.holds for v in report.values())
+    assert diagonal.check_manifold().holds
+    assert diagonal.check_compact_nonsingular(inp).holds
 
 
 def test_degree_three_brute_force_agreement():
@@ -183,36 +181,64 @@ def test_budget_counts_forced_entries():
         solve_weight_system(WeightSystemInput((0,) * 317, (0,) * 317))
 
 
-def test_check_conditions_rejects_unknown_flag():
-    inp = WeightSystemInput((1,), (1,))
-    sol = solve_weight_system(inp)[0]
-    with pytest.raises(MalformedConstraint):
-        check_conditions(sol, inp, ("no-such-condition",))
-
-
 def test_check_conditions_torus_diagonal():
     inp = WeightSystemInput((1, 2, 1), (1, 2, 1))
     diagonal = WeightArray(((1,), (0, 2), (0, 0, 1)))
-    report = check_conditions(diagonal, inp, ("manifold", "virtual-betti", "compact-nonsingular"))
-    assert report["manifold"].holds
-    assert report["virtual-betti"].holds
-    assert report["compact-nonsingular"].holds
+    assert diagonal.check_manifold().holds
+    assert diagonal.check_virtual_betti(inp.beta).holds
+    assert diagonal.diagonal_sums() == list(inp.b)
+    assert diagonal.check_compact_nonsingular(inp).holds
 
 
 def test_check_conditions_surface_solution_fails_manifold():
     inp = WeightSystemInput((1, 1, 8), (4, -1, 3))
-    report = check_conditions(DIAGONAL_HEAVY_SOLUTION, inp, ("manifold", "virtual-betti"))
-    assert not report["manifold"].holds
-    assert "w(2,1)" in report["manifold"].detail or "w(2,0)" in report["manifold"].detail
-    assert report["virtual-betti"].holds
+    manifold = DIAGONAL_HEAVY_SOLUTION.check_manifold()
+    assert not manifold.holds
+    assert "w(2,1)" in manifold.detail or "w(2,0)" in manifold.detail
+    assert DIAGONAL_HEAVY_SOLUTION.check_virtual_betti(inp.beta).holds
+    assert DIAGONAL_HEAVY_SOLUTION.diagonal_sums() == list(inp.b)
 
 
 def test_check_conditions_trivial_input():
     inp = WeightSystemInput((0,), (0,))
     sols = solve_weight_system(inp)
     assert len(sols) == 1
-    report = check_conditions(sols[0], inp, ("manifold", "virtual-betti"))
-    assert all(v.holds for v in report.values())
+    assert sols[0].check_manifold().holds
+    assert sols[0].check_virtual_betti(inp.beta).holds
+    assert sols[0].diagonal_sums() == list(inp.b)
+
+
+@pytest.mark.parametrize("profile, inp", [
+    (WeightArray(((1,),)), WeightSystemInput((1, 0, 1), (1, 0, 1))),
+    (WeightArray(((1,), (0, 0), (0, 0, 1))), WeightSystemInput((1,), (1,))),
+], ids=["fewer-rows", "more-rows"])
+def test_compact_nonsingular_fails_on_another_top_degree(profile, inp):
+    verdict = profile.check_compact_nonsingular(inp)
+    assert not verdict.holds
+    assert verdict.detail == f"profile has top degree {profile.n}, the input {inp.n}"
+
+
+def test_compact_nonsingular_wants_a_diagonal_profile_with_b_equal_to_beta():
+    diagonal = WeightArray(((1,), (0, 2), (0, 0, 1)))
+    assert not diagonal.check_compact_nonsingular(WeightSystemInput((1, 2, 1), (1, 2, 3))).holds
+    verdict = DIAGONAL_HEAVY_SOLUTION.check_compact_nonsingular(
+        WeightSystemInput((1, 1, 8), (1, 1, 8)))
+    assert not verdict.holds
+    assert verdict.detail == "profile is not concentrated on the diagonal with b = beta"
+
+
+def test_condition_texts():
+    short = WeightArray(((1,), (0, 2)))
+    assert DIAGONAL_HEAVY_SOLUTION.check_manifold().detail == (
+        "below-diagonal entry w(2,0) = 3 is nonzero")
+    assert short.check_manifold().detail == "all below-diagonal entries vanish"
+    # missing rows on either side count as zero
+    assert short.check_virtual_betti([1, 2, 0, 0]) == Verdict(
+        True, "row alternating sums match the virtual Betti numbers")
+    assert short.check_virtual_betti([1, 2, 1]).detail == (
+        "virtual Betti condition fails at row j=2: alternating sum 0 != beta_2 = 1")
+    assert short.check_virtual_betti([1]).detail == (
+        "virtual Betti condition fails at row j=1: alternating sum 2 != beta_1 = 0")
 
 
 def test_constraint_filter_reproduces_contradiction():
@@ -291,7 +317,7 @@ def test_constraint_names_at_degree_ten_and_above():
 
 
 def test_mv_profile_vs_virtual_betti_surface(surface_ss):
-    verdict = mv_profile_vs_virtual_betti(surface_ss.filtration_profile(), [4, -1, 3])
+    verdict = surface_ss.filtration_profile().check_virtual_betti([4, -1, 3])
     assert not verdict.holds
     assert "j=0" in verdict.detail
     assert "3 != beta_0 = 4" in verdict.detail
@@ -304,7 +330,7 @@ def test_mv_profile_vs_virtual_betti_compact_piece():
     torus = models.torus_minimal()
     arr = Arrangement(torus, (("X", torus.full_subcomplex()),))
     profile = MVSpectralSequence(arr).filtration_profile()
-    verdict = mv_profile_vs_virtual_betti(profile, [1, 2, 1])
+    verdict = profile.check_virtual_betti([1, 2, 1])
     assert verdict.holds
 
 
@@ -312,7 +338,7 @@ def test_mv_profile_vs_virtual_betti_disjoint_pieces(scene):
     from virtbetti.spectral import MVSpectralSequence
 
     profile = MVSpectralSequence(scene.arrangement("two-circles")).filtration_profile()
-    assert mv_profile_vs_virtual_betti(profile, [2, 2]).holds
+    assert profile.check_virtual_betti([2, 2]).holds
 
 
 def test_triangle_rendering():
