@@ -10,7 +10,6 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import NotACover, Record, TooManyPieces
-from .polynomial import IntPolynomial
 from .simplicial import SimplicialComplex, Subcomplex
 
 __all__ = ["Arrangement", "MAX_PIECES"]
@@ -76,6 +75,8 @@ class Arrangement(Record):
         Meaningful when the pieces and all their intersections are compact
         nonsingular models (a normal-crossing style cover).
         """
+        from .polynomial import IntPolynomial  # the MV engine needs no Z[t]
+
         total = IntPolynomial.zero()
         for subset, meet in self.nerve.items():
             poly = self.total.standalone(meet).poincare_polynomial()

@@ -15,7 +15,7 @@ __all__ = ["IntPolynomial", "NEG_INFINITY", "parse_polynomial"]
 
 NEG_INFINITY = float("-inf")
 
-_TERM_RE = re.compile(r"^([+-]?)(\d+)?(?:\*?t(?:\^(\d+))?)?$")
+_TERM_RE = re.compile(r"([+-]?)([0-9]+)?(?:\*?t(?:\^([0-9]+))?)?")
 
 
 class IntPolynomial:
@@ -142,12 +142,14 @@ class IntPolynomial:
 def parse_polynomial(text: str) -> IntPolynomial:
     """Inverse of IntPolynomial.to_text; accepts e.g. ``-2 + 2*t`` or ``t^3``.
 
-    Raises ValueError for anything but a string, and for an exponent above
-    ``simplicial.MAX_SIMPLICES`` before any coefficient is stored: no complex
-    under that cap has homology so high, and the dense coefficients of a
-    nine-digit power of t would take gigabytes.
+    Digits are ASCII and spaces are the only characters skipped.  Raises
+    ValueError for anything but a string, for any other text outside that
+    form, and for an exponent above ``simplicial.MAX_SIMPLICES`` before any
+    coefficient is stored: no complex under that cap has homology so high,
+    and the dense coefficients of a nine-digit power of t would take
+    gigabytes.
     """
-    from .simplicial import MAX_SIMPLICES  # simplicial imports this module
+    from .simplicial import MAX_SIMPLICES  # Z[t] arithmetic alone compiles no homology
 
     if not isinstance(text, str):
         raise ValueError(f"polynomial text must be a string, not {type(text).__name__}")
@@ -166,7 +168,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
     terms.append(current)
     coeffs: dict[int, int] = {}
     for term in terms:
-        match = _TERM_RE.match(term)
+        match = _TERM_RE.fullmatch(term)
         if not match or (match.group(2) is None and "t" not in term):
             raise ValueError(f"cannot parse polynomial term {term!r} in {text!r}")
         sign = -1 if match.group(1) == "-" else 1

@@ -38,7 +38,6 @@ from typing import Container, Hashable, Iterable, Iterator, Sequence
 
 from .errors import NotFaceClosed, Record, TooManySimplices, UnknownVertex
 from .gf2 import GF2Matrix, pivot_rows, rank
-from .polynomial import IntPolynomial
 
 __all__ = [
     "SimplicialComplex",
@@ -75,6 +74,8 @@ class BettiVector(tuple):
         return sum((-1) ** i * b for i, b in enumerate(self))
 
     def as_polynomial(self) -> IntPolynomial:
+        from .polynomial import IntPolynomial  # homology alone needs no Z[t]
+
         return IntPolynomial(self)
 
     def __repr__(self) -> str:

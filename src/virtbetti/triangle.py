@@ -27,6 +27,9 @@ class WeightSystemInput(Record):
     beta: tuple[int, ...]
 
     def __post_init__(self):
+        # stored as tuples, so inputs given as lists compare and hash as equal
+        fields = self.__dict__
+        fields["b"], fields["beta"] = tuple(self.b), tuple(self.beta)
         if len(self.b) != len(self.beta):
             raise ValueError("b and beta must have the same length")
         if not self.b:
@@ -46,6 +49,8 @@ class WeightArray(Record):
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # stored as tuples, so rows given as lists compare and hash as equal
+        self.__dict__["rows"] = tuple(map(tuple, self.rows))
         for i, row in enumerate(self.rows):
             if len(row) != i + 1:
                 raise ValueError("row lengths must be 1, 2, ..., n+1")

@@ -115,6 +115,18 @@ def test_parse_rejects_garbage():
             parse_polynomial(bad)
 
 
+@pytest.mark.parametrize("bad", ["\u0661 + \u0663*t^\u0662", "t^\u0662", "\uff13"])
+def test_parse_rejects_non_ascii_digits(bad):
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_polynomial(bad)
+
+
+@pytest.mark.parametrize("bad", ["1 + t\n", "3\n", "t^2\n"])
+def test_parse_rejects_a_trailing_newline(bad):
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_polynomial(bad)
+
+
 def test_render_examples():
     assert P([4, -1, 3]).to_text() == "4 - t + 3*t^2"
     assert P([-2, 2]).to_text() == "-2 + 2*t"

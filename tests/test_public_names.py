@@ -89,8 +89,34 @@ def test_importing_the_package_loads_no_submodule():
 
 def test_importing_simplicial_loads_only_what_it_uses():
     assert _child_json("import virtbetti.simplicial\n" + LOADED) == [
-        "virtbetti", "virtbetti.errors", "virtbetti.gf2", "virtbetti.polynomial",
-        "virtbetti.simplicial"]
+        "virtbetti", "virtbetti.errors", "virtbetti.gf2", "virtbetti.simplicial"]
+
+
+@pytest.mark.parametrize("module", ["cover", "spectral", "models"])
+def test_importing_cover_spectral_or_models_loads_no_polynomial(module):
+    assert "virtbetti.polynomial" not in _child_json(f"import virtbetti.{module}\n" + LOADED)
+
+
+def test_a_poincare_polynomial_after_importing_only_simplicial():
+    code = """
+from virtbetti.simplicial import SimplicialComplex, product_complex
+circle = SimplicialComplex.from_maximal("abc", ["ab", "bc", "ca"])
+print(json.dumps(product_complex(circle, circle).poincare_polynomial().to_text()))
+"""
+    assert _child_json(code) == "1 + 2*t + t^2"
+
+
+def test_a_virtual_betti_after_importing_only_cover():
+    # two circles meeting in one vertex: 2 (1 + t) - 1
+    code = """
+from virtbetti.cover import Arrangement
+from virtbetti.simplicial import SimplicialComplex
+total = SimplicialComplex.from_maximal("abcde", ["ab", "bc", "ca", "ad", "de", "ea"])
+pieces = (("left", total.subcomplex(maximal=["ab", "bc", "ca"])),
+          ("right", total.subcomplex(maximal=["ad", "de", "ea"])))
+print(json.dumps(Arrangement(total, pieces).virtual_betti().to_text()))
+"""
+    assert _child_json(code) == "1 + 2*t"
 
 
 def _engines_loaded(code: str, *args: str) -> set[str]:

@@ -341,6 +341,21 @@ def test_mv_profile_vs_virtual_betti_disjoint_pieces(scene):
     assert profile.check_virtual_betti([2, 2]).holds
 
 
+def test_an_array_given_as_lists_is_found_among_the_solutions():
+    torus = solve_weight_system(WeightSystemInput((1, 2, 1), (1, 2, 1)))
+    assert WeightArray([[1], [0, 2], [0, 0, 1]]) in torus
+
+
+def test_an_input_given_as_lists_equals_one_given_as_tuples():
+    assert WeightSystemInput([1, 2, 1], [1, 2, 1]) == WeightSystemInput((1, 2, 1), (1, 2, 1))
+    assert hash(WeightSystemInput([1, 2, 1], [1, 2, 1])) == hash(
+        WeightSystemInput((1, 2, 1), (1, 2, 1)))
+
+
+def test_an_array_given_as_lists_hashes_as_its_tuples():
+    assert hash(WeightArray([[1], [0, 2]])) == hash(WeightArray(((1,), (0, 2))))
+
+
 def test_triangle_rendering():
     lines = DIAGONAL_HEAVY_SOLUTION.triangle_lines()
     assert lines == ["3", "1 2", "1 0 3"]
