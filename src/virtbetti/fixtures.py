@@ -91,15 +91,6 @@ def builtin_scene() -> Scene:
     cx["projective-plane"] = models.projective_plane()
     cx["tangent-circles"] = models.tangent_circles()
 
-    surface = models.surface_model()
-    cx["surface-443"] = surface.total
-    cx["surface-sphere1"] = surface.sphere1.as_complex()
-    cx["surface-sphere2"] = surface.sphere2.as_complex()
-    cx["surface-torus"] = surface.torus.as_complex()
-    cx["surface-curve12"] = surface.curve12.as_complex()
-    cx["surface-curve13"] = surface.curve13.as_complex()
-    cx["surface-curve23"] = surface.curve23.as_complex()
-
     # pairs: (compactification, complement) models of open strata
     def pair(name, total_name, boundary_maximal):
         total = cx[total_name]
@@ -119,14 +110,6 @@ def builtin_scene() -> Scene:
         sub_verts = [f"v{i}" for i in range(n + 2)]
         boundary = list(combinations(sub_verts, n + 1))
         pair(f"sphere-pair-{n}", total_name, boundary)
-
-    tp = [(v,) for v in ("t4_2", "t0_2", "t1_5", "t3_5")]
-    for curve in ("curve12", "curve13", "curve23"):
-        pair(f"surface-{curve}-arcs", f"surface-{curve}", tp)
-    # each piece less the two double-point curves on it
-    for piece, a, b in (("sphere1", "12", "13"), ("sphere2", "12", "23"), ("torus", "13", "23")):
-        pair(f"surface-{piece}-smooth", f"surface-{piece}",
-             models.curve_edges(a) + models.curve_edges(b))
 
     # atoms
     atoms = scene.atoms
@@ -216,55 +199,40 @@ def builtin_scene() -> Scene:
             (open_stratum(f"complement-{n}", n + 1, f"sphere-pair-{n}"),),
         )
 
+    # the two-spheres-plus-torus surface, generated from the table in models:
+    # each curve less the triple points is an arc stratum, and each piece less
+    # its two curves is a smooth stratum whose complement those arcs and the
+    # triple points stratify
+    surface = models.surface_model()
+    cx["surface-443"] = surface.total
+    for piece, _, _ in models.SURFACE_PIECES:
+        cx[f"surface-{piece}"] = getattr(surface, piece).as_complex()
     arc_strata = {}
-    for tag in ("12", "13", "23"):
+    for tag in models.SURFACE_CURVES:
+        cx[f"surface-curve{tag}"] = getattr(surface, f"curve{tag}").as_complex()
+        pair(f"surface-curve{tag}-arcs", f"surface-curve{tag}", surface.triple_points.simplices)
         arc_strata[tag] = open_stratum(f"c{tag}-arcs", 1, f"surface-curve{tag}-arcs")
-    st["surface-sphere1-boundary"] = StratifiedSpec(
-        "surface-sphere1-boundary",
-        (arc_strata["12"], arc_strata["13"], compact("triple-s1", 0, "four-points")),
-        {"c12-arcs": frozenset({"triple-s1"}), "c13-arcs": frozenset({"triple-s1"})},
-    )
-    st["surface-sphere2-boundary"] = StratifiedSpec(
-        "surface-sphere2-boundary",
-        (arc_strata["12"], arc_strata["23"], compact("triple-s2", 0, "four-points")),
-        {"c12-arcs": frozenset({"triple-s2"}), "c23-arcs": frozenset({"triple-s2"})},
-    )
-    st["surface-torus-boundary"] = StratifiedSpec(
-        "surface-torus-boundary",
-        (arc_strata["13"], arc_strata["23"], compact("triple-t", 0, "four-points")),
-        {"c13-arcs": frozenset({"triple-t"}), "c23-arcs": frozenset({"triple-t"})},
-    )
+    smooth_strata, frontier = [], {}
+    for piece, tags, triple in models.SURFACE_PIECES:
+        pair(f"surface-{piece}-smooth", f"surface-{piece}",
+             [edge for tag in tags for edge in models.curve_edges(tag)])
+        arcs = [arc_strata[tag] for tag in tags]
+        boundary = StratifiedSpec(
+            f"surface-{piece}-boundary",
+            (*arcs, compact(triple, 0, "four-points")),
+            {arc.name: frozenset({triple}) for arc in arcs},
+        )
+        st[boundary.name] = boundary
+        smooth_strata.append(StratumRecord(f"{piece}-smooth", 2, OpenModel(
+            scene.pairs[f"surface-{piece}-smooth"], boundary_nonsingular=False,
+            boundary_strata=boundary,
+        )))
+        frontier[f"{piece}-smooth"] = frozenset(arc.name for arc in arcs) | {"triple-points"}
+    frontier.update((arc.name, frozenset({"triple-points"})) for arc in arc_strata.values())
     st["surface-443"] = StratifiedSpec(
         "surface-443",
-        (
-            StratumRecord("sphere1-smooth", 2, OpenModel(
-                scene.pairs["surface-sphere1-smooth"],
-                boundary_nonsingular=False,
-                boundary_strata=st["surface-sphere1-boundary"],
-            )),
-            StratumRecord("sphere2-smooth", 2, OpenModel(
-                scene.pairs["surface-sphere2-smooth"],
-                boundary_nonsingular=False,
-                boundary_strata=st["surface-sphere2-boundary"],
-            )),
-            StratumRecord("torus-smooth", 2, OpenModel(
-                scene.pairs["surface-torus-smooth"],
-                boundary_nonsingular=False,
-                boundary_strata=st["surface-torus-boundary"],
-            )),
-            arc_strata["12"],
-            arc_strata["13"],
-            arc_strata["23"],
-            compact("triple-points", 0, "four-points"),
-        ),
-        {
-            "sphere1-smooth": frozenset({"c12-arcs", "c13-arcs", "triple-points"}),
-            "sphere2-smooth": frozenset({"c12-arcs", "c23-arcs", "triple-points"}),
-            "torus-smooth": frozenset({"c13-arcs", "c23-arcs", "triple-points"}),
-            "c12-arcs": frozenset({"triple-points"}),
-            "c13-arcs": frozenset({"triple-points"}),
-            "c23-arcs": frozenset({"triple-points"}),
-        },
+        (*smooth_strata, *arc_strata.values(), compact("triple-points", 0, "four-points")),
+        frontier,
     )
 
     # arrangements

@@ -37,6 +37,8 @@ __all__ = [
     "torus_minimal",
     "projective_plane",
     "tangent_circles",
+    "SURFACE_CURVES",
+    "SURFACE_PIECES",
     "SurfaceModel",
     "surface_model",
 ]
@@ -166,6 +168,17 @@ _ARC12 = {
     ("d", "a"): [_D, "c12_6", "c12_7", _A],
 }
 
+# the double-point curves, each tagged by the two pieces it joins
+SURFACE_CURVES = ("12", "13", "23")
+
+# each piece, the two curves on it, and the name of the stratum its four
+# triple points form when the built-in scene stratifies those two curves
+SURFACE_PIECES = (
+    ("sphere1", ("12", "13"), "triple-s1"),
+    ("sphere2", ("12", "23"), "triple-s2"),
+    ("torus", ("13", "23"), "triple-t"),
+)
+
 
 def _path_edges(path: list) -> list[tuple]:
     return [(path[k], path[k + 1]) for k in range(len(path) - 1)]
@@ -260,9 +273,8 @@ def surface_model() -> SurfaceModel:
 
     total = SimplicialComplex.from_maximal(verts, torus_tris + s1_tris + s2_tris)
 
-    curve12 = total.subcomplex(maximal=curve_edges("12"))
-    curve13 = total.subcomplex(maximal=curve_edges("13"))
-    curve23 = total.subcomplex(maximal=curve_edges("23"))
+    curves = {f"curve{tag}": total.subcomplex(maximal=curve_edges(tag))
+              for tag in SURFACE_CURVES}
     torus_sc = total.subcomplex(maximal=torus_tris)
     sphere1 = total.subcomplex(maximal=s1_tris)
     sphere2 = total.subcomplex(maximal=s2_tris)
@@ -273,8 +285,6 @@ def surface_model() -> SurfaceModel:
         sphere1=sphere1,
         sphere2=sphere2,
         torus=torus_sc,
-        curve12=curve12,
-        curve13=curve13,
-        curve23=curve23,
         triple_points=triple,
+        **curves,
     )

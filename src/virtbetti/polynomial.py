@@ -16,6 +16,7 @@ __all__ = ["IntPolynomial", "NEG_INFINITY", "parse_polynomial"]
 NEG_INFINITY = float("-inf")
 
 _TERM_RE = re.compile(r"([+-]?)([0-9]+)?(?:\*?t(?:\^([0-9]+))?)?")
+_SPLIT_NUMBER_RE = re.compile(r"[0-9] +[0-9]")
 
 
 class IntPolynomial:
@@ -142,7 +143,8 @@ class IntPolynomial:
 def parse_polynomial(text: str) -> IntPolynomial:
     """Inverse of IntPolynomial.to_text; accepts e.g. ``-2 + 2*t`` or ``t^3``.
 
-    Digits are ASCII and spaces are the only characters skipped.  Raises
+    Digits are ASCII and spaces, which may not split a number, are the only
+    characters skipped.  Raises
     ValueError for anything but a string, for any other text outside that
     form, and for an exponent above ``simplicial.MAX_SIMPLICES`` before any
     coefficient is stored: no complex under that cap has homology so high,
@@ -153,6 +155,8 @@ def parse_polynomial(text: str) -> IntPolynomial:
 
     if not isinstance(text, str):
         raise ValueError(f"polynomial text must be a string, not {type(text).__name__}")
+    if _SPLIT_NUMBER_RE.search(text):  # "1 2" is not 12
+        raise ValueError(f"cannot parse {text!r}: a space splits a number")
     stripped = text.replace(" ", "")
     if not stripped:
         raise ValueError("empty polynomial text")

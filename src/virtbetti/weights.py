@@ -117,7 +117,7 @@ def solve_weight_system(inp: WeightSystemInput) -> list[WeightArray]:
         i, j = (i, j + 1) if j < i else (i + 1, 0)
 
 
-_KEY_RE = re.compile(r"^w(\d+)_(\d+)$|^w(\d)(\d)$")
+_KEY_RE = re.compile(r"w([0-9]+)_([0-9]+)|w([0-9])([0-9])")
 
 
 def _entry_name(i: int, j: int) -> str:
@@ -166,7 +166,7 @@ class LinearConstraint(Record):
                 )
         coeffs = []
         for key, coeff in sorted(lhs.items()):
-            match = _KEY_RE.match(key)
+            match = _KEY_RE.fullmatch(key)
             if not match:
                 raise MalformedConstraint(
                     f"cannot parse entry name {key!r} (use e.g. 'w21' or 'w2_1')",

@@ -121,6 +121,23 @@ def test_parse_rejects_non_ascii_digits(bad):
         parse_polynomial(bad)
 
 
+@pytest.mark.parametrize("bad", ["1 2", "t ^ 1 0"])
+def test_parse_refuses_a_space_inside_a_number(bad):
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_polynomial(bad)
+
+
+@pytest.mark.parametrize("text,coeffs", [
+    ("2 * t", (0, 2)),
+    ("t ^ 10", (0,) * 10 + (1,)),
+    (" - t", (0, -1)),
+    ("2 t", (0, 2)),
+    ("4 - t + 3*t^2", (4, -1, 3)),
+])
+def test_parse_skips_spaces_between_tokens(text, coeffs):
+    assert parse_polynomial(text) == P(coeffs)
+
+
 @pytest.mark.parametrize("bad", ["1 + t\n", "3\n", "t^2\n"])
 def test_parse_rejects_a_trailing_newline(bad):
     with pytest.raises(ValueError, match="cannot parse"):

@@ -264,6 +264,36 @@ def test_boundary_strata_reference(tmp_path):
     assert beta.to_text() == "-1 + t"
 
 
+def _cycle_scene(links):
+    """One open stratum per stratification, whose ``boundary_strata`` names
+    ``links[stratification]``."""
+    model = {"kind": "open", "pair": "line", "boundary_nonsingular": False}
+    return {
+        "schema_version": 1,
+        "complexes": MINIMAL["complexes"],
+        "pairs": MINIMAL["pairs"],
+        "stratifications": {
+            name: {"strata": [{"name": "a", "dim": 1,
+                               "model": {**model, "boundary_strata": target}}]}
+            for name, target in links.items()
+        },
+    }
+
+
+@pytest.mark.parametrize("links", [{"s": "s"}, {"s": "t", "t": "s"}], ids=["self", "mutual"])
+def test_stratifications_in_a_cycle_are_refused(links, tmp_path, capsys):
+    message = "stratifications reference each other in a cycle at 's'"
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(_cycle_scene(links))
+    assert info.value.message == message
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_cycle_scene(links)))
+    assert main(["vbetti", "s", "--scene", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"code": "scene-error", "message": message, "context": {}}
+
+
 def _with(path, value):
     """A deep copy of MINIMAL with the node at path set to value."""
     bad = json.loads(json.dumps(MINIMAL))

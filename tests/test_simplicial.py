@@ -610,6 +610,20 @@ def test_surface_intersections_are_exactly_the_curves(surface):
     assert triple.simplices == surface.triple_points.simplices
 
 
+def test_surface_table_matches_the_geometry(surface):
+    # the table's pieces are the arrangement's, in order; each holds the two
+    # curves the table lists and not the third, and any two curves meet
+    # exactly in the four triple points
+    assert [getattr(surface, piece) for piece, _, _ in models.SURFACE_PIECES] == [
+        sub for _, sub in surface.pieces()]
+    curves = {tag: getattr(surface, f"curve{tag}").cells for tag in models.SURFACE_CURVES}
+    for piece, tags, _ in models.SURFACE_PIECES:
+        cells = getattr(surface, piece).cells
+        assert [tag for tag, curve in curves.items() if curve <= cells] == list(tags)
+    for a, b in combinations(models.SURFACE_CURVES, 2):
+        assert curves[a] & curves[b] == surface.triple_points.cells
+
+
 def test_surface_cell_counts(surface):
     # 84 vertices, 324 edges, 248 triangles; Euler characteristic 8
     assert surface.total.simplex_counts() == [84, 324, 248]

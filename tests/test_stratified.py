@@ -140,6 +140,42 @@ def test_frontier_must_decrease_dimension():
         StratifiedSpec("bad", (pt, arc), {"p": frozenset({"arc"})})
 
 
+def test_the_unknown_frontier_target_named_does_not_depend_on_the_hash_seed(tmp_path):
+    # targets are walked in sorted order, not in the frozenset's hash order
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import virtbetti
+
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"schema_version": 1, "stratifications": {"s": {
+        "strata": [{"name": "p", "dim": 1, "model": {"kind": "declared", "beta": "t"}}],
+        "frontier": {"p": ["zeta", "alpha", "mid", "q"]},
+    }}}))
+    package_root = os.path.dirname(os.path.dirname(virtbetti.__file__))
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "virtbetti.cli", "vbetti", "s", "--scene", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+        assert json.loads(proc.stderr) == {
+            "code": "invalid-stratification",
+            "message": "frontier target 'alpha' is not a stratum",
+            "context": {"stratification": "s"},
+        }
+
+
+def test_frontier_targets_of_mixed_types_are_named_in_a_fixed_order():
+    arc = StratumRecord("arc", 1, DeclaredBeta(P("t")))
+    with pytest.raises(InvalidStratification) as info:
+        StratifiedSpec("bad", (arc,), {"arc": frozenset({"zeta", 1, "alpha", None})})
+    assert info.value.message == "frontier target 'alpha' is not a stratum"
+
+
 def test_inclusion_exclusion_examples():
     circle = P("1 + t")
     # two ellipses meeting in four points
@@ -184,6 +220,17 @@ def test_refinement_circle_two_ways(scene):
         {"circle": ["arc", "pt"]},
     )
     assert v.holds
+
+
+def test_refinement_reads_each_mapping_value_once(scene):
+    # a one-shot iterable is not used up by the partition check
+    v = refinement_check(
+        scene.stratification("circle-as-one"),
+        scene.stratification("circle-as-two"),
+        {"circle": iter(["arc", "pt"])},
+    )
+    assert v.holds, v.detail
+    assert v.detail == "refinement compatible; total 1 + t"
 
 
 def test_refinement_wrong_mapping_fails(scene):

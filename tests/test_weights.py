@@ -316,6 +316,13 @@ def test_constraint_names_at_degree_ten_and_above():
         LinearConstraint.from_dict({"lhs": {"w110": 1}, "op": ">=", "rhs": 0})
 
 
+@pytest.mark.parametrize("key", ["w21\n", "w2_1\n", "w\u0662\u0661", "w\uff12\uff11"],
+                         ids=["newline", "newline-underscore", "arabic-indic", "full-width"])
+def test_entry_names_are_ascii_digits_to_the_end(key):
+    with pytest.raises(MalformedConstraint):
+        LinearConstraint.from_dict({"lhs": {key: 1}, "op": ">=", "rhs": 0})
+
+
 def test_mv_profile_vs_virtual_betti_surface(surface_ss):
     verdict = surface_ss.filtration_profile().check_virtual_betti([4, -1, 3])
     assert not verdict.holds
