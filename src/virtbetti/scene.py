@@ -7,6 +7,8 @@ maximal simplices, polynomials as text), so load -> dump -> load is the
 identity.  The expression grammar (each node's op, child keys and ring
 rule) lives in ``scissor.NODES``; this module reads it and itself names
 only the leaves (``atom``, ``empty``) and a blowup's optional ``label``.
+Stratifications resolve their ``boundary_strata`` references through
+``stratified.walk``, so a chain of them is as long as memory allows.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .stratified import (
     OpenModel,
     StratifiedSpec,
     StratumRecord,
+    walk,
 )
 from .triangle import WeightSystemInput
 
@@ -164,7 +167,7 @@ def _strat_model_from_dict(data: Mapping, scene: Scene, raw_strats: Mapping,
         pair = scene.pair(data["pair"])
         boundary_strata = None
         if "boundary_strata" in data and data["boundary_strata"] is not None:
-            boundary_strata = _resolve_stratification(
+            boundary_strata = yield _resolve_stratification(
                 data["boundary_strata"], scene, raw_strats, resolving
             )
         return OpenModel(
@@ -177,7 +180,8 @@ def _strat_model_from_dict(data: Mapping, scene: Scene, raw_strats: Mapping,
 
 
 def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
-                            resolving: set[str]) -> StratifiedSpec:
+                            resolving: set[str]):
+    """A walk (see ``stratified.walk``) to stratification ``name``, put in ``scene``."""
     if name in scene.stratifications:
         return scene.stratifications[name]
     if name not in raw_strats:
@@ -191,7 +195,8 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
     for s in raw.get("strata", []):
         s = _json(s, path + ", stratum")
         where = f"{path}, stratum {s.get('name')!r}"
-        model = _strat_model_from_dict(s.get("model", {}), scene, raw_strats, resolving, where)
+        model = yield _strat_model_from_dict(s.get("model", {}), scene, raw_strats,
+                                             resolving, where)
         dim = json_int(s["dim"], where + ", dim", SceneError)
         strata.append(StratumRecord(s["name"], dim, model))
     frontier = {
@@ -261,7 +266,7 @@ def scene_from_dict(data: Mapping) -> Scene:
             )
         raw_strats = _json(data.get("stratifications", {}), "stratifications")
         for name in sorted(raw_strats):
-            _resolve_stratification(name, scene, raw_strats, set())
+            walk(_resolve_stratification(name, scene, raw_strats, set()))
         for name, spec, path in _entries(data, "arrangements", "arrangement"):
             total = scene.complex(spec["total"])
             pieces = []

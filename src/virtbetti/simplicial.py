@@ -44,7 +44,6 @@ __all__ = [
     "Subcomplex",
     "PairSpace",
     "BettiVector",
-    "disjoint_union",
     "product_complex",
     "maximal_simplices",
     "MAX_SIMPLICES",
@@ -264,12 +263,6 @@ class SimplicialComplex:
                     f"vertex {v!r} has no singleton simplex", vertex=repr(v)
                 )
 
-    def contains_simplex(self, s: Sequence[Vertex]) -> bool:
-        try:
-            return _normalize(self._index, (s,))[0] in self._cells
-        except UnknownVertex:
-            return False
-
     def standalone(self, cells: frozenset) -> SimplicialComplex:
         """Complex on a face-closed subset of the cells, vertex order restricted."""
         position = {i: j for j, i in enumerate(sorted({i for s in cells for i in s}))}
@@ -349,11 +342,6 @@ class Subcomplex(Record):
         if other.parent is not self.parent:
             raise ValueError("subcomplexes of different parents")
         return Subcomplex._trusted(self.parent, self.cells | other.cells)
-
-    def intersection(self, other: Subcomplex) -> Subcomplex:
-        if other.parent is not self.parent:
-            raise ValueError("subcomplexes of different parents")
-        return Subcomplex._trusted(self.parent, self.cells & other.cells)
 
     def __repr__(self) -> str:
         return f"<Subcomplex {len(self.cells)} simplices>"
@@ -438,20 +426,6 @@ class PairSpace(Record):
         sum of relative cohomology dimensions."""
         top = self.total.dim
         return sum((-1) ** d * len(self._basis(d)) for d in range(top + 1))
-
-
-def disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    """Disjoint union; vertices are tagged only if the name sets collide."""
-    if not b.cells and not b.vertices:
-        return a
-    if not a.cells and not a.vertices:
-        return b
-    verts = a.vertices + b.vertices
-    if set(a.vertices) & set(b.vertices):
-        verts = tuple((0, v) for v in a.vertices) + tuple((1, v) for v in b.vertices)
-    shift = len(a.vertices)
-    cells = chain(a.cells, (tuple(i + shift for i in s) for s in b.cells))
-    return SimplicialComplex.__new__(SimplicialComplex)._assemble(verts, _grouped(cells))
 
 
 def _staircase_paths(s: int, t: int):

@@ -7,7 +7,9 @@ nonsingular stratum presented as a pair (compactification, complement)
 contributes P(total) minus the polynomial of the complement, which is in
 turn either a Poincare polynomial (complement asserted compact
 nonsingular) or the value of a supplied stratification of the complement;
-dimension-0 strata contribute their point counts.
+dimension-0 strata contribute their point counts.  ``walk`` follows a
+chain of such stratifications from a list, so its length is bounded by
+memory, not by the interpreter's stack.
 
 Degree checks (degree = declared dimension, positive leading coefficient)
 are warnings by default and errors in strict mode.
@@ -132,18 +134,32 @@ def _note_mismatch(message: str, strict: bool, warnings: list[str] | None, **con
         warnings.append(message)
 
 
+def walk(root):
+    """The value of ``root``, a generator that yields each sub-walk (such a
+    generator too) and is sent its value: recursion with a list for a stack."""
+    stack, value = [root], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as stop:
+            stack.pop()
+            value = stop.value
+    return value
+
+
 def beta_of_stratum(
     stratum: StratumRecord, *, strict: bool = False, warnings: list[str] | None = None,
     stratification: str | None = None,
 ) -> IntPolynomial:
     """Virtual Poincare polynomial of one stratum from its model.  Degree
     warnings and errors name ``stratification``, the stratum's own, if given."""
-    return _beta_of_stratum(stratum, stratification, strict, warnings, {})
+    return walk(_beta_of_stratum(stratum, stratification, strict, warnings, {}))
 
 
 def _beta_of_stratum(stratum: StratumRecord, stratification: str | None, strict: bool,
-                     warnings: list[str] | None,
-                     done: dict[int, IntPolynomial]) -> IntPolynomial:
+                     warnings: list[str] | None, done: dict[int, IntPolynomial]):
+    """A walk (see ``walk``) to the stratum's polynomial."""
     # strata of different stratifications may share a name: name both
     where, context = f"stratum {stratum.name!r}", {"stratum": stratum.name}
     if stratification is not None:
@@ -158,7 +174,7 @@ def _beta_of_stratum(stratum: StratumRecord, stratification: str | None, strict:
         if boundary.is_empty():
             boundary_beta = IntPolynomial.zero()
         elif model.boundary_strata is not None:
-            boundary_beta = _beta_of_stratified(model.boundary_strata, strict, warnings, done)
+            boundary_beta = yield _beta_of_stratified(model.boundary_strata, strict, warnings, done)
         elif model.boundary_nonsingular:
             boundary_beta = boundary.as_complex().poincare_polynomial()
         else:
@@ -194,19 +210,26 @@ def beta_of_stratified(
 ) -> IntPolynomial:
     """Sum of the strata's polynomials, with a degree check against the
     largest declared stratum dimension."""
-    return _beta_of_stratified(spec, strict, warnings, {})
+    return walk(_beta_of_stratified(spec, strict, warnings, {}))
 
 
 def _beta_of_stratified(spec: StratifiedSpec, strict: bool, warnings: list[str] | None,
-                        done: dict[int, IntPolynomial]) -> IntPolynomial:
-    """``done`` holds each stratification evaluated so far in this call, by
-    id: two strata may share one ``boundary_strata``, and a chain of such
-    diamonds would otherwise be evaluated once per path, 2^k times."""
+                        done: dict[int, IntPolynomial]):
+    """A walk to the stratification's polynomial.  ``done`` holds each one
+    walked so far, by id: two strata may share one ``boundary_strata``, and a
+    chain of such diamonds would otherwise be walked once per path, 2^k times."""
     if id(spec) in done:
         return done[id(spec)]
     total = IntPolynomial.zero()
     for stratum in spec.strata:
-        total = total + _beta_of_stratum(stratum, spec.name, strict, warnings, done)
+        total = total + (yield _beta_of_stratum(stratum, spec.name, strict, warnings, done))
+    _check_total(spec, total, strict, warnings)
+    done[id(spec)] = total
+    return total
+
+
+def _check_total(spec: StratifiedSpec, total: IntPolynomial, strict: bool,
+                 warnings: list[str] | None) -> None:
     if spec.strata:
         top = max(s.dim for s in spec.strata)
         if total.degree != top or total.leading_coefficient <= 0:
@@ -215,8 +238,6 @@ def _beta_of_stratified(spec: StratifiedSpec, strict: bool, warnings: list[str] 
                 f"have degree {top} with positive leading coefficient",
                 strict, warnings, stratification=spec.name,
             )
-    done[id(spec)] = total
-    return total
 
 
 def inclusion_exclusion(
@@ -277,19 +298,18 @@ def refinement_check(
             duplicated=sorted(duplicated),
             unknown=sorted(unknown),
         )
+    done: dict[int, IntPolynomial] = {}  # one memo for the strata of both sides
+    total = IntPolynomial.zero()
     for stratum in coarse.strata:
-        lhs = beta_of_stratum(stratum, strict=strict, stratification=coarse.name)
-        rhs = IntPolynomial.zero()
-        for name in mapping[stratum.name]:
-            rhs = rhs + beta_of_stratum(fine.stratum(name), strict=strict,
-                                        stratification=fine.name)
+        lhs = walk(_beta_of_stratum(stratum, coarse.name, strict, None, done))
+        rhs = sum((walk(_beta_of_stratum(fine.stratum(name), fine.name, strict, None, done))
+                   for name in mapping[stratum.name]), IntPolynomial.zero())
         if lhs != rhs:
             return Verdict(
                 False,
                 f"stratum {stratum.name!r}: {lhs} differs from refinement sum {rhs}",
             )
-    # the mapping partitions the fine strata, so the totals, sums of the strata
-    # compared above, agree; they are evaluated for strict mode's degree checks
-    total = beta_of_stratified(coarse, strict=strict)
-    beta_of_stratified(fine, strict=strict)
+        total = total + lhs
+    for spec in (coarse, fine):  # each total is this sum, as the mapping is a partition
+        _check_total(spec, total, strict, None)
     return Verdict(True, f"refinement compatible; total {total}")

@@ -33,7 +33,6 @@ from typing import Sequence
 
 from gf2_oracle import kernel_vectors, span_dim
 from virtbetti.gf2 import pivot_rows
-from virtbetti.simplicial import Subcomplex
 from virtbetti.spectral import _total_complex
 from virtbetti.stratified import inclusion_exclusion
 
@@ -265,7 +264,7 @@ def virtual_betti(arrangement):
     polys = {}
     for size in range(2, len(subs) + 1):
         for subset in combinations(range(len(subs)), size):
-            meet = reduce(Subcomplex.intersection, (subs[i] for i in subset))
-            polys[frozenset(subset)] = meet.as_complex().poincare_polynomial()
+            meet = reduce(frozenset.intersection, (subs[i].cells for i in subset))
+            polys[frozenset(subset)] = arrangement.total.standalone(meet).poincare_polynomial()
     pieces = [(name, sub.as_complex().poincare_polynomial()) for name, sub in arrangement.pieces]
     return inclusion_exclusion(pieces, polys)

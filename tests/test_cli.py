@@ -8,7 +8,7 @@ import time
 import pytest
 
 from virtbetti.cli import main
-from virtbetti.scene import dump_scene
+from virtbetti.scene import dump_scene, load_scene
 from virtbetti.fixtures import builtin_scene
 from virtbetti.weights import MAX_WEIGHT_NODES
 
@@ -555,20 +555,28 @@ def _boundary_chain(n: int) -> str:
 
 
 def test_long_boundary_strata_chains_resolve_or_are_a_scene_error(tmp_path):
-    # resolving and evaluating recurse once per link: a long chain works, a
-    # much longer one is refused as a whole, and nothing in between escapes
+    # the links are walked from a list, not by recursion: a chain far longer
+    # than the recursion limit resolves, evaluates and round-trips, and the
+    # same chain closed into a cycle is refused by name
     path = tmp_path / "scene.json"
-    path.write_text(_boundary_chain(480))
+    path.write_text(_boundary_chain(2000))
     proc = _child("-m", "virtbetti.cli", "vbetti", "s0", "--json", "--quiet", "--scene", str(path))
     assert proc.returncode == 0, proc.stderr
     # beta(s_k) = P(segment) - beta(s_{k+1}) = 1 - beta(s_{k+1}), and the last
     # link is the segment minus two points, -1
     assert json.loads(proc.stdout) == {"name": "s0", "beta": "2", "coefficients": [2]}
-    path.write_text(_boundary_chain(1200))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    dump_scene(load_scene(str(path)), str(first))
+    dump_scene(load_scene(str(first)), str(second))
+    assert first.read_bytes() == second.read_bytes()
+    data = json.loads(_boundary_chain(2000))
+    data["stratifications"]["s1999"]["strata"][0]["model"]["boundary_strata"] = "s0"
+    path.write_text(json.dumps(data))
     proc = _child("-m", "virtbetti.cli", "vbetti", "s0", "--json", "--scene", str(path))
     assert proc.returncode == 3 and proc.stdout == ""
-    assert json.loads(proc.stderr) == {"code": "scene-error", "context": {},
-                                       "message": "scene nests too deeply"}
+    assert json.loads(proc.stderr) == {
+        "code": "scene-error", "context": {},
+        "message": "stratifications reference each other in a cycle at 's0'"}
 
 
 def _diamond_chain(k: int) -> str:

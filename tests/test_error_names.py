@@ -86,8 +86,8 @@ def test_the_first_unknown_vertex_of_a_batch_is_named():
                       lambda: k.subcomplex(maximal=batch)):
             assert error_of(build) == want
     k = SimplicialComplex.from_maximal(*ABCD)
-    assert k.contains_simplex(batch[0])
-    assert not k.contains_simplex(batch[1]) and not k.contains_simplex(batch[2])
+    assert tuple(batch[0]) in k.simplices
+    assert not {tuple(s) for s in batch[1:]} & k.simplices
 
 
 def test_stray_subcomplex_and_uncovered_complex_errors_name_vertices():

@@ -59,7 +59,7 @@ EXPORTS = {
     "gf2": ["GF2Matrix", "rank"],
     "polynomial": ["IntPolynomial", "NEG_INFINITY", "parse_polynomial"],
     "simplicial": ["BettiVector", "PairSpace", "SimplicialComplex", "Subcomplex",
-                   "disjoint_union", "product_complex"],
+                   "product_complex"],
     "scissor": ["Atom", "AtomRegistry", "Blowup", "ClosedDifference", "DisjointUnion", "Empty",
                 "Product", "check_blowup_relation", "degree_report", "evaluate_beta",
                 "evaluate_chi_c"],

@@ -7,10 +7,13 @@ import re
 from pathlib import Path
 
 import pytest
+import stratified_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_scissor import random_expressions
 
 from virtbetti.cli import main
-from virtbetti.errors import SceneError, UnknownName
+from virtbetti.errors import SceneError, UnknownName, VirtBettiError
 from virtbetti.fixtures import builtin_scene
 from virtbetti.polynomial import IntPolynomial
 from virtbetti.scene import Scene, dump_scene, load_scene, scene_from_dict, scene_to_dict
@@ -103,7 +106,7 @@ def test_unknown_expression_op():
 
 def test_face_closure_is_computed_on_load():
     scene = scene_from_dict(MINIMAL)
-    assert scene.complex("circle").contains_simplex(("a",))
+    assert ("a",) in scene.complex("circle").simplices
 
 
 def test_round_trip_minimal():
@@ -434,3 +437,64 @@ def test_scene_file_that_is_not_utf8_is_a_scene_error(tmp_path):
     path.write_bytes(b'{"schema_version": 1, "x": "\xff"}')
     with pytest.raises(SceneError):
         load_scene(str(path))
+
+
+# -- stratification references against the recursive resolver ----------------
+
+NAMES = ["s0", "s1", "s2", "s3"]
+
+
+@st.composite
+def stratification_scenes(draw):
+    """Scene dicts whose stratifications name each other (themselves, in
+    cycles, or names that are not there), now and then with a part malformed."""
+    def pick(good, bad=()):  # a bad value about one time in 25
+        return draw(st.sampled_from(bad if bad and draw(st.integers(1, 25)) == 25 else good))
+
+    strats = {}
+    for name in NAMES[:draw(st.integers(1, 4))]:
+        strata = []
+        for stratum_name in draw(st.lists(st.sampled_from("abc"), max_size=3)):
+            kind = pick(["compact", "declared", "open", "open", "open"], ["bogus", None])
+            model = {"kind": kind}
+            if kind == "compact":
+                model["complex"] = pick(["seg", "pt"], ["nope"])
+            elif kind == "declared":
+                model["beta"] = pick(["t", "1 + t", "-1"], ["t^", 1])
+            elif kind == "open":
+                model["pair"] = pick(["open-seg", "closed-seg"], ["nope"])
+                model["boundary_strata"] = pick(NAMES + [None], ["unknown", 5, ["s0"]])
+                model["boundary_nonsingular"] = pick([True, False], ["false"])
+            stratum = {"name": stratum_name, "dim": pick([0, 1, 2], [1.5, "1"]),
+                       "model": pick([model], [[], "x"])}
+            if draw(st.integers(1, 50)) == 50:
+                del stratum[draw(st.sampled_from(sorted(stratum)))]
+            strata.append(stratum)
+        spec = pick([{"strata": strata}], [[], "x", None])
+        if isinstance(spec, dict) and draw(st.integers(0, 3)) == 0:
+            spec["frontier"] = draw(st.dictionaries(st.sampled_from("abz"),
+                                                    st.lists(st.sampled_from("abz"), max_size=2),
+                                                    max_size=2))
+        strats[name] = spec
+    return {
+        "schema_version": 1,
+        "complexes": {"seg": {"vertices": ["a", "b"], "maximal_simplices": [["a", "b"]]},
+                      "pt": {"vertices": ["a"], "maximal_simplices": [["a"]]}},
+        "pairs": {"open-seg": {"total": "seg", "boundary_maximal": [["a"], ["b"]]},
+                  "closed-seg": {"total": "seg", "boundary_maximal": []}},
+        "stratifications": strats,
+    }
+
+
+def _stratifications(load, data):
+    try:
+        return load(data).stratifications
+    except VirtBettiError as exc:
+        return type(exc), exc.to_dict()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(stratification_scenes())
+def test_stratification_references_resolve_as_the_recursive_resolver_does(data):
+    assert _stratifications(scene_from_dict, data) == \
+        _stratifications(stratified_oracle.scene_from_dict, data)

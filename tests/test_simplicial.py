@@ -21,7 +21,6 @@ from virtbetti.simplicial import (
     PairSpace,
     SimplicialComplex,
     Subcomplex,
-    disjoint_union,
     maximal_simplices,
     _closure,
     product_complex,
@@ -451,10 +450,10 @@ def test_routes_that_skip_the_face_walk_pass_the_full_check(case, case_a, case_b
     pieces = [k.subcomplex(maximal=[t for t, o in zip(tops, owners) if i in o])
               for i in range(3)] + [sub, k.full_subcomplex()]
     arr = Arrangement(k, tuple((f"X{i}", piece) for i, piece in enumerate(pieces)))
-    complexes = [k, a, b, product_complex(a, b), disjoint_union(k, a), disjoint_union(a, b)]
+    complexes = [k, a, b, product_complex(a, b)]
     complexes += [k.standalone(meet) for meet in arr.nerve.values()]
     subs = pieces + [p.union(q) for p in pieces for q in pieces]
-    subs += [p.intersection(q) for p in pieces for q in pieces]
+    subs += [Subcomplex(k, p.cells & q.cells) for p in pieces for q in pieces]
     for piece in subs:
         assert Subcomplex(piece.parent, piece.cells) == piece
         complexes.append(piece.as_complex())
@@ -535,19 +534,7 @@ def test_pair_sphere_minus_sphere_compact_supports(scene):
     assert tuple(pair.betti_compact_supports()) == (0, 0, 2)
 
 
-# -- disjoint unions and products ---------------------------------------------
-
-
-def test_disjoint_union_adds_betti():
-    two = disjoint_union(models.circle(3), models.circle(3))
-    assert tuple(two.betti_mod2()) == (2, 2)
-    assert two.euler_characteristic() == 0
-
-
-def test_disjoint_union_with_empty_is_identity():
-    k = models.circle(3)
-    assert disjoint_union(k, SimplicialComplex.empty()) is k
-    assert disjoint_union(SimplicialComplex.empty(), k) is k
+# -- products -----------------------------------------------------------------
 
 
 def test_product_with_point_is_unit():
@@ -601,13 +588,11 @@ def test_surface_piece_homology(surface):
 
 
 def test_surface_intersections_are_exactly_the_curves(surface):
-    assert surface.sphere1.intersection(surface.sphere2).simplices == surface.curve12.simplices
-    assert surface.sphere1.intersection(surface.torus).simplices == surface.curve13.simplices
-    assert surface.sphere2.intersection(surface.torus).simplices == surface.curve23.simplices
-    triple = (
-        surface.sphere1.intersection(surface.sphere2).intersection(surface.torus)
-    )
-    assert triple.simplices == surface.triple_points.simplices
+    assert surface.sphere1.cells & surface.sphere2.cells == surface.curve12.cells
+    assert surface.sphere1.cells & surface.torus.cells == surface.curve13.cells
+    assert surface.sphere2.cells & surface.torus.cells == surface.curve23.cells
+    triple = surface.sphere1.cells & surface.sphere2.cells & surface.torus.cells
+    assert triple == surface.triple_points.cells
 
 
 def test_surface_table_matches_the_geometry(surface):

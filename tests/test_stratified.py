@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import pytest
+import stratified_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from virtbetti import models
+from virtbetti import models, stratified
 from virtbetti.errors import (
     DimensionMismatch,
     InvalidStratification,
     MissingBoundaryData,
     MissingIntersection,
     NotAPartition,
+    VirtBettiError,
 )
 from virtbetti.polynomial import IntPolynomial, parse_polynomial
 from virtbetti.stratified import (
@@ -24,6 +28,7 @@ from virtbetti.stratified import (
     inclusion_exclusion,
     refinement_check,
 )
+from virtbetti.simplicial import PairSpace, SimplicialComplex
 
 P = parse_polynomial
 
@@ -265,3 +270,106 @@ def test_dimension_zero_strata_count_points(scene):
         "points", (StratumRecord("four", 0, CompactModel(models.points(4))),)
     )
     assert beta_of_stratified(spec, strict=True) == P("4")
+
+
+def test_refinement_evaluates_each_stratum_once(scene, monkeypatch):
+    # one memo for both sides, and the totals are summed from the strata
+    calls = []
+    walker = stratified._beta_of_stratum
+    monkeypatch.setattr(stratified, "_beta_of_stratum",
+                        lambda stratum, *args: calls.append(stratum) or walker(stratum, *args))
+    coarse = scene.stratification("figure-eight-x")
+    fine = scene.stratification("figure-eight-x-fine")
+    v = refinement_check(coarse, fine, {"smooth": ["arc3", "extra-point"], "node": ["node-fine"]},
+                         strict=True)
+    assert v.holds, v.detail
+    assert len(calls) == len(coarse.strata) + len(fine.strata) == 5
+
+
+def test_refinement_checks_the_totals_in_strict_mode():
+    # the one stratum passes its own check, a zero polynomial of dimension
+    # -1, but the total is zero where dimension -1 was declared
+    spec = StratifiedSpec("nothing", (StratumRecord("p", -1, DeclaredBeta(IntPolynomial.zero())),))
+    assert refinement_check(spec, spec, {"p": ["p"]}).holds
+    for check in (refinement_check, stratified_oracle.refinement_check):
+        with pytest.raises(DimensionMismatch) as info:
+            check(spec, spec, {"p": ["p"]}, strict=True)
+        assert info.value.context == {"stratification": "nothing"}
+
+
+# -- the walk against the recursive oracle -------------------------------------
+
+_SEG = SimplicialComplex.from_maximal(["a", "b"], [["a", "b"]])
+_CIRCLE = models.circle(3)
+PAIRS = [PairSpace(_SEG, _SEG.subcomplex(maximal=[["a"], ["b"]])),  # open segment, t - 2
+         PairSpace(_SEG, _SEG.subcomplex()),                          # empty boundary
+         PairSpace(_SEG, _SEG.subcomplex(maximal=[["a"]])),           # half-open segment
+         PairSpace(_CIRCLE, _CIRCLE.subcomplex(maximal=[[_CIRCLE.vertices[0]]]))]
+COMPACT = [models.point(), models.points(2), _CIRCLE]
+DECLARED = [P("t"), P("1 + t"), P("-1"), IntPolynomial.zero(), P("2*t^2")]
+
+
+@st.composite
+def stratification_dags(draw):
+    """Stratifications built bottom up, each stratum's ``boundary_strata``
+    one built before it (or none): chains, diamonds, strata shared between
+    stratifications, singular boundaries without data, mislabelled dims."""
+    specs, records = [], []
+    for level in range(draw(st.integers(1, 6))):
+        strata = []
+        for name in draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True)):
+            if records and draw(st.integers(0, 4)) == 0:  # a stratum of another stratification
+                shared = draw(st.sampled_from(records))
+                if shared.name not in {s.name for s in strata}:
+                    strata.append(shared)
+                continue
+            if name in {s.name for s in strata}:
+                continue
+            kind = draw(st.sampled_from(["compact", "declared", "open", "open"]))
+            if kind == "compact":
+                model = CompactModel(draw(st.sampled_from(COMPACT)))
+            elif kind == "declared":
+                model = DeclaredBeta(draw(st.sampled_from(DECLARED)))
+            else:
+                below = draw(st.sampled_from([None] + specs))
+                model = OpenModel(draw(st.sampled_from(PAIRS)), draw(st.booleans()), below)
+            strata.append(StratumRecord(name, draw(st.integers(-1, 2)), model))
+        records += strata
+        specs.append(StratifiedSpec(f"s{level}", tuple(strata)))
+    return specs
+
+
+def _outcome(evaluate):
+    """(value or error, warnings) of one evaluation, errors by class and dict."""
+    warnings: list[str] = []
+    try:
+        return evaluate(warnings), warnings
+    except VirtBettiError as exc:
+        return (type(exc), exc.to_dict()), warnings
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(stratification_dags(), st.data())
+def test_the_walk_matches_the_recursive_oracle(specs, data):
+    for strict in (False, True):
+        for spec in specs:
+            assert _outcome(lambda w: beta_of_stratified(spec, strict=strict, warnings=w)) == \
+                _outcome(lambda w: stratified_oracle.beta_of_stratified(
+                    spec, strict=strict, warnings=w))
+            for stratum in spec.strata:
+                for name in (None, spec.name):
+                    assert _outcome(lambda w: beta_of_stratum(
+                        stratum, strict=strict, warnings=w, stratification=name)) == \
+                        _outcome(lambda w: stratified_oracle.beta_of_stratum(
+                            stratum, strict=strict, warnings=w, stratification=name))
+        coarse, fine = data.draw(st.sampled_from(specs)), data.draw(st.sampled_from(specs))
+        if data.draw(st.booleans()) or not coarse.strata:
+            fine = coarse  # the identity refinement, which holds unless a check fails
+            mapping = {s.name: [s.name] for s in coarse.strata}
+        else:
+            mapping = {s.name: [] for s in coarse.strata}
+            for s in fine.strata:
+                mapping[data.draw(st.sampled_from(sorted(mapping)))].append(s.name)
+        assert _outcome(lambda w: refinement_check(coarse, fine, mapping, strict=strict)) == \
+            _outcome(lambda w: stratified_oracle.refinement_check(coarse, fine, mapping,
+                                                                  strict=strict))
