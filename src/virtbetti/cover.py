@@ -43,10 +43,6 @@ class Arrangement(Record):
                 missing_count=len(missing),
             )
 
-    @property
-    def names(self) -> list[str]:
-        return [name for name, _ in self.pieces]
-
     @cached_property
     def nerve(self) -> dict[tuple[int, ...], frozenset]:
         """{ascending piece indices: cells of their intersection} for every

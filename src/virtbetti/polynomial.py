@@ -38,14 +38,6 @@ class IntPolynomial:
         return cls(())
 
     @classmethod
-    def one(cls) -> IntPolynomial:
-        return cls((1,))
-
-    @classmethod
-    def variable(cls) -> IntPolynomial:
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, coefficient: int, degree: int) -> IntPolynomial:
         if degree < 0:
             raise ValueError("negative degree")
@@ -186,7 +178,5 @@ def parse_polynomial(text: str) -> IntPolynomial:
         else:
             degree = 1
         coeffs[degree] = coeffs.get(degree, 0) + sign * coeff
-    if not coeffs:
-        return IntPolynomial()
     top = max(coeffs)
     return IntPolynomial(tuple(coeffs.get(d, 0) for d in range(top + 1)))

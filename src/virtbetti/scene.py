@@ -297,13 +297,14 @@ def scene_to_dict(scene: Scene) -> dict:
             "maximal_simplices": [list(s) for s in maximal_simplices(k)],
         }
 
+    complex_name, pair_name = _namer(scene.complexes), _namer(scene.pairs)
     out: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
     out["complexes"] = {
         name: complex_dict(k) for name, k in sorted(scene.complexes.items())
     }
     out["pairs"] = {
         name: {
-            "total": _name_of(scene.complexes, pair.total, f"pair {name!r}"),
+            "total": complex_name(pair.total, f"pair {name!r}"),
             "boundary_maximal": [
                 list(s)
                 for s in maximal_simplices(pair.total, pair.boundary.simplices)
@@ -334,14 +335,14 @@ def scene_to_dict(scene: Scene) -> dict:
             if isinstance(model, CompactModel):
                 mdict = {
                     "kind": "compact",
-                    "complex": _name_of(scene.complexes, model.complex, s.name),
+                    "complex": complex_name(model.complex, s.name),
                 }
             elif isinstance(model, DeclaredBeta):
                 mdict = {"kind": "declared", "beta": model.beta.to_text()}
             else:
                 mdict = {
                     "kind": "open",
-                    "pair": _name_of(scene.pairs, model.pair, s.name),
+                    "pair": pair_name(model.pair, s.name),
                     "boundary_nonsingular": model.boundary_nonsingular,
                 }
                 if model.boundary_strata is not None:
@@ -356,7 +357,7 @@ def scene_to_dict(scene: Scene) -> dict:
     out["stratifications"] = strats
     out["arrangements"] = {
         name: {
-            "total": _name_of(scene.complexes, arr.total, f"arrangement {name!r}"),
+            "total": complex_name(arr.total, f"arrangement {name!r}"),
             "pieces": [
                 {
                     "name": pname,
@@ -376,11 +377,22 @@ def scene_to_dict(scene: Scene) -> dict:
     return out
 
 
-def _name_of(mapping: Mapping[str, Any], value: Any, context: str) -> str:
+def _namer(mapping: Mapping[str, Any]):
+    """The name of a registered object, the first it is registered under;
+    an object not registered takes the first name of an equal one."""
+    names: dict[int, str] = {}
     for name, candidate in mapping.items():
-        if candidate is value or candidate == value:
-            return name
-    raise SceneError(f"{context}: object is not registered under a scene name")
+        names.setdefault(id(candidate), name)
+
+    def name_of(value: Any, context: str) -> str:
+        if id(value) in names:
+            return names[id(value)]
+        for name, candidate in mapping.items():
+            if candidate == value:
+                return name
+        raise SceneError(f"{context}: object is not registered under a scene name")
+
+    return name_of
 
 
 def load_scene(path: str) -> Scene:

@@ -233,9 +233,6 @@ class SimplicialComplex:
         """The vertex names of a cell."""
         return _named(self._vertices, (cell,))[0]
 
-    def vertex_index(self, v: Vertex) -> int:
-        return self._index[v]
-
     def sort_key(self, simplex: Sequence[Vertex]) -> tuple:
         """The positions of a named simplex's vertices: lexicographic order."""
         return tuple(map(self._index.__getitem__, simplex))

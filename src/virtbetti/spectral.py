@@ -32,9 +32,8 @@ and D of it is 0, so D y is a sum of the columns of later positions, all
 fed before y's.  When the homology is small, that is about half the columns.
 
 The cover itself, ``Arrangement`` with its nerve, lives in ``cover`` and the
-E_infinity profile's type, ``WeightArray``, in ``triangle``; both are
-imported here under their old names.  This module does not import the
-weight search in ``weights``.
+E_infinity profile's type, ``WeightArray``, in ``triangle``.  This module
+does not import the weight search in ``weights``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from itertools import chain, combinations, groupby, islice, repeat
 from math import inf
 from typing import Mapping
 
-from .cover import MAX_PIECES, Arrangement
+from .cover import Arrangement
 from .errors import ConvergenceMismatch, Record
 from .gf2 import pivot_rows
 from .simplicial import BettiVector
@@ -52,7 +51,6 @@ from .triangle import WeightArray
 
 __all__ = [
     "Arrangement",
-    "MAX_PIECES",
     "SpectralPage",
     "StabilizationCertificate",
     "MVSpectralSequence",
@@ -96,8 +94,6 @@ class StabilizationCertificate(Record):
     """Witness that the pages are constant from stable_from on."""
 
     stable_from: int
-    column_bound: int
-    checked_zero_ranks: tuple[int, ...]
     detail: str
 
 
@@ -225,16 +221,14 @@ class MVSpectralSequence:
     def stabilization_certificate(self) -> StabilizationCertificate:
         """Only pairs of gap r tell E_r from E_{r+1}, so the pages stop
         changing one past the largest gap."""
-        m = self._m
         r_inf = self.infinity_index
         zero_from = 1 + max((gap for _, _, gap in self._pair_counts), default=0)
-        checked = tuple(range(zero_from, r_inf))
         detail = (
             f"differentials vanish identically from page {zero_from} on: "
-            f"ranks checked zero for r in {list(checked)}; for r >= {r_inf} every "
-            f"differential leaves the column range 0..{m - 1}"
+            f"ranks checked zero for r in {list(range(zero_from, r_inf))}; for r >= {r_inf} "
+            f"every differential leaves the column range 0..{self._m - 1}"
         )
-        return StabilizationCertificate(zero_from, m, checked, detail)
+        return StabilizationCertificate(zero_from, detail)
 
     # -- derived data ---------------------------------------------------------
 

@@ -18,9 +18,9 @@ provenance note.
 
 The types ``WeightArray`` and ``WeightSystemInput`` live in ``triangle``,
 so that scene loading and the spectral sequence can use them without
-importing this search; they are imported here under their old names.  The
-checks of a profile against b and beta (manifold, virtual Betti, compact
-nonsingular) are methods of ``WeightArray``.
+importing this search.  The checks of a profile against b and beta
+(manifold, virtual Betti, compact nonsingular) are methods of
+``WeightArray``.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .errors import MalformedConstraint, Record, WeightSearchTooLarge, json_int
 from .triangle import WeightArray, WeightSystemInput
 
 __all__ = [
-    "WeightSystemInput",
-    "WeightArray",
     "LinearConstraint",
     "FilterResult",
     "solve_weight_system",

@@ -131,9 +131,9 @@ def from_maximal(vertices, maximal) -> SimplicialComplex:
 
 def subcomplex(k: SimplicialComplex, simplices=(), maximal=()) -> Subcomplex:
     """The subcomplex of k holding ``simplices`` and every face of ``maximal``."""
-    chosen = {tuple(sorted(set(s), key=k.vertex_index)) for s in simplices}
+    chosen = {tuple(sorted(set(s), key=k.vertices.index)) for s in simplices}
     for s in maximal:
-        ordered = sorted(set(s), key=k.vertex_index)
+        ordered = sorted(set(s), key=k.vertices.index)
         for size in range(1, len(ordered) + 1):
             chosen.update(combinations(ordered, size))
     return Subcomplex(k, frozenset(map(k.sort_key, chosen)))

@@ -21,9 +21,9 @@ from virtbetti.scissor import (
 from virtbetti.simplicial import product_complex
 from virtbetti.spectral import MVSpectralSequence, row_alternating_sums
 from virtbetti.stratified import beta_of_stratified
+from virtbetti.triangle import WeightArray
 from virtbetti.weights import (
     LinearConstraint,
-    WeightArray,
     constraint_filter,
     solve_weight_system,
 )

@@ -152,6 +152,26 @@ def test_weights_with_constraints(capsys, tmp_path):
     assert "INFEASIBLE (violates: w21 >= 3 (pairwise classes independent))" in out
 
 
+def test_weights_text_with_no_solution(capsys, tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"schema_version": 1,
+                                "weight_inputs": {"none": {"b": [0], "beta": [-1]}}}))
+    code, out, _ = run(capsys, "weights", "none", "--scene", str(path))
+    assert code == 0
+    assert out == ("b: 0\nbeta: -1\n"
+                   "INFEASIBLE (the diagonal/row system has no nonnegative solution)\n")
+
+
+def test_weights_text_with_constraints_that_a_solution_survives(capsys, tmp_path):
+    constraints = tmp_path / "c.json"
+    constraints.write_text(json.dumps([{"lhs": {"w21": 1}, "op": "<=", "rhs": 1, "note": "n"}]))
+    code, out, _ = run(capsys, "weights", "surface-443", "--constraints", str(constraints))
+    assert code == 0
+    assert out.endswith("constraints:\n  w21 <= 1 (n)\n"
+                        "1 solution(s) satisfy all constraints:\n"
+                        "filtered solution 1:\n  3\n  0 1\n  1 1 4\n")
+
+
 def test_scene_file_that_is_a_list_is_a_scene_error(capsys, tmp_path):
     path = tmp_path / "scene.json"
     path.write_text("[1, 2]")
@@ -257,12 +277,12 @@ def test_deterministic_across_processes():
     import virtbetti
 
     # the child must import the very package this process imported, whether
-    # it is installed or only reachable through PYTHONPATH
+    # it is installed or only reachable through PYTHONPATH; -B as in _child
     package_root = os.path.dirname(os.path.dirname(virtbetti.__file__))
     outs = []
     for seed in ("1", "2"):
         proc = subprocess.run(
-            [sys.executable, "-m", "virtbetti.cli", "mvss", "surface-443"],
+            [sys.executable, "-B", "-m", "virtbetti.cli", "mvss", "surface-443"],
             capture_output=True, text=True,
             env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
                  "PYTHONPATH": package_root},
@@ -489,7 +509,9 @@ HOSTILE_FILES = {
 
 def _child(*argv):
     """``python *argv`` in a fresh interpreter that imports the very package
-    this process imported, so a traceback or a second message shows."""
+    this process imported, so a traceback or a second message shows.  Its
+    environment has no PYTHONDONTWRITEBYTECODE, so ``-B`` keeps bytecode out
+    of the source tree."""
     import os
     import subprocess
     import sys
@@ -498,7 +520,7 @@ def _child(*argv):
 
     package_root = os.path.dirname(os.path.dirname(virtbetti.__file__))
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True,
+        [sys.executable, "-B", *argv], capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}, timeout=60,
     )
 

@@ -13,9 +13,9 @@ import pytest
 
 import virtbetti
 from virtbetti.cli import main
+from virtbetti.cover import Arrangement
 from virtbetti.fixtures import builtin_scene
 from virtbetti.scene import dump_scene
-from virtbetti.spectral import Arrangement
 
 GOLDEN = {
     ("fixtures", "--json"): "2c6e4f78b65f55bbf9903292c83febd2",
@@ -34,7 +34,7 @@ GOLDEN = {
     ("betti", "torus", "--json"): "d2480f5469189631da09c70e78a8e7ef",
 }
 
-SCENE_DUMP_MD5 = "8eb48027d1df28b94219e4e0c17ed09d"
+SCENE_DUMP_MD5 = "56c902c38c6ea14b70971354979064ae"
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)

@@ -21,9 +21,9 @@ import pytest
 import simplicial_oracle
 
 import virtbetti
+from virtbetti.cover import Arrangement
 from virtbetti.errors import VirtBettiError
 from virtbetti.simplicial import SimplicialComplex
-from virtbetti.spectral import Arrangement
 
 BIG = [f"x{i}" for i in range(20)]
 MID = BIG[:17]

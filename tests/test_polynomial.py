@@ -25,9 +25,9 @@ def test_add_examples():
 
 
 def test_mul_examples():
-    t = P.variable()
+    t = P((0, 1))
     assert t * t == P.monomial(1, 2)
-    assert P([1, 1]) * P.one() == P([1, 1])
+    assert P([1, 1]) * P((1,)) == P([1, 1])
     # torus as a product of circles
     assert P([1, 1]) * P([1, 1]) == P([1, 2, 1])
 
@@ -39,10 +39,10 @@ def test_mul_matches_torus_model():
 
 
 def test_eval_examples():
-    assert P.variable().evaluate(-1) == -1
+    assert P((0, 1)).evaluate(-1) == -1
     assert P().evaluate(7) == 0
     for n in (2, 4):
-        assert (P.one() + P.monomial(1, n)).evaluate(-1) == 2
+        assert (P((1,)) + P.monomial(1, n)).evaluate(-1) == 2
 
 
 def test_eval_matches_sphere_euler():

@@ -66,9 +66,10 @@ EXPORTS = {
     "stratified": ["CompactModel", "DeclaredBeta", "OpenModel", "StratifiedSpec",
                    "StratumRecord", "beta_of_stratified", "beta_of_stratum",
                    "inclusion_exclusion", "refinement_check"],
-    "spectral": ["Arrangement", "MVSpectralSequence", "row_alternating_sums"],
-    "weights": ["LinearConstraint", "WeightArray", "WeightSystemInput", "constraint_filter",
-                "solve_weight_system"],
+    "cover": ["Arrangement"],
+    "spectral": ["MVSpectralSequence", "row_alternating_sums"],
+    "triangle": ["WeightArray", "WeightSystemInput"],
+    "weights": ["LinearConstraint", "constraint_filter", "solve_weight_system"],
     "scene": ["Scene", "load_scene", "dump_scene", "scene_from_dict", "scene_to_dict"],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)

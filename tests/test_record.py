@@ -4,22 +4,18 @@ is checked beside a ``@dataclass`` twin with the same name and fields."""
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from dataclasses import field, make_dataclass
 
 import pytest
 from test_cli import _child, _diamond_chain
 
-import virtbetti
 from virtbetti import models
 from virtbetti.errors import Verdict
 from virtbetti.gf2 import GF2Matrix
 from virtbetti.scene import Scene
 from virtbetti.scissor import Atom, AtomRegistry, DisjointUnion, Product
 from virtbetti.simplicial import PairSpace
-from virtbetti.weights import WeightArray
+from virtbetti.triangle import WeightArray
 
 
 def twin(cls, *fields, frozen=True):
@@ -153,9 +149,7 @@ def test_scene_is_mutable_and_unhashable_like_its_dataclass_twin():
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # in a fresh interpreter: pytest itself imports both modules
     code = "import sys, virtbetti.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    package_root = os.path.dirname(os.path.dirname(virtbetti.__file__))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+    proc = _child("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

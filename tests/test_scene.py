@@ -124,6 +124,32 @@ def test_round_trip_builtin_scene():
     assert json.dumps(data, sort_keys=True) == json.dumps(scene_to_dict(again), sort_keys=True)
 
 
+def test_a_declared_stratum_round_trips():
+    data = json.loads(json.dumps(MINIMAL))
+    declared = {"kind": "declared", "beta": "-1 + 2*t"}
+    data["stratifications"]["circle-two"]["strata"][0]["model"] = declared
+    scene = scene_from_dict(data)
+    dumped = scene_to_dict(scene)
+    assert dumped["stratifications"]["circle-two"]["strata"][0]["model"] == declared
+    assert scene_from_dict(dumped) == scene
+
+
+def test_a_reference_dumps_under_the_name_of_the_identical_object():
+    # sphere-pair-0 equals circle-minus-two, which is registered first
+    scene = builtin_scene()
+    assert scene.pair("sphere-pair-0") == scene.pair("circle-minus-two")
+    model = scene_to_dict(scene)["stratifications"]["sphere-diff-0"]["strata"][0]["model"]
+    assert model["pair"] == "sphere-pair-0"
+
+
+def test_an_unregistered_reference_dumps_under_the_name_of_an_equal_object():
+    scene = scene_from_dict(MINIMAL)
+    scene.pairs = {"copy": scene_from_dict(MINIMAL).pair("line")}
+    dumped = scene_to_dict(scene)
+    assert dumped["pairs"]["copy"]["total"] == "circle"
+    assert dumped["stratifications"]["circle-two"]["strata"][0]["model"]["pair"] == "copy"
+
+
 def _fold(expr, leaf, zero):
     """The scissor rules, spelled out here independently of the package."""
     if isinstance(expr, Atom):

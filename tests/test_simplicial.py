@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from virtbetti import models, simplicial
+from virtbetti.cover import Arrangement
 from virtbetti.errors import NotFaceClosed, TooManySimplices, UnknownVertex
 from virtbetti.gf2 import pivot_rows, rank
 from virtbetti.simplicial import (
@@ -25,7 +26,6 @@ from virtbetti.simplicial import (
     _closure,
     product_complex,
 )
-from virtbetti.spectral import Arrangement
 
 
 def brute_force_betti(k: SimplicialComplex) -> list[int]:
@@ -623,7 +623,7 @@ def _is_boundary(k, cycle_edges):
     pos = {e: i for i, e in enumerate(edges)}
     z = 0
     for e in cycle_edges:
-        t = tuple(sorted(e, key=k.vertex_index))
+        t = tuple(sorted(e, key=k.vertices.index))
         z |= 1 << pos[t]
     boundary = k.boundary_matrix(2)
     cols = list(boundary.transpose().row_bits)  # columns of d2 as edge vectors

@@ -12,17 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from virtbetti import models
+from virtbetti.cover import MAX_PIECES, Arrangement
 from virtbetti.errors import NotACover, TooManyPieces
 from virtbetti.polynomial import IntPolynomial
 from virtbetti.simplicial import SimplicialComplex
-from virtbetti.spectral import (
-    MAX_PIECES,
-    Arrangement,
-    MVSpectralSequence,
-    SpectralPage,
-    row_alternating_sums,
-)
-from virtbetti.weights import WeightArray
+from virtbetti.spectral import MVSpectralSequence, SpectralPage, row_alternating_sums
+from virtbetti.triangle import WeightArray
 
 E1 = {(0, 0): 3, (1, 0): 3, (2, 0): 4, (0, 1): 2, (1, 1): 3, (0, 2): 3}
 E2 = {(0, 0): 1, (1, 0): 0, (2, 0): 3, (0, 1): 2, (1, 1): 3, (0, 2): 3}
@@ -40,9 +35,20 @@ def wedge_of_two_circles():
 
 
 def test_not_a_cover_is_rejected():
-    circle = models.circle(4)
-    with pytest.raises(NotACover):
-        Arrangement(circle, (("half", circle.subcomplex(maximal=[("v0", "v1")])),))
+    circle, twin = models.circle(4), models.circle(4)  # equal, but another complex
+    for pieces, message in [
+        ((("half", circle.subcomplex(maximal=[("v0", "v1")])),), "do not cover"),
+        ((), "at least one piece"),
+        ((("X", twin.full_subcomplex()),), "piece 'X' is not a subcomplex"),
+    ]:
+        with pytest.raises(NotACover, match=message):
+            Arrangement(circle, pieces)
+
+
+def test_pages_below_one_are_refused():
+    ss = MVSpectralSequence(wedge_of_two_circles())
+    with pytest.raises(ValueError, match="page index must be >= 1"):
+        ss.pages(0)
 
 
 def test_single_piece_double_complex_is_the_cochain_complex():
@@ -349,8 +355,9 @@ def assert_matches_oracle(ss):
                 assert ss.d_rank(r, p, q) == mv_oracle.d_rank(dc, r, p, q)
     cert = ss.stabilization_certificate()
     stable_from, checked = mv_oracle.stable_from(dc)
-    assert (cert.stable_from, cert.column_bound, cert.checked_zero_ranks) == (
-        stable_from, m, checked)
+    assert cert.stable_from == stable_from
+    assert f"ranks checked zero for r in {list(checked)};" in cert.detail
+    assert cert.detail.endswith(f"leaves the column range 0..{m - 1}")
     assert list(arr.nerve.items()) == [(s, meet) for s, meet in table.items() if meet]
     assert all(ss.intersection_complex(s) == {arr.total.named(c) for c in meet}
                for s, meet in table.items())

@@ -162,7 +162,7 @@ def test_the_unknown_frontier_target_named_does_not_depend_on_the_hash_seed(tmp_
     package_root = os.path.dirname(os.path.dirname(virtbetti.__file__))
     for seed in ("1", "2"):
         proc = subprocess.run(
-            [sys.executable, "-m", "virtbetti.cli", "vbetti", "s", "--scene", str(path)],
+            [sys.executable, "-B", "-m", "virtbetti.cli", "vbetti", "s", "--scene", str(path)],
             capture_output=True, text=True, timeout=60,
             env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
         )

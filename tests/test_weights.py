@@ -13,11 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from virtbetti.errors import MalformedConstraint, Verdict, WeightSearchTooLarge
+from virtbetti.triangle import WeightArray, WeightSystemInput
 from virtbetti.weights import (
     MAX_WEIGHT_NODES,
     LinearConstraint,
-    WeightArray,
-    WeightSystemInput,
     constraint_filter,
     solve_weight_system,
 )
@@ -264,6 +263,15 @@ def test_constraint_filter_naturality_contradiction():
     assert then_zero.infeasible
 
 
+def test_a_constraint_above_the_top_degree_is_malformed():
+    sols = solve_weight_system(WeightSystemInput((1, 1, 8), (4, -1, 3)))
+    beyond = LinearConstraint.from_dict({"lhs": {"w30": 1}, "op": ">=", "rhs": 0})
+    with pytest.raises(MalformedConstraint) as info:
+        constraint_filter(sols, [beyond])
+    assert info.value.message == "constraint mentions w(3,0) beyond top degree 2"
+    assert info.value.context == {"i": 3, "j": 0}
+
+
 def test_constraint_filter_no_constraints_is_identity():
     sols = solve_weight_system(WeightSystemInput((1, 1, 8), (4, -1, 3)))
     result = constraint_filter(sols, [])
@@ -332,7 +340,8 @@ def test_mv_profile_vs_virtual_betti_surface(surface_ss):
 
 def test_mv_profile_vs_virtual_betti_compact_piece():
     from virtbetti import models
-    from virtbetti.spectral import Arrangement, MVSpectralSequence
+    from virtbetti.cover import Arrangement
+    from virtbetti.spectral import MVSpectralSequence
 
     torus = models.torus_minimal()
     arr = Arrangement(torus, (("X", torus.full_subcomplex()),))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from virtbetti.weights import WeightArray, WeightSystemInput
+from virtbetti.triangle import WeightArray, WeightSystemInput
 
 
 def _compositions(total: int, parts: int):
