@@ -37,7 +37,7 @@ print()
 print("Constraint from naturality: the three pairwise classes stay")
 print("independent in weight 1, so w21 >= 3.  Filtering:")
 result = constraint_filter(
-    sols, [LinearConstraint((((2, 1), 1),), ">=", 3, "independent pairwise classes")]
+    sols, [LinearConstraint((((2, 1), 1),), ">=", 3, "independent pairwise classes")], 2
 )
 print("  survivors:", len(result.survivors), "-> the system is infeasible;")
 print("  no natural weight filtration computes these virtual Betti numbers.")
@@ -47,7 +47,7 @@ print("The sub-unions behave the same way:")
 show("surface-sub12")
 sub13 = show("surface-sub13")
 kept = constraint_filter(
-    sub13, [LinearConstraint((((1, 0), 1),), "==", 0, "H^1 injects into the torus")]
+    sub13, [LinearConstraint((((1, 0), 1),), "==", 0, "H^1 injects into the torus")], 2
 )
 print("  after w10 = 0:", [s.rows for s in kept.survivors])
 

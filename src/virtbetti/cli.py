@@ -187,7 +187,7 @@ def cmd_weights(args) -> int:
         if not isinstance(raw, list):
             raise MalformedConstraint("constraints file must hold a JSON list")
         constraints = [LinearConstraint.from_dict(c) for c in raw]
-    result = constraint_filter(solutions, constraints)
+    result = constraint_filter(solutions, constraints, inp.n)
     if args.json:
         payload = {
             "name": args.name,

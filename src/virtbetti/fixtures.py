@@ -389,7 +389,7 @@ def _fx_surface_weights(scene: Scene) -> Iterator[tuple]:
     blocked = constraint_filter(
         sols,
         [LinearConstraint((((2, 1), 1),), ">=", 3,
-                          "the three pairwise classes stay independent in weight 1")],
+                          "the three pairwise classes stay independent in weight 1")], 2
     )
     yield ("w21 >= 3 is infeasible", blocked.infeasible,
            "; ".join(c.describe() for c in blocked.blocking_constraints()))
@@ -401,7 +401,7 @@ def _fx_surface_weights(scene: Scene) -> Iterator[tuple]:
     kept = constraint_filter(
         sub13,
         [LinearConstraint((((1, 0), 1),), "==", 0,
-                          "restriction to the torus is injective on H^1")],
+                          "restriction to the torus is injective on H^1")], 2
     )
     yield ("X1 u X3 with w10 = 0: w2 = (0, 1, 2)",
            len(kept.survivors) == 1 and kept.survivors[0].rows[2] == (0, 1, 2),

@@ -1,17 +1,20 @@
 """Exact dense linear algebra over the two-element field.
 
-Vectors are Python ints used as bit masks (bit k = coordinate k), so a row
-operation is a single word-wide XOR regardless of width.  One forward
-elimination, ``pivot_rows``, serves every caller: the ranks of homology and
-the persistence pairs of the Mayer-Vietoris spectral sequence.  A caller
-may file a row under its low bit unbuilt, as any value that is not an int,
-and give a ``build`` hook: the elimination builds a filed row the first
-time another row meets its key, and never builds one that no row meets.
-``GF2Matrix`` carries a boundary matrix and its transpose to ``rank``.
+A vector's coordinates are the bits of a Python int, so a row operation
+is a single XOR regardless of width.  One forward elimination,
+``pivot_rows``, serves every caller: the ranks of homology and the
+persistence pairs of the Mayer-Vietoris spectral sequence.  It reduces
+narrow vectors, pairs ``(low, bits)`` whose bit k is coordinate low + k,
+so a row costs the span from its low bit up, not its highest coordinate.
+A caller may file a row under its low unbuilt, as any value that is not an
+int, and give a ``build`` hook: the elimination builds a filed row the
+first time another row meets its key, and never builds one that no row
+meets.  ``GF2Matrix`` rows are full width; ``rank`` feeds each as ``(0, row)``.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .errors import Record
@@ -23,28 +26,35 @@ def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def pivot_rows(vectors: Iterable[int], pivots: dict | None = None,
+def pivot_rows(vectors: Iterable[tuple[int, int]], pivots: dict | None = None,
                build: Callable[[object, int], int] | None = None) -> dict:
-    """Forward elimination: rows spanning the input, keyed by their low bit.
+    """Forward elimination: narrow rows spanning the input, keyed by their low.
 
-    Given a dict, the vectors are reduced against its rows and their new
-    pivots are added to it in input order, so feeding the input in several
-    calls that share one dict gives the same dict as one call.  A value
-    that is not an int is a filed row, not built yet: the first time a
-    vector meets its key p, ``build(value, 1 << p)`` makes the row, which
-    replaces it.  A filed key no vector meets is never built.
+    Each vector is a pair ``(low, bits)`` standing for ``bits << low``.  A
+    stored row is odd and stands for itself shifted by its key, so rows
+    with equal keys are XORed with no shift; the trailing zeros of the
+    result move into its low.  Given a dict, the vectors are reduced
+    against its rows and their new pivots are added to it in input order,
+    so feeding the input in several calls that share one dict gives the
+    same dict as one call.  A value that is not an int is a filed row, not
+    built yet: the first time a vector meets its key p, ``build(value, p)``
+    makes the narrow row, which replaces it.  A filed key no vector meets
+    is never built.
     """
     if pivots is None:
         pivots = {}
-    for v in vectors:
+    for low, v in vectors:
         while v:
-            p = (v & -v).bit_length() - 1
-            r = pivots.get(p)
+            if not v & 1:
+                shift = (v & -v).bit_length() - 1
+                v >>= shift
+                low += shift
+            r = pivots.get(low)
             if r is None:
-                pivots[p] = v
+                pivots[low] = v
                 break
             if r.__class__ is not int:
-                pivots[p] = r = build(r, v & -v)
+                pivots[low] = r = build(r, low)
             v ^= r
     return pivots
 
@@ -56,7 +66,7 @@ def pivot_rows(vectors: Iterable[int], pivots: dict | None = None,
 
 def reduced_echelon(vectors: Iterable[int]) -> tuple[int, ...]:
     """Reduced row-echelon basis of the span, pivot columns ascending."""
-    pivots = pivot_rows(vectors)
+    pivots = {p: r << p for p, r in pivot_rows(zip(repeat(0), vectors)).items()}
     done = 0  # pivot columns of the rows already reduced
     for p in sorted(pivots, reverse=True):
         # those rows are reduced, so each XOR clears one pivot bit, sets none
@@ -70,7 +80,7 @@ def reduced_echelon(vectors: Iterable[int]) -> tuple[int, ...]:
 
 def span_dim(vectors: Iterable[int]) -> int:
     """Dimension of the span of the given bit vectors."""
-    return len(pivot_rows(vectors))
+    return len(pivot_rows(zip(repeat(0), vectors)))
 
 
 def kernel_vectors(row_bits: Sequence[int], cols: int) -> list[int]:
@@ -119,5 +129,5 @@ class GF2Matrix(Record):
 
 def rank(m: GF2Matrix) -> int:
     """GF(2) rank; the input is not modified."""
-    return len(pivot_rows(m.row_bits))
+    return len(pivot_rows(zip(repeat(0), m.row_bits)))
 

@@ -26,8 +26,9 @@ built only once it meets another: the faces of a cell come in lexicographic
 order, so the first one in the relative basis is the row's low, and a row
 whose low no pivot holds yet is filed under it unbuilt until a later row
 meets it.  One helper, ``_row``, builds every coboundary row: those of
-``relative_coboundary_matrix``, those fed to the elimination and the filed
-ones it meets.
+``relative_coboundary_matrix`` full width, and those fed to the elimination
+and the filed ones it meets narrow, from the row's low up.  A finished
+degree keeps only its pivots' keys, which is all that clearing reads.
 """
 
 from __future__ import annotations
@@ -128,12 +129,14 @@ def _closure(cells: Iterable[Simplex], vertices: int | None = None) -> dict[int,
     return faces
 
 
-def _row(cols: dict[Simplex, int], faces: Iterable[Simplex], bits: int = 0) -> int:
-    """A coboundary row: ``bits`` and a bit for each face in the basis ``cols``."""
+def _row(cols: dict[Simplex, int], faces: Iterable[Simplex], low: int = 0) -> int:
+    """A coboundary row from ``low`` up: bit j - low for each face at
+    position j of the basis ``cols``."""
+    bits = 0
     for face in faces:
         j = cols.get(face)
         if j is not None:
-            bits |= 1 << j
+            bits |= 1 << (j - low)
     return bits
 
 
@@ -375,10 +378,11 @@ class PairSpace(Record):
                       for i, s in enumerate(rows)])
         return GF2Matrix._trusted(len(rows), len(cols), bits)
 
-    def _unfiled_rows(self, q: int, cleared: Container[int], filed: dict) -> Iterator[int]:
+    def _unfiled_rows(self, q: int, cleared: Container[int],
+                      filed: dict) -> Iterator[tuple[int, int]]:
         """The rows of delta^q outside ``cleared`` whose low a pivot in
-        ``filed`` holds.  Each other nonzero row is filed there under its
-        low, unbuilt: as the rest of its face iterator, past the low face."""
+        ``filed`` holds, each as (low, row from the low up).  Each other
+        nonzero row is filed there under its low, unbuilt: as its cell."""
         cols = self._basis(q)
         for i, s in enumerate(self._basis(q + 1)):
             if i in cleared:
@@ -388,10 +392,17 @@ class PairSpace(Record):
                 j = cols.get(face)
                 if j is not None:
                     if j in filed:
-                        yield _row(cols, faces, 1 << j)
+                        yield j, _row(cols, faces, j) | 1  # the low face, read already, is bit 0
                     else:
-                        filed[j] = faces
+                        filed[j] = s
                     break
+
+    def _pivot_keys(self, q: int, cleared: Container[int]) -> set[int]:
+        """The lows of an echelon basis of the rows of delta^q outside
+        ``cleared``; the rows themselves are dropped on return."""
+        cols, filed = self._basis(q), {}
+        return set(pivot_rows(self._unfiled_rows(q, cleared, filed), filed,
+                              lambda s, low: _row(cols, combinations(s, q + 1), low)))
 
     def betti_compact_supports(self) -> BettiVector:
         """dim H^q(total, boundary; GF(2)) for each q, top degree down.
@@ -407,14 +418,12 @@ class PairSpace(Record):
         of a Betti computation.
         """
         top = self.total.dim
-        ranks, pivots = [0] * (top + 2), {}  # rank delta^{q-1} at index q
+        ranks, cleared = [0] * (top + 2), set()  # rank delta^{q-1} at index q
         for q in range(top - 1, 0, -1):
-            filed = {}  # a met filed row is built as _row(cols, faces, 1 << low)
-            pivots = pivot_rows(self._unfiled_rows(q, pivots, filed), filed,
-                                partial(_row, self._basis(q)))
-            ranks[q + 1] = len(pivots)
+            cleared = self._pivot_keys(q, cleared)
+            ranks[q + 1] = len(cleared)
         if top > 0:
-            ranks[1] = rank(self.relative_coboundary_matrix(0, pivots))
+            ranks[1] = rank(self.relative_coboundary_matrix(0, cleared))
         return BettiVector(len(self._basis(q)) - ranks[q] - ranks[q + 1]
                            for q in range(top + 1))
 

@@ -15,7 +15,7 @@ listed by ascending filtration p, so the low bit of a column is its entry
 of least filtration.  The degrees go in ascending n, and each degree's
 columns go to the kernel by descending position: one filtration block at
 a time, highest p first, each from its end.  Each nonzero reduced column
-x is filed under its low bit low(x), and pairs its basis vector with
+x is filed under its low bit low(x), narrow, and pairs its basis vector with
 low(x); the pair's gap is p(low(x)) - p(x).  The number of pairs between
 two levels does not depend on the order inside a level.  A pair with gap
 r is one rank of the differential d_r, so it lives on E_0..E_r and is gone
@@ -177,7 +177,7 @@ class MVSpectralSequence:
             lows, end = {}, len(column)
             for p, size in reversed(levels[n].items()):
                 found, end = len(lows), end - size
-                pivot_rows(reversed(column[end:end + size]), lows)
+                pivot_rows(zip(repeat(0), reversed(column[end:end + size])), lows)
                 pairs.update((p, n - p, upper[low] - p) for low in islice(lows, found, None))
         self._pair_counts = pairs
         self._lifetimes = {(p, n - p): Counter({inf: size})

@@ -185,10 +185,6 @@ class LinearConstraint(Record):
     def evaluate(self, w: WeightArray) -> bool:
         total = 0
         for (i, j), coeff in self.coeffs:
-            if i > w.n:
-                raise MalformedConstraint(
-                    f"constraint mentions w({i},{j}) beyond top degree {w.n}", i=i, j=j
-                )
             total += coeff * w.value(i, j)
         if self.op == "<=":
             return total <= self.rhs
@@ -223,9 +219,19 @@ class FilterResult(Record):
 
 
 def constraint_filter(
-    solutions: Sequence[WeightArray], constraints: Sequence[LinearConstraint]
+    solutions: Sequence[WeightArray], constraints: Sequence[LinearConstraint], n: int
 ) -> FilterResult:
-    """Keep the solutions satisfying every constraint; record what was cut."""
+    """Keep the solutions satisfying every constraint; record what was cut.
+
+    n is the input's top degree: a constraint on an entry beyond it is
+    malformed, whether or not there is a solution to evaluate it on.
+    """
+    for c in constraints:
+        for (i, j), _ in c.coeffs:
+            if i > n:
+                raise MalformedConstraint(
+                    f"constraint mentions w({i},{j}) beyond top degree {n}", i=i, j=j
+                )
     survivors = []
     eliminations = []
     for w in solutions:

@@ -76,7 +76,7 @@ def pair_counts(basis, cols) -> Counter:
         pivots: dict[int, int] = {}
         for p, block in groupby(zip(levels, reversed(cols[n])), key=itemgetter(0)):
             found = len(pivots)
-            pivot_rows((col for _, col in block), pivots)
+            pivot_rows(((0, col) for _, col in block), pivots)
             pairs.update((p, n - p, upper[low] - p) for low in islice(pivots, found, None))
     return pairs
 

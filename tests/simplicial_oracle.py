@@ -38,7 +38,7 @@ each pair of maximal simplices.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
 
 from virtbetti.errors import NotFaceClosed, TooManySimplices, UnknownVertex
 from virtbetti.gf2 import GF2Matrix, pivot_rows, rank
@@ -88,11 +88,12 @@ def betti_compact_supports(pair: PairSpace) -> BettiVector:
 
 def cleared_homology(pair: PairSpace) -> tuple[BettiVector, dict[int, dict[int, int]]]:
     """The Betti numbers of the pair and {q: pivots of delta^q} for q >= 1,
-    every coboundary row built."""
+    every coboundary row built, each pivot row full width."""
     top = pair.total.dim
     ranks, pivots, by_degree = [0] * (top + 2), {}, {}  # rank delta^{q-1} at index q
     for q in range(top - 1, 0, -1):
-        pivots = by_degree[q] = pivot_rows(pair.relative_coboundary_matrix(q, pivots).row_bits)
+        rows = pair.relative_coboundary_matrix(q, pivots).row_bits
+        pivots = by_degree[q] = {p: r << p for p, r in pivot_rows(zip(repeat(0), rows)).items()}
         ranks[q + 1] = len(pivots)
     if top > 0:
         ranks[1] = rank(pair.relative_coboundary_matrix(0, pivots))

@@ -141,14 +141,14 @@ def test_criterion_9_weight_systems(scene):
     assert len(sols) == 2
     assert WeightArray(((1,), (0, 1), (3, 2, 3))) in sols
     blocked = constraint_filter(
-        sols, [LinearConstraint((((2, 1), 1),), ">=", 3, "independent pairwise classes")]
+        sols, [LinearConstraint((((2, 1), 1),), ">=", 3, "independent pairwise classes")], 2
     )
     assert blocked.infeasible
     sub12 = solve_weight_system(scene.weight_input("surface-sub12"))
     assert len(sub12) == 1 and sub12[0].rows[2] == (0, 1, 2)
     sub13 = constraint_filter(
         solve_weight_system(scene.weight_input("surface-sub13")),
-        [LinearConstraint((((1, 0), 1),), "==", 0, "w10 = 0 by restriction to the torus")],
+        [LinearConstraint((((1, 0), 1),), "==", 0, "w10 = 0 by restriction to the torus")], 2
     )
     assert len(sub13.survivors) == 1 and sub13.survivors[0].rows[2] == (0, 1, 2)
     report(9, "weights: exactly 2 solutions incl. {1; 0,1; 3,2,3}; w21 >= 3 "

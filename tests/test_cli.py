@@ -210,6 +210,23 @@ def test_malformed_constraints_file_is_a_structured_error(capsys, tmp_path):
         assert json.loads(err)["code"] == "malformed-constraint"
 
 
+@pytest.mark.parametrize("beta", [1, -1])  # with one solution, and with none
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_a_constraint_beyond_the_top_degree_is_refused_with_or_without_solutions(
+        capsys, tmp_path, beta, mode):
+    scene, constraints = tmp_path / "scene.json", tmp_path / "c.json"
+    scene.write_text(json.dumps({"schema_version": 1, "weight_inputs": {
+        "point": {"b": [max(beta, 0)], "beta": [beta]}}}))
+    constraints.write_text(json.dumps([{"lhs": {"w21": 1}, "op": ">=", "rhs": 0}]))
+    code, out, err = run(capsys, "weights", "point", "--scene", str(scene),
+                         "--constraints", str(constraints), *mode)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"code": "malformed-constraint",
+                               "message": "constraint mentions w(2,1) beyond top degree 0",
+                               "context": {"i": 2, "j": 1}}
+
+
 def test_weights_diagonal_input(capsys):
     code, out, _ = run(capsys, "weights", "torus")
     assert code == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -170,21 +171,46 @@ def test_rank_and_span_dim_match_oracle(matrix):
     assert span_dim(rows) == expected
     assert rank(GF2Matrix(len(rows), cols, tuple(rows))) == expected
     # one row per pivot, keyed by its low bit, spanning the rows
-    pivots = pivot_rows(rows)
-    assert all(r & -r == 1 << p for p, r in pivots.items())
-    assert reduced_echelon(pivots.values()) == gf2_oracle.reduced_echelon(rows)
+    pivots = pivot_rows(zip(repeat(0), rows))
+    assert all(r & 1 for r in pivots.values())
+    assert reduced_echelon(r << p for p, r in pivots.items()) == gf2_oracle.reduced_echelon(rows)
 
 
 @given(st.one_of(bit_rows(), masked_bit_rows()), st.data())
 @settings(max_examples=200)
 def test_pivot_rows_fed_in_two_calls_equals_one_call(matrix, data):
     _, rows = matrix
+    pairs = [(0, r) for r in rows]
     cut = data.draw(st.integers(min_value=0, max_value=len(rows)))
     shared: dict[int, int] = {}
-    assert pivot_rows(rows[:cut], shared) is shared
-    assert pivot_rows(rows[cut:], shared) is shared
+    assert pivot_rows(pairs[:cut], shared) is shared
+    assert pivot_rows(pairs[cut:], shared) is shared
     # same keys, values and insertion order
-    assert list(shared.items()) == list(pivot_rows(rows).items())
+    assert list(shared.items()) == list(pivot_rows(pairs).items())
+
+
+def low_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+@given(st.one_of(bit_rows(), masked_bit_rows()), st.data())
+@settings(max_examples=200)
+def test_pivot_rows_reduces_narrow_rows_as_the_oracle_reduces_wide_ones(matrix, data):
+    _, rows = matrix
+    # each row as (low, bits) with bits = row >> low, some trailing zeros left in bits
+    fed = []
+    for r in rows:
+        low = data.draw(st.integers(min_value=0, max_value=low_bit(r) if r else 3))
+        fed.append((low, r >> low))
+    pivots = pivot_rows(fed)
+    assert all(r & 1 for r in pivots.values())
+    wide = {low: bits << low for low, bits in pivots.items()}
+    expected = gf2_oracle.reduced_echelon(rows)
+    assert wide.keys() == set(map(low_bit, expected))
+    assert gf2_oracle.reduced_echelon(wide.values()) == expected
+    # the trailing zeros left in a row change no key, row or insertion order
+    normalized = [(low_bit(r), r >> low_bit(r)) for r in rows if r]
+    assert list(pivot_rows(normalized).items()) == list(pivots.items())
 
 
 class Filed:
@@ -215,23 +241,23 @@ def test_filed_rows_are_built_once_and_only_when_met(matrix, data):
     chosen = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     filed, fed = {}, []
     for row, file in zip(rows, chosen):
-        low = (row & -row).bit_length() - 1
+        low = low_bit(row)
         if file and row and low not in filed:
             filed[low] = Filed(row)
         else:
-            fed.append(row)
+            fed.append((0, row))
     built = []
 
-    def build(value, low_bit):
-        assert value.row & -value.row == low_bit
-        built.append(low_bit.bit_length() - 1)
-        return value.row
+    def build(value, low):
+        assert low_bit(value.row) == low
+        built.append(low)
+        return value.row >> low
 
     pivots = pivot_rows(fed, dict(filed), build)
     # the same elimination with every filed row built beforehand
-    eager = MetKeys({low: value.row for low, value in filed.items()})
+    eager = MetKeys({low: value.row >> low for low, value in filed.items()})
     pivot_rows(fed, eager)
-    assert pivots.keys() == pivot_rows(rows).keys()
+    assert pivots.keys() == pivot_rows(zip(repeat(0), rows)).keys()
     assert sorted(built) == sorted(set(built)) == sorted(eager.met & filed.keys())
     for low, row in pivots.items():
         if low in filed and low not in built:

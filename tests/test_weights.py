@@ -58,7 +58,7 @@ def test_sub13_system_with_constraint():
     sols = solve_weight_system(WeightSystemInput((1, 2, 3), (1, 1, 2)))
     assert len(sols) == 2
     kept = constraint_filter(
-        sols, [LinearConstraint((((1, 0), 1),), "==", 0, "w10 = 0")]
+        sols, [LinearConstraint((((1, 0), 1),), "==", 0, "w10 = 0")], 2
     )
     assert len(kept.survivors) == 1
     assert kept.survivors[0].rows == ((1,), (0, 2), (0, 1, 2))
@@ -243,7 +243,7 @@ def test_condition_texts():
 def test_constraint_filter_reproduces_contradiction():
     sols = solve_weight_system(WeightSystemInput((1, 1, 8), (4, -1, 3)))
     result = constraint_filter(
-        sols, [LinearConstraint((((2, 1), 1),), ">=", 3, "independent classes")]
+        sols, [LinearConstraint((((2, 1), 1),), ">=", 3, "independent classes")], 2
     )
     assert result.infeasible
     assert len(result.eliminations) == 2
@@ -253,11 +253,11 @@ def test_constraint_filter_reproduces_contradiction():
 def test_constraint_filter_naturality_contradiction():
     sols = solve_weight_system(WeightSystemInput((1, 1, 8), (4, -1, 3)))
     with_w10 = constraint_filter(
-        sols, [LinearConstraint((((1, 0), 1),), "==", 1, "suppose w10 = 1")]
+        sols, [LinearConstraint((((1, 0), 1),), "==", 1, "suppose w10 = 1")], 2
     )
     then_zero = constraint_filter(
         list(with_w10.survivors),
-        [LinearConstraint((((1, 0), 1),), "<=", 0, "restriction to the torus forces w10 = 0")],
+        [LinearConstraint((((1, 0), 1),), "<=", 0, "restriction to the torus forces w10 = 0")], 2
     )
     assert not with_w10.infeasible
     assert then_zero.infeasible
@@ -267,14 +267,18 @@ def test_a_constraint_above_the_top_degree_is_malformed():
     sols = solve_weight_system(WeightSystemInput((1, 1, 8), (4, -1, 3)))
     beyond = LinearConstraint.from_dict({"lhs": {"w30": 1}, "op": ">=", "rhs": 0})
     with pytest.raises(MalformedConstraint) as info:
-        constraint_filter(sols, [beyond])
+        constraint_filter(sols, [beyond], 2)
     assert info.value.message == "constraint mentions w(3,0) beyond top degree 2"
     assert info.value.context == {"i": 3, "j": 0}
+    # checked against the input's degree, not on each solution: none is needed
+    with pytest.raises(MalformedConstraint) as info:
+        constraint_filter([], [beyond], 2)
+    assert info.value.message == "constraint mentions w(3,0) beyond top degree 2"
 
 
 def test_constraint_filter_no_constraints_is_identity():
     sols = solve_weight_system(WeightSystemInput((1, 1, 8), (4, -1, 3)))
-    result = constraint_filter(sols, [])
+    result = constraint_filter(sols, [], 2)
     assert list(result.survivors) == sols
 
 
