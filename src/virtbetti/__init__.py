@@ -6,9 +6,9 @@ sequences, and weight-filtration arithmetic.
 The namespace is lazy: ``import virtbetti`` loads no submodule.  Each name
 in ``__all__`` is looked up in its home module, per ``_HOMES``, whenever it
 is read, and the first read imports that module, so ``import
-virtbetti.simplicial`` loads only ``errors``, ``gf2``, ``polynomial`` and
-``simplicial``.  Nothing is cached here: the package hands out whatever its
-home module holds at that moment, a monkeypatched function included.
+virtbetti.simplicial`` loads only ``errors``, ``gf2`` and ``simplicial``.
+Nothing is cached here: the package hands out whatever its home module
+holds at that moment, a monkeypatched function included.
 
 The value types that loaders and engines share live apart from the
 engines: ``Arrangement`` in ``cover`` and ``WeightArray`` and

@@ -20,6 +20,8 @@ from .errors import (
     SceneError,
     UnknownName,
     VirtBettiError,
+    json_value,
+    read_json,
 )
 from .polynomial import IntPolynomial
 from .scene import Scene, load_scene
@@ -176,17 +178,12 @@ def cmd_weights(args) -> int:
 
     scene = _scene_from_args(args)
     inp = scene.weight_input(args.name)
-    solutions = solve_weight_system(inp)
-    constraints: list[LinearConstraint] = []
-    if args.constraints:
-        try:
-            with open(args.constraints, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise SceneError(f"cannot read constraints file: {exc}", path=args.constraints)
-        if not isinstance(raw, list):
-            raise MalformedConstraint("constraints file must hold a JSON list")
+    constraints = []
+    if args.constraints:  # a broken file is reported even where the search is refused
+        raw = read_json(args.constraints, "constraints file", SceneError)
+        raw = json_value(raw, "constraints file", "array", MalformedConstraint)
         constraints = [LinearConstraint.from_dict(c) for c in raw]
+    solutions = solve_weight_system(inp)
     result = constraint_filter(solutions, constraints, inp.n)
     if args.json:
         payload = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextvars import ContextVar
 
 # {(id, id): (verdict, record, record)} for the top-level == this context runs:
@@ -177,6 +178,32 @@ def json_int(value, what: str, error: type[VirtBettiError], **context) -> int:
     text = repr(value)  # a value nested too deeply raises RecursionError here
     text = text if len(text) <= 60 else text[:60] + "..."
     raise error(f"{what} must be an integer, not {text}", **context)
+
+
+_JSON_TYPES = {"object": Mapping, "array": (list, tuple), "boolean": bool, "string": str}
+
+
+def json_value(value, what: str, kind: str, error: type[VirtBettiError]):
+    """``value`` if it is a JSON ``kind`` (object, array, boolean or string);
+    ``error`` otherwise.  Checked, never coerced: ``str()`` of a list is
+    Python's repr, and ``bool("false")`` is true."""
+    if not isinstance(value, _JSON_TYPES[kind]):
+        found = type(value).__name__
+        raise error(f"{what} must be a JSON {kind}, not {found}", found=found)
+    return value
+
+
+def read_json(path: str, what: str, error: type[VirtBettiError]):
+    """The JSON document in file ``path``; ``error`` if it cannot be read or parsed."""
+    import json  # only a file reader needs it: ``import virtbetti.simplicial`` does not
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}", path=path) from None
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
+        raise error(f"{what} is not valid JSON: {exc}", path=path) from None
 
 
 class Verdict(Record):

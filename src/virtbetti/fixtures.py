@@ -137,7 +137,7 @@ def builtin_scene() -> Scene:
         beta = beta_of_stratum(
             StratumRecord(name, p.total.dim, OpenModel(p)), strict=True
         )
-        atoms.recursive(name, beta, chi_c=p.euler_compact_supports())
+        atoms.declare(name, beta, chi_c=p.euler_compact_supports(), provenance="recursive")
 
     # expressions
     ex = scene.expressions

@@ -17,7 +17,7 @@ import json
 from typing import Any, Mapping
 
 from .cover import Arrangement
-from .errors import Record, SceneError, UnknownName, VirtBettiError, json_int
+from .errors import Record, SceneError, UnknownName, VirtBettiError, json_int, json_value, read_json
 from .polynomial import parse_polynomial
 from .scissor import NODES, OP_OF, Atom, AtomRegistry, Empty, ScissorExpr, children
 from .simplicial import PairSpace, SimplicialComplex, Subcomplex, maximal_simplices
@@ -90,7 +90,7 @@ def _get(mapping: Mapping[str, Any], name: str, kind: str):
 
 
 def _expr_from_dict(data: Mapping, registry: AtomRegistry, path: str) -> ScissorExpr:
-    if not isinstance(data, Mapping) or "op" not in data:
+    if "op" not in _json(data, path):
         raise SceneError(f"{path}: expression node needs an 'op' field")
     op = data["op"]
     if op == "atom":
@@ -100,7 +100,7 @@ def _expr_from_dict(data: Mapping, registry: AtomRegistry, path: str) -> Scissor
         return Atom(name)
     if op == "empty":
         return Empty()
-    if not isinstance(op, str) or op not in NODES:
+    if _json(op, f"{path}.op", "string") not in NODES:
         raise SceneError(f"{path}: unknown expression op {op!r}", op=op)
     cls, keys, _ = NODES[op]
     kids = [_expr_from_dict(data[key], registry, f"{path}.{key}") for key in keys]
@@ -123,17 +123,8 @@ def _expr_to_dict(expr: ScissorExpr) -> dict:
     raise TypeError(f"not a scissor expression: {expr!r}")
 
 
-_JSON_TYPES = {"object": Mapping, "array": (list, tuple), "boolean": bool, "string": str}
-
-
 def _json(value: Any, path: str, kind: str = "object") -> Any:
-    """The value itself if it is a JSON ``kind``; a SceneError otherwise."""
-    if not isinstance(value, _JSON_TYPES[kind]):
-        raise SceneError(
-            f"{path} must be a JSON {kind}, not {type(value).__name__}",
-            found=type(value).__name__,
-        )
-    return value
+    return json_value(value, path, kind, SceneError)
 
 
 def _simplices(value: Any, path: str) -> list[tuple]:
@@ -192,7 +183,7 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
     path = f"stratification {name!r}"
     raw = _json(raw_strats[name], path)
     strata = []
-    for s in raw.get("strata", []):
+    for s in _json(raw.get("strata", []), path + ", strata", "array"):
         s = _json(s, path + ", stratum")
         where = f"{path}, stratum {s.get('name')!r}"
         model = yield _strat_model_from_dict(s.get("model", {}), scene, raw_strats,
@@ -251,14 +242,11 @@ def scene_from_dict(data: Mapping) -> Scene:
                 if provenance not in ("declared", "recursive"):  # checked, not coerced
                     raise SceneError(f'{path}: provenance must be "declared" or "recursive"',
                                      atom=name)
-                if provenance == "recursive":
-                    scene.atoms.recursive(name, beta, chi_c=chi)
-                else:
-                    scene.atoms.declare(
-                        name, beta, chi_c=chi,
-                        compact_nonsingular=_json(spec.get("compact_nonsingular", False),
-                                                  path + ", compact_nonsingular", "boolean"),
-                    )
+                scene.atoms.declare(
+                    name, beta, chi_c=chi, provenance=provenance,
+                    compact_nonsingular=_json(spec.get("compact_nonsingular", False),
+                                              path + ", compact_nonsingular", "boolean"),
+                )
         expressions = _json(data.get("expressions", {}), "expressions")
         for name in sorted(expressions):
             scene.expressions[name] = _expr_from_dict(
@@ -272,9 +260,9 @@ def scene_from_dict(data: Mapping) -> Scene:
             pieces = []
             for piece in _json(spec["pieces"], path + ", pieces", "array"):
                 piece = _json(piece, path + ", piece")
-                where = f"{path}, piece {piece['name']!r}, maximal_simplices"
-                pieces.append((piece["name"],
-                               _subcomplex_from(total, piece["maximal_simplices"], where)))
+                pname = _json(piece["name"], path + ", piece name", "string")
+                where = f"{path}, piece {pname!r}, maximal_simplices"
+                pieces.append((pname, _subcomplex_from(total, piece["maximal_simplices"], where)))
             scene.arrangements[name] = Arrangement(total, tuple(pieces))
         for name, spec, path in _entries(data, "weight_inputs", "weight input"):
             scene.weight_inputs[name] = WeightSystemInput(
@@ -396,14 +384,7 @@ def _namer(mapping: Mapping[str, Any]):
 
 
 def load_scene(path: str) -> Scene:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SceneError(f"cannot read scene file: {exc}", path=path) from None
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
-        raise SceneError(f"scene file is not valid JSON: {exc}", path=path) from None
-    return scene_from_dict(data)
+    return scene_from_dict(read_json(path, "scene file", SceneError))
 
 
 def dump_scene(scene: Scene, path: str) -> None:

@@ -48,10 +48,12 @@ PROVENANCE_KINDS = ("declared", "model", "recursive")
 class AtomRecord(Record):
     """A named variety class with known invariants.
 
-    provenance is "declared" (user-supplied analytically), "model:<name>"
-    (computed from a simplicial model), or "recursive" (computed by the
-    stratified engine).  chi_c is kept separately from beta so that Euler
-    characteristics can be recomputed without touching polynomials.
+    provenance is "declared" (user-supplied analytically) or "recursive"
+    (computed by the stratified engine), both registered by
+    ``AtomRegistry.declare``, or "model:<name>" (computed from a simplicial
+    model by ``AtomRegistry.from_model``).  chi_c is kept separately from
+    beta so that Euler characteristics can be recomputed without touching
+    polynomials.
     """
 
     name: str
@@ -88,10 +90,10 @@ class AtomRegistry:
         return record
 
     def declare(self, name: str, beta: IntPolynomial, *, chi_c: int | None = None,
-                compact_nonsingular: bool = False) -> AtomRecord:
+                compact_nonsingular: bool = False, provenance: str = "declared") -> AtomRecord:
         if chi_c is None:
             chi_c = beta.evaluate(-1)
-        return self.register(AtomRecord(name, beta, chi_c, "declared", compact_nonsingular))
+        return self.register(AtomRecord(name, beta, chi_c, provenance, compact_nonsingular))
 
     def from_model(self, name: str, model: SimplicialComplex,
                    model_name: str | None = None) -> AtomRecord:
@@ -105,11 +107,6 @@ class AtomRegistry:
         return self.register(AtomRecord(
             name, beta, chi, f"model:{model_name or name}", compact_nonsingular=True,
         ))
-
-    def recursive(self, name: str, beta: IntPolynomial, *, chi_c: int | None = None) -> AtomRecord:
-        if chi_c is None:
-            chi_c = beta.evaluate(-1)
-        return self.register(AtomRecord(name, beta, chi_c, "recursive"))
 
     def lookup(self, name: str) -> AtomRecord:
         try:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Sequence
 
-from .errors import MalformedConstraint, Record, WeightSearchTooLarge, json_int
+from .errors import MalformedConstraint, Record, WeightSearchTooLarge, json_int, json_value
 from .triangle import WeightArray, WeightSystemInput
 
 __all__ = [
@@ -154,14 +154,8 @@ class LinearConstraint(Record):
             ) from None
         except RecursionError:  # the repr of a value nested too deeply, for the message
             raise MalformedConstraint("constraint nests too deeply") from None
-        note = data.get("note", "")
-        # checked, not coerced: str() of a list or object is Python's repr
-        for what, value in (("op", op), ("note", note)):
-            if not isinstance(value, str):
-                raise MalformedConstraint(
-                    f"constraint {what} must be a JSON string, not {type(value).__name__}",
-                    found=type(value).__name__,
-                )
+        json_value(op, "constraint op", "string", MalformedConstraint)
+        note = json_value(data.get("note", ""), "constraint note", "string", MalformedConstraint)
         coeffs = []
         for key, coeff in sorted(lhs.items()):
             match = _KEY_RE.fullmatch(key)

@@ -168,7 +168,7 @@ def _resolve_stratification(name, scene, raw_strats, resolving):
     path = f"stratification {name!r}"
     raw = _json(raw_strats[name], path)
     strata = []
-    for s in raw.get("strata", []):
+    for s in _json(raw.get("strata", []), path + ", strata", "array"):
         s = _json(s, path + ", stratum")
         where = f"{path}, stratum {s.get('name')!r}"
         model = _strat_model_from_dict(s.get("model", {}), scene, raw_strats, resolving, where)

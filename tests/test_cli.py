@@ -202,12 +202,44 @@ def test_malformed_constraints_file_is_a_structured_error(capsys, tmp_path):
                 [{"lhs": {"w21": True}, "op": ">=", "rhs": 3}],
                 [{"lhs": {"w21": 1}, "op": ">=", "rhs": 3, "note": {"a": [1, None]}}],
                 [{"lhs": {"w21": 1}, "op": ">=", "rhs": 3, "note": None}],
-                [{"lhs": {"w21": 1}, "op": [">="], "rhs": 3}]):
+                [{"lhs": {"w21": 1}, "op": [">="], "rhs": 3}],
+                {"lhs": {"w21": 1}, "op": ">=", "rhs": 3}):
         constraints.write_text(json.dumps(bad))
         code, out, err = run(capsys, "weights", "surface-443", "--constraints", str(constraints))
         assert code == 3
         assert out == ""
         assert json.loads(err)["code"] == "malformed-constraint"
+    # the last file, an object
+    assert json.loads(err)["message"] == "constraints file must be a JSON array, not dict"
+    # a file that cannot be read, or whose bytes are not UTF-8
+    constraints.write_bytes(b'[{"lhs": {"w21": 1}, "op": ">=", "rhs": 3, "note": "\xff"}]')
+    for path in (tmp_path / "missing.json", constraints):
+        code, out, err = run(capsys, "weights", "surface-443", "--constraints", str(path))
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)
+        assert error["code"] == "scene-error"
+        assert error["context"] == {"path": str(path)}
+
+
+@pytest.mark.parametrize("constraints, code", [
+    ('{"not": "a list"}', "malformed-constraint"),
+    ('[{"lhs": {"w21": 1}, "op": ">=", "rhs": 3', "scene-error"),
+    (None, "scene-error"),
+], ids=["object", "truncated", "missing"])
+def test_the_constraints_file_is_read_before_the_weight_search(capsys, tmp_path,
+                                                                 constraints, code):
+    # the search on this input is refused; a broken constraints file used to go unreported
+    scene, path = tmp_path / "scene.json", tmp_path / "c.json"
+    scene.write_text(json.dumps({"schema_version": 1, "weight_inputs": {
+        "big": {"b": [1, 100, 1000, 100], "beta": [241, -210, 375, 25]}}}))
+    if constraints is not None:
+        path.write_text(constraints)
+    exit_code, out, err = run(capsys, "weights", "big", "--scene", str(scene),
+                              "--constraints", str(path))
+    assert exit_code == 3
+    assert out == ""
+    assert json.loads(err)["code"] == code
 
 
 @pytest.mark.parametrize("beta", [1, -1])  # with one solution, and with none

@@ -372,6 +372,12 @@ def test_atom_provenance_is_declared_or_recursive(provenance, tmp_path, capsys):
         scene = scene_from_dict(_with(("atoms", "exotic", "provenance"), ok))
         assert scene.atoms.lookup("exotic").provenance == ok
         assert scene_to_dict(scene)["atoms"]["exotic"]["provenance"] == ok
+        # a recursive atom's flag used to be dropped, and dumped as false
+        spec = {"beta": "1 + 3*t^2", "chi_c": 4, "provenance": ok, "compact_nonsingular": True}
+        scene = scene_from_dict(_with(("atoms", "exotic"), spec))
+        assert scene.atoms.lookup("exotic").compact_nonsingular is True
+        assert scene_to_dict(scene)["atoms"]["exotic"] == spec
+        assert scene_from_dict(scene_to_dict(scene)) == scene
 
 
 ARC = ("stratifications", "circle-two", "strata", 0)
@@ -386,10 +392,12 @@ ARC = ("stratifications", "circle-two", "strata", 0)
     (("weight_inputs", "small", "beta"), [True, 1], "weight input 'small', beta[0]"),
     (("atoms", "exotic", "compact_nonsingular"), "false", "atom 'exotic', compact_nonsingular"),
     (("atoms", "exotic", "compact_nonsingular"), 0, "atom 'exotic', compact_nonsingular"),
+    (("atoms", "exotic"), {"beta": "1", "provenance": "recursive", "compact_nonsingular": "yes"},
+     "atom 'exotic', compact_nonsingular"),
     (ARC + ("model", "boundary_nonsingular"), "no",
      "stratification 'circle-two', stratum 'arc', boundary_nonsingular"),
 ], ids=["dim-float", "dim-bool", "dim-str", "b-str", "b-float", "beta-bool",
-        "compact-str", "compact-int", "boundary-str"])
+        "compact-str", "compact-int", "recursive-compact-str", "boundary-str"])
 def test_numbers_and_flags_are_type_checked_not_coerced(path, value, where):
     with pytest.raises(SceneError) as info:
         scene_from_dict(_with(path, value))
@@ -417,7 +425,13 @@ def test_blowup_label_must_be_a_string_or_null(label):
     (("atoms", "pt"), ["pt"]),
     (("arrangements", "whole", "pieces", 0), "X"),
     (("arrangements", "whole", "pieces"), {"X": []}),
-], ids=["section", "pair", "atom", "piece", "pieces"])
+    (("arrangements", "whole", "pieces", 0, "name"), {"X": 1}),
+    (("stratifications", "circle-two", "strata"), {}),
+    (("stratifications", "circle-two", "strata"), ""),
+    (("expressions", "line"), ["union"]),
+    (("expressions", "line", "op"), ["union"]),
+], ids=["section", "pair", "atom", "piece", "pieces", "piece-name", "strata-object",
+        "strata-str", "node", "op"])
 def test_sections_and_entries_of_the_wrong_type_are_scene_errors(path, value):
     # a list section used to escape as IndexError, a list entry as AttributeError
     with pytest.raises(SceneError) as info:
