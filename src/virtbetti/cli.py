@@ -224,7 +224,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    from .fixtures import builtin_scene, declared_atoms_used, fixture_names, run_fixture
+    from .fixtures import builtin_scene, fixture_names, run_fixture
 
     scene = builtin_scene()
     if args.list:
@@ -232,11 +232,6 @@ def cmd_fixtures(args) -> int:
             print(name)
         return EXIT_OK
     names = [args.run] if args.run else fixture_names()
-    if not args.quiet:
-        for expr_name, atom in declared_atoms_used(scene):
-            sys.stderr.write(
-                f"warning: fixture expression {expr_name!r} uses declared atom {atom!r}\n"
-            )
     failures = 0
     results = []
     for name in names:
@@ -279,9 +274,6 @@ def _page_count(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--strict", action="store_true",
-                        help="degree diagnostics become errors")
-    common.add_argument("--quiet", action="store_true", help="suppress warnings")
 
     parser = argparse.ArgumentParser(
         prog="virtbetti",
@@ -302,6 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene")
     p.add_argument("--chi-c", action="store_true", dest="chi_c",
                    help="also print the value at t = -1")
+    p.add_argument("--strict", action="store_true", help="degree diagnostics become errors")
+    p.add_argument("--quiet", action="store_true", help="suppress warnings")
     p.set_defaults(func=cmd_vbetti)
 
     p = sub.add_parser("mvss", parents=[common],
@@ -323,6 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--list", action="store_true", help="list fixture names")
     group.add_argument("--run", metavar="NAME", help="run a single fixture")
+    p.add_argument("--quiet", action="store_true", help="print only failures and the total")
     p.set_defaults(func=cmd_fixtures)
 
     return parser

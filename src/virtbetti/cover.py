@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import NotACover, Record, TooManyPieces
-from .simplicial import SimplicialComplex, Subcomplex
+from .errors import NotACover, Record, TooManyPieces, TooManySimplices
+from .simplicial import MAX_SIMPLICES, SimplicialComplex, Subcomplex
 
 __all__ = ["Arrangement", "MAX_PIECES"]
 
@@ -50,17 +50,23 @@ class Arrangement(Record):
 
         A subset is extended by a larger index only while its intersection
         is nonempty, so no superset of an empty intersection is ever formed.
+        The meets of two or more pieces may hold MAX_SIMPLICES cells in all:
+        the meet that passes that budget is the last one built.
         """
         nerve: dict[tuple[int, ...], frozenset] = {}
         level = {(i,): piece.cells for i, (_, piece) in enumerate(self.pieces)}
+        cells = 0
         while level:
             level = {subset: meet for subset, meet in level.items() if meet}
             nerve.update(level)
-            level = {
-                subset + (j,): meet & self.pieces[j][1].cells
-                for subset, meet in level.items()
-                for j in range(subset[-1] + 1, len(self.pieces))
-            }
+            below, level = level, {}
+            for subset, meet in below.items():
+                for j in range(subset[-1] + 1, len(self.pieces)):
+                    level[subset + (j,)] = wider = meet & self.pieces[j][1].cells
+                    cells += len(wider)
+                    if cells > MAX_SIMPLICES:
+                        raise TooManySimplices("the meets of the pieces exceed the supported size",
+                                               limit=MAX_SIMPLICES)
         return nerve
 
     def virtual_betti(self) -> IntPolynomial:

@@ -27,7 +27,6 @@ from .scissor import (
     DisjointUnion,
     Empty,
     Product,
-    atoms_used,
     check_blowup_relation,
     degree_report,
     evaluate_beta,
@@ -494,18 +493,7 @@ def fixture_names() -> list[str]:
     return list(FIXTURES)
 
 
-def declared_atoms_used(scene: Scene) -> list[tuple[str, str]]:
-    """(expression, atom) pairs where a fixture expression uses a declared atom."""
-    out = []
-    for name in sorted(scene.expressions):
-        for atom in sorted(atoms_used(scene.expressions[name])):
-            if scene.atoms.lookup(atom).declared:
-                out.append((name, atom))
-    return out
-
-
-def run_fixture(name: str, scene: Scene | None = None) -> list[CheckResult]:
-    scene = scene or builtin_scene()
+def run_fixture(name: str, scene: Scene) -> list[CheckResult]:
     if name not in FIXTURES:
         raise UnknownName(f"no fixture named {name!r}", name=name, known=fixture_names())
     return [CheckResult(name, check, bool(passed), *detail)

@@ -94,7 +94,7 @@ def _expr_from_dict(data: Mapping, registry: AtomRegistry, path: str) -> Scissor
         raise SceneError(f"{path}: expression node needs an 'op' field")
     op = data["op"]
     if op == "atom":
-        name = data.get("name")
+        name = _json(data.get("name"), f"{path}.name", "string")
         if name not in registry:
             raise SceneError(f"{path}: unknown atom {name!r}", atom=name)
         return Atom(name)
@@ -151,15 +151,16 @@ def _strat_model_from_dict(data: Mapping, scene: Scene, raw_strats: Mapping,
                            resolving: set[str], path: str):
     kind = _json(data, path + ", model").get("kind")
     if kind == "compact":
-        return CompactModel(scene.complex(data["complex"]))
+        return CompactModel(scene.complex(_json(data["complex"], path + ", complex", "string")))
     if kind == "declared":
         return DeclaredBeta(parse_polynomial(data["beta"]))
     if kind == "open":
-        pair = scene.pair(data["pair"])
+        pair = scene.pair(_json(data["pair"], path + ", pair", "string"))
         boundary_strata = None
         if "boundary_strata" in data and data["boundary_strata"] is not None:
             boundary_strata = yield _resolve_stratification(
-                data["boundary_strata"], scene, raw_strats, resolving
+                _json(data["boundary_strata"], path + ", boundary_strata", "string"),
+                scene, raw_strats, resolving
             )
         return OpenModel(
             pair=pair,
@@ -185,13 +186,15 @@ def _resolve_stratification(name: str, scene: Scene, raw_strats: Mapping,
     strata = []
     for s in _json(raw.get("strata", []), path + ", strata", "array"):
         s = _json(s, path + ", stratum")
-        where = f"{path}, stratum {s.get('name')!r}"
+        sname = _json(s.get("name"), path + ", stratum name", "string")
+        where = f"{path}, stratum {sname!r}"
         model = yield _strat_model_from_dict(s.get("model", {}), scene, raw_strats,
                                              resolving, where)
         dim = json_int(s["dim"], where + ", dim", SceneError)
-        strata.append(StratumRecord(s["name"], dim, model))
+        strata.append(StratumRecord(sname, dim, model))
     frontier = {
-        src: frozenset(_json(targets, f"{path}, frontier {src!r}", "array"))
+        src: frozenset(_json(t, f"{path}, frontier {src!r}[{i}]", "string")
+                       for i, t in enumerate(_json(targets, f"{path}, frontier {src!r}", "array")))
         for src, targets in _json(raw.get("frontier", {}), path + ", frontier").items()
     }
     spec = StratifiedSpec(name, tuple(strata), frontier)
@@ -225,14 +228,15 @@ def scene_from_dict(data: Mapping) -> Scene:
                 _simplices(spec["maximal_simplices"], path + ", maximal_simplices"),
             )
         for name, spec, path in _entries(data, "pairs", "pair"):
-            total = scene.complex(spec["total"])
+            total = scene.complex(_json(spec["total"], path + ", total", "string"))
             boundary = _subcomplex_from(
                 total, spec.get("boundary_maximal", []), path + ", boundary_maximal"
             )
             scene.pairs[name] = PairSpace(total, boundary)
         for name, spec, path in _entries(data, "atoms", "atom"):
             if "model" in spec:
-                scene.atoms.from_model(name, scene.complex(spec["model"]), spec["model"])
+                model = _json(spec["model"], path + ", model", "string")
+                scene.atoms.from_model(name, scene.complex(model), model)
             else:
                 beta = parse_polynomial(spec["beta"])
                 chi = spec.get("chi_c")
@@ -256,7 +260,7 @@ def scene_from_dict(data: Mapping) -> Scene:
         for name in sorted(raw_strats):
             walk(_resolve_stratification(name, scene, raw_strats, set()))
         for name, spec, path in _entries(data, "arrangements", "arrangement"):
-            total = scene.complex(spec["total"])
+            total = scene.complex(_json(spec["total"], path + ", total", "string"))
             pieces = []
             for piece in _json(spec["pieces"], path + ", pieces", "array"):
                 piece = _json(piece, path + ", piece")

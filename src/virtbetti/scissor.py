@@ -72,16 +72,12 @@ class AtomRecord(Record):
                 f"polynomial {self.beta} has a negative coefficient"
             )
 
-    @property
-    def declared(self) -> bool:
-        return self.provenance == "declared"
-
 
 class AtomRegistry:
     """Name -> AtomRecord map; treat as immutable once populated."""
 
-    def __init__(self, records: dict[str, AtomRecord] | None = None):
-        self._records: dict[str, AtomRecord] = dict(records or {})
+    def __init__(self):
+        self._records: dict[str, AtomRecord] = {}
 
     def register(self, record: AtomRecord) -> AtomRecord:
         if record.name in self._records:

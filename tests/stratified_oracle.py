@@ -138,15 +138,16 @@ def scene_from_dict(data):
 def _strat_model_from_dict(data, scene, raw_strats, resolving, path):
     kind = _json(data, path + ", model").get("kind")
     if kind == "compact":
-        return CompactModel(scene.complex(data["complex"]))
+        return CompactModel(scene.complex(_json(data["complex"], path + ", complex", "string")))
     if kind == "declared":
         return DeclaredBeta(parse_polynomial(data["beta"]))
     if kind == "open":
-        pair = scene.pair(data["pair"])
+        pair = scene.pair(_json(data["pair"], path + ", pair", "string"))
         boundary_strata = None
         if "boundary_strata" in data and data["boundary_strata"] is not None:
             boundary_strata = _resolve_stratification(
-                data["boundary_strata"], scene, raw_strats, resolving
+                _json(data["boundary_strata"], path + ", boundary_strata", "string"),
+                scene, raw_strats, resolving
             )
         return OpenModel(
             pair=pair,
@@ -170,12 +171,14 @@ def _resolve_stratification(name, scene, raw_strats, resolving):
     strata = []
     for s in _json(raw.get("strata", []), path + ", strata", "array"):
         s = _json(s, path + ", stratum")
-        where = f"{path}, stratum {s.get('name')!r}"
+        sname = _json(s.get("name"), path + ", stratum name", "string")
+        where = f"{path}, stratum {sname!r}"
         model = _strat_model_from_dict(s.get("model", {}), scene, raw_strats, resolving, where)
         dim = json_int(s["dim"], where + ", dim", SceneError)
-        strata.append(StratumRecord(s["name"], dim, model))
+        strata.append(StratumRecord(sname, dim, model))
     frontier = {
-        src: frozenset(_json(targets, f"{path}, frontier {src!r}", "array"))
+        src: frozenset(_json(t, f"{path}, frontier {src!r}[{i}]", "string")
+                       for i, t in enumerate(_json(targets, f"{path}, frontier {src!r}", "array")))
         for src, targets in _json(raw.get("frontier", {}), path + ", frontier").items()
     }
     spec = StratifiedSpec(name, tuple(strata), frontier)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -341,16 +344,54 @@ def test_deterministic_across_processes():
     assert outs[0] == outs[1]
 
 
-def test_declared_atom_warning(capsys):
-    from virtbetti.fixtures import declared_atoms_used
-    from virtbetti.scene import Scene
-    from virtbetti.scissor import Atom
-    from virtbetti.polynomial import parse_polynomial
+def test_builtin_scene_expressions_use_only_model_or_recursive_atoms():
+    # the fixtures check computed invariants: none may rest on a declared atom
+    from virtbetti.scissor import atoms_used
 
-    scene = Scene()
-    scene.atoms.declare("exotic", parse_polynomial("1 + 3*t^2"))
-    scene.expressions["uses-exotic"] = Atom("exotic")
-    assert declared_atoms_used(scene) == [("uses-exotic", "exotic")]
+    scene = builtin_scene()
+    for name, expr in scene.expressions.items():
+        for atom in atoms_used(expr):
+            provenance = scene.atoms.lookup(atom).provenance
+            assert provenance == "recursive" or provenance.startswith("model:"), (name, atom)
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "surface-443", "--strict"],
+    ["mvss", "surface-443", "--strict"],
+    ["weights", "surface-443", "--strict"],
+    ["betti", "surface-443", "--quiet"],
+    ["mvss", "surface-443", "--quiet"],
+    ["weights", "surface-443", "--quiet"],
+    ["fixtures", "--strict"],
+], ids=lambda argv: argv[0] + argv[-1])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-1]}" in captured.err
+
+
+def test_readme_cli_examples_run(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = next(b for b in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+                    if b.startswith("virtbetti "))
+    constraints = next(b for b in re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+                       if b.startswith("[{"))
+    (tmp_path / "constraints.json").write_text(constraints)
+    quoted = 0
+    for line in commands.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        argv = [str(tmp_path / a) if a == "constraints.json" else a for a in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, line
+        comment = comment.strip()
+        if comment.startswith(("b: ", "beta: ")):  # a comment that quotes the output
+            assert out.splitlines()[0] == comment, line
+            quoted += 1
+    assert quoted == 2
 
 
 def test_scene_flag_reads_files(capsys, tmp_path):
@@ -478,6 +519,34 @@ def test_too_many_pieces_in_a_scene_file_is_a_structured_error(capsys, tmp_path)
     error = json.loads(err)
     assert error["code"] == "too-many-pieces"
     assert error["context"] == {"pieces": 17, "limit": 16}
+
+
+@pytest.mark.parametrize("command", ["vbetti", "mvss"])
+def test_a_cover_whose_meets_pass_the_cell_budget_is_refused_cheaply(capsys, tmp_path, command):
+    # eight copies of a 600-cell torus meet in 247 x 600 cells
+    from virtbetti.models import torus_grid
+    from virtbetti.simplicial import maximal_simplices
+
+    torus = torus_grid(10, 10)
+    triangles = [list(t) for t in maximal_simplices(torus)]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "complexes": {"torus": {"vertices": list(torus.vertices), "maximal_simplices": triangles}},
+        "arrangements": {"copies": {
+            "total": "torus",
+            "pieces": [{"name": f"P{i}", "maximal_simplices": triangles} for i in range(8)],
+        }},
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "copies", "--scene", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["code"] == "too-many-simplices"
+    assert error["context"] == {"limit": 100_000}
 
 
 def test_hostile_weight_input_in_a_scene_file_is_refused(capsys, tmp_path):

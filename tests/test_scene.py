@@ -82,7 +82,7 @@ def test_minimal_scene_loads_and_computes():
     assert tuple(scene.complex("circle").betti_mod2()) == (1, 1)
     assert evaluate_beta(scene.expression("line"), scene.atoms).to_text() == "t"
     assert beta_of_stratified(scene.stratification("circle-two"), strict=True).to_text() == "1 + t"
-    assert scene.atoms.lookup("exotic").declared
+    assert scene.atoms.lookup("exotic").provenance == "declared"
 
 
 def test_schema_version_is_checked():
@@ -430,8 +430,20 @@ def test_blowup_label_must_be_a_string_or_null(label):
     (("stratifications", "circle-two", "strata"), ""),
     (("expressions", "line"), ["union"]),
     (("expressions", "line", "op"), ["union"]),
+    (("pairs", "line", "total"), ["circle"]),
+    (("arrangements", "whole", "total"), ["circle"]),
+    (("atoms", "pt", "model"), ["pt"]),
+    (("expressions", "line", "closed", "name"), ["pt"]),
+    (ARC + ("name",), ["arc"]),
+    (ARC + ("name",), 5),
+    (("stratifications", "circle-two", "strata", 1, "model", "complex"), ["pt"]),
+    (ARC + ("model", "pair"), ["line"]),
+    (ARC + ("model", "boundary_strata"), ["circle-two"]),
+    (("stratifications", "circle-two", "frontier", "arc"), [["pt"]]),
 ], ids=["section", "pair", "atom", "piece", "pieces", "piece-name", "strata-object",
-        "strata-str", "node", "op"])
+        "strata-str", "node", "op", "pair-total", "arrangement-total", "atom-model",
+        "atom-name", "stratum-name", "stratum-name-int", "model-complex", "model-pair",
+        "boundary-strata", "frontier-target"])
 def test_sections_and_entries_of_the_wrong_type_are_scene_errors(path, value):
     # a list section used to escape as IndexError, a list entry as AttributeError
     with pytest.raises(SceneError) as info:

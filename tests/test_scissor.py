@@ -58,7 +58,7 @@ def test_atom_registry_rejects_negative_compact_nonsingular():
 def test_declared_atom_provenance():
     reg = AtomRegistry()
     rec = reg.declare("exotic", P("1 + 3*t^2"))
-    assert rec.declared
+    assert rec.provenance == "declared"
     assert rec.chi_c == 4
 
 

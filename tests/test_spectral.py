@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from virtbetti import models
 from virtbetti.cover import MAX_PIECES, Arrangement
-from virtbetti.errors import NotACover, TooManyPieces
+from virtbetti.errors import NotACover, TooManyPieces, TooManySimplices
 from virtbetti.polynomial import IntPolynomial
-from virtbetti.simplicial import SimplicialComplex
+from virtbetti.simplicial import MAX_SIMPLICES, SimplicialComplex, maximal_simplices
 from virtbetti.spectral import MVSpectralSequence, SpectralPage, row_alternating_sums
 from virtbetti.triangle import WeightArray
 
@@ -303,6 +303,24 @@ def test_sixteen_edge_circle_cover_has_a_32_entry_nerve():
     assert ss.intersection_complex((0, 2)) == frozenset()
     assert ss.intersection_complex((15, 0)) == frozenset({("v0",)})
     assert tuple(ss.converged_betti()) == (1, 1)
+
+
+def test_meets_past_the_cell_budget_are_refused():
+    # copies of one 600-cell torus: 6 meet in 57 x 600 cells, 8 in 247 x 600,
+    # which would pass the budget; 16 edges on one vertex meet in 65,519 points
+    torus = models.torus_grid(10, 10)
+    whole = torus.subcomplex(maximal=maximal_simplices(torus))
+    assert len(Arrangement(torus, (("P", whole),) * 6).nerve) == 63
+    start = time.perf_counter()
+    with pytest.raises(TooManySimplices) as info:
+        Arrangement(torus, (("P", whole),) * 8).nerve
+    assert time.perf_counter() - start < 0.5
+    assert info.value.code == "too-many-simplices"
+    assert info.value.context == {"limit": MAX_SIMPLICES}
+    star = SimplicialComplex.from_maximal(
+        ["c"] + [f"x{i}" for i in range(16)], [("c", f"x{i}") for i in range(16)])
+    edges = tuple((f"e{i}", star.subcomplex(maximal=[("c", f"x{i}")])) for i in range(16))
+    assert len(Arrangement(star, edges).nerve) == 2**16 - 1
 
 
 @st.composite
