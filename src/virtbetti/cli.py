@@ -239,6 +239,7 @@ def cmd_fixtures(args) -> int:
             results.append(res)
             if not res.passed:
                 failures += 1
+    shown = [r for r in results if not (args.quiet and r.passed)]
     if args.json:
         print(json.dumps([
             {
@@ -247,12 +248,10 @@ def cmd_fixtures(args) -> int:
                 "passed": r.passed,
                 "detail": r.detail,
             }
-            for r in results
+            for r in shown
         ]))
     else:
-        for r in results:
-            if args.quiet and r.passed:
-                continue
+        for r in shown:
             status = "PASS" if r.passed else "FAIL"
             suffix = f"  [{r.detail}]" if (r.detail and not r.passed) else ""
             print(f"{status} {r.fixture} :: {r.check}{suffix}")
@@ -317,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--list", action="store_true", help="list fixture names")
     group.add_argument("--run", metavar="NAME", help="run a single fixture")
-    p.add_argument("--quiet", action="store_true", help="print only failures and the total")
+    p.add_argument("--quiet", action="store_true", help="print only the failed checks")
     p.set_defaults(func=cmd_fixtures)
 
     return parser

@@ -115,10 +115,6 @@ class TooManySimplices(VirtBettiError):
     code = "too-many-simplices"
 
 
-class TooManyPieces(VirtBettiError):
-    code = "too-many-pieces"
-
-
 class WeightSearchTooLarge(VirtBettiError):
     code = "weight-search-too-large"
 

@@ -314,6 +314,24 @@ def test_fixture_failure_exit_1(capsys, monkeypatch):
     assert "FAIL broken :: always fails" in out
 
 
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_fixtures_quiet_prints_only_the_failed_checks(capsys, monkeypatch, mode):
+    from virtbetti import fixtures as fx
+
+    def mixed(scene):
+        yield ("passes", True)
+        yield ("fails", False, "injected")
+
+    monkeypatch.setitem(fx.FIXTURES, "mixed", mixed)
+    code, out, _ = run(capsys, "fixtures", "--run", "mixed", "--quiet", *mode)
+    assert code == 1
+    if mode:
+        assert json.loads(out) == [
+            {"fixture": "mixed", "check": "fails", "passed": False, "detail": "injected"}]
+    else:
+        assert out == "FAIL mixed :: fails  [injected]\n1/2 checks passed\n"
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "mvss", "surface-443")
     _, second, _ = run(capsys, "mvss", "surface-443")
@@ -499,8 +517,8 @@ def test_quiet_suppresses_warnings(capsys, tmp_path):
     assert err == ""
 
 
-def test_too_many_pieces_in_a_scene_file_is_a_structured_error(capsys, tmp_path):
-    # a 17-gon covered by its 17 edges: one piece over the bound
+def test_a_seventeen_piece_cover_in_a_scene_file_computes(capsys, tmp_path):
+    # a 17-gon covered by its 17 edges: no bound on the number of pieces
     n = 17
     verts = [f"v{i}" for i in range(n)]
     edges = [[verts[i], verts[(i + 1) % n]] for i in range(n)]
@@ -513,12 +531,10 @@ def test_too_many_pieces_in_a_scene_file_is_a_structured_error(capsys, tmp_path)
             "pieces": [{"name": f"e{i}", "maximal_simplices": [e]} for i, e in enumerate(edges)],
         }},
     }))
-    code, out, err = run(capsys, "mvss", "edges", "--scene", str(path))
-    assert code == 3
-    assert out == ""
-    error = json.loads(err)
-    assert error["code"] == "too-many-pieces"
-    assert error["context"] == {"pieces": 17, "limit": 16}
+    code, out, err = run(capsys, "mvss", "edges", "--json", "--scene", str(path))
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["converged_betti"] == [1, 1]
 
 
 @pytest.mark.parametrize("command", ["vbetti", "mvss"])

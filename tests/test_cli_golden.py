@@ -19,6 +19,7 @@ from virtbetti.scene import dump_scene
 
 GOLDEN = {
     ("fixtures", "--json"): "2c6e4f78b65f55bbf9903292c83febd2",
+    ("fixtures", "--json", "--quiet"): "58e0494c51d30eb3494f7c9198986bb9",
     ("mvss", "surface-443"): "f980687f5518e2eb09724d0322fe769d",
     ("mvss", "surface-443", "--json"): "5108b223a5f48db97537227d6c3b54bb",
     ("mvss", "tangent-circles"): "f2d681d7ddb9e2fe4f02ebc59a11335f",

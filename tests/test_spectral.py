@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from virtbetti import models
-from virtbetti.cover import MAX_PIECES, Arrangement
-from virtbetti.errors import NotACover, TooManyPieces, TooManySimplices
+from virtbetti.cover import Arrangement
+from virtbetti.errors import NotACover, TooManySimplices
 from virtbetti.polynomial import IntPolynomial
 from virtbetti.simplicial import MAX_SIMPLICES, SimplicialComplex, maximal_simplices
 from virtbetti.spectral import MVSpectralSequence, SpectralPage, row_alternating_sums
@@ -272,20 +272,24 @@ def test_euler_invariance_across_fixture_covers(scene):
         assert eulers.pop() == ss.arrangement.total.euler_characteristic()
 
 
-def test_too_many_pieces_is_rejected_before_any_work():
-    # the bound is checked first, before the union check and long before
-    # any of the 2^17 - 1 subsets is enumerated
-    circle = models.circle(MAX_PIECES + 1)
-    pieces = tuple(
-        (f"e{i}", circle.subcomplex(maximal=[(f"v{i}", f"v{(i + 1) % (MAX_PIECES + 1)}")]))
-        for i in range(MAX_PIECES + 1)
-    )
+def star_of_edges(k):
+    """k edges on one vertex, each a piece: every set of two or more meets
+    in the centre alone."""
+    star = SimplicialComplex.from_maximal(
+        ["c"] + [f"x{i}" for i in range(k)], [("c", f"x{i}") for i in range(k)])
+    return Arrangement(star, tuple(
+        (f"e{i}", star.subcomplex(maximal=[("c", f"x{i}")])) for i in range(k)))
+
+
+def test_seventeen_edges_on_one_vertex_are_refused_by_the_cell_budget():
+    # 2^17 - 18 = 131,054 one-cell meets pass the budget; no cap on the pieces
+    arr = star_of_edges(17)
     start = time.perf_counter()
-    with pytest.raises(TooManyPieces) as info:
-        Arrangement(circle, pieces)
-    assert time.perf_counter() - start < 0.1
-    assert info.value.code == "too-many-pieces"
-    assert info.value.context == {"pieces": MAX_PIECES + 1, "limit": MAX_PIECES}
+    with pytest.raises(TooManySimplices) as info:
+        arr.nerve
+    assert time.perf_counter() - start < 1.0
+    assert info.value.code == "too-many-simplices"
+    assert info.value.context == {"limit": MAX_SIMPLICES}
 
 
 def test_sixteen_edge_circle_cover_has_a_32_entry_nerve():
@@ -317,10 +321,48 @@ def test_meets_past_the_cell_budget_are_refused():
     assert time.perf_counter() - start < 0.5
     assert info.value.code == "too-many-simplices"
     assert info.value.context == {"limit": MAX_SIMPLICES}
-    star = SimplicialComplex.from_maximal(
-        ["c"] + [f"x{i}" for i in range(16)], [("c", f"x{i}") for i in range(16)])
-    edges = tuple((f"e{i}", star.subcomplex(maximal=[("c", f"x{i}")])) for i in range(16))
-    assert len(Arrangement(star, edges).nerve) == 2**16 - 1
+    assert len(star_of_edges(16).nerve) == 2**16 - 1
+
+
+def test_the_cell_budget_admits_meets_of_exactly_its_size():
+    # two copies of a 50,000-vertex cycle meet in 100,000 cells, the budget;
+    # a third piece holding one of its vertices adds the cell that passes it
+    cycle = models.circle(50_000)
+    copies = (("A", cycle.full_subcomplex()), ("B", cycle.full_subcomplex()))
+    assert len(Arrangement(cycle, copies).nerve) == 3
+    with pytest.raises(TooManySimplices) as info:
+        Arrangement(cycle, copies + (("C", cycle.subcomplex([("v0",)])),)).nerve
+    assert info.value.context == {"limit": MAX_SIMPLICES}
+
+
+def test_virtual_betti_builds_one_complex_per_distinct_meet(monkeypatch):
+    # the 16-edge star's 65,535 nerve entries hold 17 distinct meets: the
+    # edges and the centre, which 65,519 entries share with signs adding to -15
+    arr = star_of_edges(16)
+    built = []
+    standalone = SimplicialComplex.standalone
+    monkeypatch.setattr(SimplicialComplex, "standalone",
+                        lambda self, cells: built.append(cells) or standalone(self, cells))
+    assert arr.virtual_betti() == IntPolynomial((1,))
+    assert len(built) == 17
+
+
+def test_pieces_that_never_meet_build_their_nerve_in_linear_time():
+    # m disjoint edges, each a piece: no vertex lies in two, so no pair is tried
+    def best_seconds(m):
+        edges = SimplicialComplex.from_maximal(
+            [f"v{i}" for i in range(2 * m)], [(f"v{2 * i}", f"v{2 * i + 1}") for i in range(m)])
+        arr = Arrangement(edges, tuple(
+            (f"e{i}", edges.subcomplex(maximal=[(f"v{2 * i}", f"v{2 * i + 1}")])) for i in range(m)))
+        seconds = []
+        for _ in range(5):
+            start = time.perf_counter()
+            nerve = Arrangement.nerve.func(arr)
+            seconds.append(time.perf_counter() - start)
+        assert list(nerve) == [(i,) for i in range(m)]
+        return min(seconds)
+
+    assert best_seconds(4000) < 3 * best_seconds(2000)
 
 
 @st.composite
@@ -384,11 +426,15 @@ def assert_matches_oracle(ss):
 
 @st.composite
 def band_covers(draw):
-    """An n x n grid torus cut into k closed bands of rows (6x6 in 3, 8x8 in
-    4 or 10x10 in 8), with vertex names, vertex order, simplex order and
-    piece order drawn from a seed."""
+    """A band cover of a 6x6 torus in 3, 8x8 in 4 or 10x10 in 8, from a
+    drawn seed."""
     n, k = draw(st.sampled_from([(6, 3), (8, 4), (10, 8)]))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return band_cover(n, k, random.Random(draw(st.integers(0, 2**32 - 1))))
+
+
+def band_cover(n, k, rng):
+    """An n x n grid torus cut into k closed bands of rows, with vertex
+    names, vertex order, simplex order and piece order drawn from rng."""
     names = [f"t{c}" for c in range(n * n)]
     rng.shuffle(names)
     name = {(i, j): names[i * n + j] for i in range(n) for j in range(n)}
@@ -412,6 +458,7 @@ def band_covers(draw):
 def test_cleared_pairing_matches_the_uncleared_oracle(arr):
     ss = MVSpectralSequence(arr)
     assert ss._pair_counts == mv_oracle.pair_counts(*mv_oracle.engine_complex(arr))
+    assert list(arr.nerve.items()) == [(s, meet) for s, meet in mv_oracle.intersections(arr).items() if meet]
 
 
 @given(st.one_of(covered_complexes(), band_covers()))
@@ -426,6 +473,15 @@ def test_e1_row_sums_are_the_inclusion_exclusion(arr):
 @given(band_covers())
 @settings(max_examples=20, deadline=None)
 def test_band_covers_converge_to_the_torus(arr):
+    assert_converges_to_the_torus(arr)
+
+
+def test_sixty_four_bands_converge_to_the_torus():
+    # one row of a 64 x 64 torus per band: a 128-entry nerve of 64 pieces
+    assert_converges_to_the_torus(band_cover(64, 64, random.Random(1)))
+
+
+def assert_converges_to_the_torus(arr):
     ss = MVSpectralSequence(arr)
     k = len(arr.pieces)
     assert tuple(ss.converged_betti()) == (1, 2, 1)
