@@ -25,7 +25,9 @@ over a field dim H^q = dim H_q.  In degrees q >= 1 a coboundary row is
 built only once it meets another: the faces of a cell come in lexicographic
 order, so the first one in the relative basis is the row's low, and a row
 whose low no pivot holds yet is filed under it unbuilt until a later row
-meets it.  One helper, ``_row``, builds every coboundary row: those of
+meets it.  The rows go in reverse lexicographic order, as Ripser reduces the
+coboundary, so their lows descend and few rows meet a pivot that earlier
+XORs have widened.  One helper, ``_row``, builds every coboundary row: those of
 ``relative_coboundary_matrix`` full width, and those fed to the elimination
 and the filed ones it meets narrow, from the row's low up.  A finished
 degree keeps only its pivots' keys, which is all that clearing reads.
@@ -34,7 +36,7 @@ degree keeps only its pivots' keys, which is all that clearing reads.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, combinations, filterfalse, islice, repeat
+from itertools import chain, combinations, filterfalse, groupby, islice, repeat
 from typing import Container, Hashable, Iterable, Iterator, Sequence
 
 from .errors import NotFaceClosed, Record, TooManySimplices, UnknownVertex
@@ -94,11 +96,9 @@ def _normalize(index: dict, simplices: Iterable[Sequence[Vertex]]) -> list[Simpl
 
 
 def _grouped(cells: Iterable[Simplex]) -> dict[int, list[Simplex]]:
-    """{dimension: cells} of a family of cells."""
-    faces: dict[int, list[Simplex]] = {}
-    for s in cells:
-        faces.setdefault(len(s) - 1, []).append(s)
-    return faces
+    """{dimension: cells} of a family of cells, each dimension in input order
+    (the sort by size is stable)."""
+    return {k - 1: list(run) for k, run in groupby(sorted(cells, key=len), key=len)}
 
 
 def _closure(cells: Iterable[Simplex], vertices: int | None = None) -> dict[int, set[Simplex]]:
@@ -292,11 +292,14 @@ class SimplicialComplex:
                    maximal: Iterable[Sequence[Vertex]] = ()) -> Subcomplex:
         """Face-closed subcomplex from explicit simplices and/or maximal ones."""
         index = self._index
-        chosen = set(_normalize(index, simplices))
-        cells = frozenset(chosen.union(*_closure(_normalize(index, maximal)).values()))
+        chosen, given = set(_normalize(index, simplices)), _normalize(index, maximal)
+        cells = frozenset(chosen.union(*_closure(given).values()))
         if chosen:
             return Subcomplex(self, cells)
-        _check_within(self, cells)  # a closure is face-closed, but may leave the parent
+        # the parent is face-closed: holding the given cells, it holds their
+        # closure; else the full check names the least stray face
+        if not self._cells.issuperset(given):
+            _check_within(self, cells)
         return Subcomplex._trusted(self, cells)
 
     def full_subcomplex(self) -> Subcomplex:
@@ -366,8 +369,9 @@ class PairSpace(Record):
         """{relative d-simplex: position} in lexicographic order, built once."""
         bases = self.__dict__.setdefault("_bases", {})  # not a field: no ==, hash or repr
         if d not in bases:
-            level = self.total._by_dim.get(d, ())
-            rel = list(filterfalse(self.boundary.cells.__contains__, level))
+            rel = self.total._by_dim.get(d, ())
+            if self.boundary.cells:
+                rel = list(filterfalse(self.boundary.cells.__contains__, rel))
             bases[d] = dict(zip(rel, range(len(rel))))
         return bases[d]
 
@@ -382,9 +386,14 @@ class PairSpace(Record):
                       filed: dict) -> Iterator[tuple[int, int]]:
         """The rows of delta^q outside ``cleared`` whose low a pivot in
         ``filed`` holds, each as (low, row from the low up).  Each other
-        nonzero row is filed there under its low, unbuilt: as its cell."""
+        nonzero row is filed there under its low, unbuilt: as its cell.
+        The rows go from the last (q+1)-cell to the first, so their lows
+        descend and most find their low free; in lexicographic order each
+        new row met a pivot widened by earlier XORs (the delta^1 pivots of
+        the 129 x 129 grid torus held 822 M bits, against 12.9 M reversed).
+        No rank and no clearing key depends on the order."""
         cols = self._basis(q)
-        for i, s in enumerate(self._basis(q + 1)):
+        for s, i in reversed(self._basis(q + 1).items()):
             if i in cleared:
                 continue
             faces = combinations(s, q + 1)

@@ -39,7 +39,7 @@ does not import the weight search in ``weights``.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, groupby, islice, repeat
+from itertools import chain, combinations, count, groupby, islice, repeat
 from math import inf
 from typing import Mapping
 
@@ -108,8 +108,15 @@ def _total_complex(arrangement: Arrangement) -> tuple[dict, dict, dict]:
     vertex); so each entry (subset, t) sets its bit in the column of every
     entry with one index of subset or one vertex of t dropped, all placed
     before it: the smaller subsets first, and each meet by ascending dimension.
+    Each meet is ordered by one int-keyed sort, from a rank table of the
+    total's cells (dimension ascending, reverse lexicographic inside) that is
+    dropped before the first column is built.
     """
     nerve = arrangement.nerve
+    rank = dict(zip(chain.from_iterable(map(reversed, arrangement.total._by_dim.values())),
+                    count()))
+    ordered = {subset: sorted(meet, key=rank.__getitem__) for subset, meet in nerve.items()}
+    del rank
     runs: dict[int, list] = {}
     levels: dict[int, Counter] = {}
     cols: dict[int, list[int]] = {}
@@ -120,7 +127,7 @@ def _total_complex(arrangement: Arrangement) -> tuple[dict, dict, dict]:
             position[subset] = at = {}
             # positions under each subset with one index dropped: a nerve member too
             wider = [position[subset[:i] + subset[i + 1:]] for i in range(p + 1)] if p else ()
-            for k, run in groupby(sorted(sorted(nerve[subset], reverse=True), key=len), key=len):
+            for k, run in groupby(ordered.pop(subset), key=len):
                 run, n = list(run), p + k - 1
                 runs.setdefault(n, []).append((p, subset, run))
                 levels.setdefault(n, Counter())[p] += len(run)
@@ -164,8 +171,9 @@ class MVSpectralSequence:
     def _pair(self, levels: Mapping[int, Counter], cols: dict[int, list[int]]):
         """Reduce the total differential once, with clearing, and count its
         persistence pairs as (p, q, gap): the pivots a filtration block adds,
-        in insertion order.  Each degree's columns leave ``cols`` once reduced;
-        each vector's lifetime follows from the pairs (gap inf if unpaired)."""
+        counted by the filtration of their low, one count per gap.  Each
+        degree's columns leave ``cols`` once reduced; each vector's lifetime
+        follows from the pairs (gap inf if unpaired)."""
         pairs: Counter = Counter()
         lows: dict[int, int] = {}
         for n in sorted(levels):
@@ -178,7 +186,9 @@ class MVSpectralSequence:
             for p, size in reversed(levels[n].items()):
                 found, end = len(lows), end - size
                 pivot_rows(zip(repeat(0), reversed(column[end:end + size])), lows)
-                pairs.update((p, n - p, upper[low] - p) for low in islice(lows, found, None))
+                gaps = Counter(map(upper.__getitem__, islice(lows, found, None)))
+                for target, number in gaps.items():
+                    pairs[p, n - p, target - p] += number
         self._pair_counts = pairs
         self._lifetimes = {(p, n - p): Counter({inf: size})
                            for n, level in levels.items() for p, size in level.items()}

@@ -12,8 +12,8 @@ the relative cohomology.
 ``cleared_homology`` is how ``PairSpace.betti_compact_supports`` took its
 ranks before it filed rows that no other row meets: every row of
 ``relative_coboundary_matrix`` built and fed to ``pivot_rows``, top degree
-down with clearing.  It returns the pivots of each degree, whose keys are
-what clearing reads.
+down with clearing, last row first as the engine feeds them.  It returns
+the pivots of each degree, whose keys are what clearing reads.
 
 It also keeps the old ways from vertex lists to simplices: a face closure
 that builds frozensets and sorts them by ``repr``, a subcomplex closure
@@ -88,12 +88,13 @@ def betti_compact_supports(pair: PairSpace) -> BettiVector:
 
 def cleared_homology(pair: PairSpace) -> tuple[BettiVector, dict[int, dict[int, int]]]:
     """The Betti numbers of the pair and {q: pivots of delta^q} for q >= 1,
-    every coboundary row built, each pivot row full width."""
+    every coboundary row built and fed last first, each pivot row full width."""
     top = pair.total.dim
     ranks, pivots, by_degree = [0] * (top + 2), {}, {}  # rank delta^{q-1} at index q
     for q in range(top - 1, 0, -1):
         rows = pair.relative_coboundary_matrix(q, pivots).row_bits
-        pivots = by_degree[q] = {p: r << p for p, r in pivot_rows(zip(repeat(0), rows)).items()}
+        pivots = by_degree[q] = {p: r << p
+                                 for p, r in pivot_rows(zip(repeat(0), reversed(rows))).items()}
         ranks[q + 1] = len(pivots)
     if top > 0:
         ranks[1] = rank(pair.relative_coboundary_matrix(0, pivots))

@@ -101,6 +101,17 @@ def test_stray_subcomplex_and_uncovered_complex_errors_name_vertices():
     assert error_of(lambda: Arrangement(total, (("X", piece),))) == expected(*NOT_A_COVER)
 
 
+def test_a_stray_maximal_cell_names_its_least_stray_face():
+    # every vertex is known and the cell is stray: the error names its face
+    # ('a', 'b'), not the cell, as a check of the whole closure does
+    parent = (["a", "b", "c"], [["b", "c"], ["a"]])
+    want = expected("unknown-vertex", "simplex ('a', 'b') does not belong to the parent complex",
+                    {"simplex": "('a', 'b')"})
+    for cls in (SimplicialComplex, simplicial_oracle.NameComplex):
+        k = cls.from_maximal(*parent)
+        assert error_of(lambda: k.subcomplex(maximal=[["a", "b", "c"]])) == want
+
+
 def run_cli(tmp_path, scene: dict, *argv: str) -> tuple[int, str]:
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"schema_version": 1, **scene}))
