@@ -124,14 +124,14 @@ def cmd_mvss(args) -> int:
 
     scene = _scene_from_args(args)
     ss = MVSpectralSequence(scene.arrangement(args.name))
-    upto = max(args.pages, ss.infinity_index)
-    pages = ss.pages(upto)
+    cert = ss.stabilization_certificate()
+    # the pages stop changing at E_{stable_from}: none past it is listed
+    pages = ss.pages(max(args.pages, cert.stable_from))
     # E_1^{p,q} is the sum of H^q over the (p+1)-fold meets, so its row
     # alternating sums are the inclusion-exclusion over the nerve
     beta = IntPolynomial(row_alternating_sums(ss.page(1)))
     profile = ss.filtration_profile()
     verdict = profile.check_virtual_betti(beta.coeffs)
-    cert = ss.stabilization_certificate()
     converged = ss.converged_betti()
     if args.json:
         payload = {

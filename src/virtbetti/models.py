@@ -278,7 +278,7 @@ def surface_model() -> SurfaceModel:
     torus_sc = total.subcomplex(maximal=torus_tris)
     sphere1 = total.subcomplex(maximal=s1_tris)
     sphere2 = total.subcomplex(maximal=s2_tris)
-    triple = total.subcomplex(simplices=[(_A,), (_B,), (_C,), (_D,)])
+    triple = total.subcomplex(maximal=[(_A,), (_B,), (_C,), (_D,)])
 
     return SurfaceModel(
         total=total,

@@ -15,10 +15,12 @@ the complex (``from_maximal``, the product) the vertex level is given, not
 derived: the facets of the edges are never made.  The size bound counts the
 given vertex level first, is checked per simplex before any level, then
 chunk by chunk.
-``_check_face_closed`` checks a family for missing facets, only where cells
-can arrive open (explicit simplex lists): every other route is face-closed
-by construction.  Matrices are built in lexicographic simplex order, so
-every Betti computation is reproducible.
+Every complex and every subcomplex from ``subcomplex`` is the face closure
+of the simplices that generate it.  ``_check_face_closed`` checks a family
+for missing facets only where cells can arrive open, a ``Subcomplex`` built
+directly from cells: every other route is face-closed by construction.
+Matrices are built in lexicographic simplex order, so every Betti
+computation is reproducible.
 One routine computes Betti numbers, top degree down with clearing: the
 relative cohomology of a pair (K, L); ordinary homology is (K, empty), as
 over a field dim H^q = dim H_q.  In degrees q >= 1 a coboundary row is
@@ -176,12 +178,6 @@ class SimplicialComplex:
 
     __slots__ = ("_vertices", "_index", "_cells", "_by_dim")
 
-    def __init__(self, vertices: Iterable[Vertex], simplices: Iterable[Sequence[Vertex]]):
-        verts = tuple(vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        cells = set(_normalize(index, simplices)) - {()}
-        self._assemble(verts, _grouped(cells), index).validate()
-
     @classmethod
     def from_maximal(
         cls, vertices: Iterable[Vertex], maximal: Iterable[Sequence[Vertex]]
@@ -198,7 +194,7 @@ class SimplicialComplex:
 
     def _assemble(self, verts: tuple, faces: dict, index: dict | None = None) -> SimplicialComplex:
         """Every construction ends here, cells by dimension: vertex and size checks,
-        sort.  Face closure is the caller's, by construction or through ``validate``."""
+        sort.  Face closure is the caller's, by construction."""
         if index is None:
             index = {v: i for i, v in enumerate(verts)}
         if len(index) < len(verts):
@@ -216,7 +212,7 @@ class SimplicialComplex:
 
     @classmethod
     def empty(cls) -> SimplicialComplex:
-        return cls((), ())
+        return cls.from_maximal((), ())
 
     @property
     def vertices(self) -> tuple:
@@ -254,15 +250,6 @@ class SimplicialComplex:
     def simplex_counts(self) -> list[int]:
         return [len(self._by_dim.get(d, [])) for d in range(self.dim + 1)]
 
-    def validate(self) -> None:
-        """Check face closure and vertex bookkeeping; raises on violation."""
-        _check_face_closed(self._cells, self._vertices)
-        for i, v in enumerate(self._vertices):
-            if (i,) not in self._cells:
-                raise NotFaceClosed(
-                    f"vertex {v!r} has no singleton simplex", vertex=repr(v)
-                )
-
     def standalone(self, cells: frozenset) -> SimplicialComplex:
         """Complex on a face-closed subset of the cells, vertex order restricted."""
         position = {i: j for j, i in enumerate(sorted({i for s in cells for i in s}))}
@@ -288,14 +275,10 @@ class SimplicialComplex:
         compact nonsingular varieties (the caller asserts that)."""
         return self.betti_mod2().as_polynomial()
 
-    def subcomplex(self, simplices: Iterable[Sequence[Vertex]] = (),
-                   maximal: Iterable[Sequence[Vertex]] = ()) -> Subcomplex:
-        """Face-closed subcomplex from explicit simplices and/or maximal ones."""
-        index = self._index
-        chosen, given = set(_normalize(index, simplices)), _normalize(index, maximal)
-        cells = frozenset(chosen.union(*_closure(given).values()))
-        if chosen:
-            return Subcomplex(self, cells)
+    def subcomplex(self, *, maximal: Iterable[Sequence[Vertex]] = ()) -> Subcomplex:
+        """The face closure of the given simplices, as a subcomplex."""
+        given = _normalize(self._index, maximal)
+        cells = frozenset().union(*_closure(given).values())
         # the parent is face-closed: holding the given cells, it holds their
         # closure; else the full check names the least stray face
         if not self._cells.issuperset(given):

@@ -97,13 +97,17 @@ class StabilizationCertificate(Record):
     detail: str
 
 
-def _total_complex(arrangement: Arrangement) -> tuple[dict, dict, dict]:
+def _total_complex(arrangement: Arrangement) -> tuple[dict, dict, dict, dict]:
     """The basis and the columns of the total differential D, by degree n = p + q.
 
     runs[n] is the basis of degree n as runs (p, subset, cells), by ascending
     p, and inside a level in the reverse of nerve and cell order, since
     ``_pair`` feeds each level from its end; levels[n] is {p: vectors}.
-    cols[n][j] is D of vector j, a bit mask over the basis of degree n + 1.
+    cols[n][j] is D of vector j, narrow: bit i stands for the vector at
+    position bases[n][j] + i of degree n + 1.  Each run (subset, cell size)
+    has one base, the number of vectors of degree n + 1 laid out before it:
+    every target of its columns is laid out later, by the subset's next cell
+    size or by a larger subset, so a column spans only what follows its run.
     D sends (subset, s) to every (subset + one piece, s) and (subset, s + one
     vertex); so each entry (subset, t) sets its bit in the column of every
     entry with one index of subset or one vertex of t dropped, all placed
@@ -120,28 +124,36 @@ def _total_complex(arrangement: Arrangement) -> tuple[dict, dict, dict]:
     runs: dict[int, list] = {}
     levels: dict[int, Counter] = {}
     cols: dict[int, list[int]] = {}
+    bases: dict[int, list[int]] = {}
     position: dict[tuple, dict] = {}  # {subset: {cell: its position in its degree}}
+    base: dict[tuple, int] = {}  # {(subset, cell size): the base of its run}
     for _, group in groupby(nerve, key=len):  # the nerve is ordered by size
         for subset in reversed(list(group)):
             p = len(subset) - 1
             position[subset] = at = {}
-            # positions under each subset with one index dropped: a nerve member too
-            wider = [position[subset[:i] + subset[i + 1:]] for i in range(p + 1)] if p else ()
+            # each subset with one index dropped: a nerve member too
+            smaller = [subset[:i] + subset[i + 1:] for i in range(p + 1)] if p else ()
             for k, run in groupby(ordered.pop(subset), key=len):
                 run, n = list(run), p + k - 1
                 runs.setdefault(n, []).append((p, subset, run))
                 levels.setdefault(n, Counter())[p] += len(run)
                 column, below = cols.setdefault(n, []), cols.get(n - 1)
-                bits = range(len(column), len(column) + len(run))
-                at.update(zip(run, bits))
+                base[subset, k] = len(cols.get(n + 1, ()))
+                bases.setdefault(n, []).extend(repeat(base[subset, k], len(run)))
+                start = len(column)
+                at.update(zip(run, count(start)))
                 column += [0] * len(run)
-                for t, bit in zip(run, map((1).__lshift__, bits)):
-                    for facet_at in wider:
-                        below[facet_at[t]] |= bit
+                # entry i of this run is bit start + i - base of each column it is in
+                wider = [(position[s], start - base[s, k]) for s in smaller]
+                own = start - base[subset, k - 1] if k > 1 else 0
+                for i, t in enumerate(run):
+                    for facet_at, shift in wider:
+                        below[facet_at[t]] |= 1 << (i + shift)
                     if k > 1:
+                        bit = 1 << (i + own)
                         for facet in combinations(t, k - 1):
                             below[at[facet]] |= bit
-    return runs, levels, cols
+    return runs, levels, cols, bases
 
 
 class MVSpectralSequence:
@@ -151,8 +163,8 @@ class MVSpectralSequence:
         self.arrangement = arrangement
         self._m = len(arrangement.pieces)
         self._page_cache: dict[int, SpectralPage] = {}
-        _, levels, cols = _total_complex(arrangement)
-        self._pair(levels, cols)
+        _, levels, cols, bases = _total_complex(arrangement)
+        self._pair(levels, cols, bases)
 
     def dim_total(self, n: int) -> int:
         return sum(self.cpq_dim(p, n - p) for p in range(min(n, self._m - 1) + 1))
@@ -168,16 +180,17 @@ class MVSpectralSequence:
 
     # -- pages ---------------------------------------------------------------
 
-    def _pair(self, levels: Mapping[int, Counter], cols: dict[int, list[int]]):
+    def _pair(self, levels: Mapping[int, Counter], cols: dict, bases: dict):
         """Reduce the total differential once, with clearing, and count its
         persistence pairs as (p, q, gap): the pivots a filtration block adds,
         counted by the filtration of their low, one count per gap.  Each
-        degree's columns leave ``cols`` once reduced; each vector's lifetime
-        follows from the pairs (gap inf if unpaired)."""
+        degree's columns leave ``cols`` once reduced, and go to the kernel
+        narrow, from their bases; each vector's lifetime follows from the
+        pairs (gap inf if unpaired)."""
         pairs: Counter = Counter()
         lows: dict[int, int] = {}
         for n in sorted(levels):
-            column = cols.pop(n)
+            column, base = cols.pop(n), bases.pop(n)
             for low in lows:
                 column[low] = 0
             above = levels.get(n + 1, {})
@@ -185,7 +198,8 @@ class MVSpectralSequence:
             lows, end = {}, len(column)
             for p, size in reversed(levels[n].items()):
                 found, end = len(lows), end - size
-                pivot_rows(zip(repeat(0), reversed(column[end:end + size])), lows)
+                pivot_rows(zip(reversed(base[end:end + size]), reversed(column[end:end + size])),
+                           lows)
                 gaps = Counter(map(upper.__getitem__, islice(lows, found, None)))
                 for target, number in gaps.items():
                     pairs[p, n - p, target - p] += number

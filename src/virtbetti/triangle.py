@@ -69,10 +69,6 @@ class WeightArray(Record):
         """{(i, j): w(i, j)} for the nonzero entries, in (i, j) order."""
         return {(i, j): x for i, row in enumerate(self.rows) for j, x in enumerate(row) if x}
 
-    def flat(self) -> tuple[int, ...]:
-        """Entries in lexicographic (i, j) order; the canonical sort key."""
-        return tuple(x for row in self.rows for x in row)
-
     def diagonal_sums(self) -> list[int]:
         return [sum(row) for row in self.rows]
 

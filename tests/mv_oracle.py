@@ -53,10 +53,12 @@ class DoubleComplex:
 
 
 def engine_complex(arrangement) -> tuple[dict[int, list], dict[int, list[int]]]:
-    """The engine's basis of D, entries (p, subset, cell) by degree, and its columns."""
-    runs, _, cols = _total_complex(arrangement)
+    """The engine's basis of D, entries (p, subset, cell) by degree, and its
+    columns, each shifted up by its base to full width."""
+    runs, _, cols, bases = _total_complex(arrangement)
     return {n: [(p, subset, s) for p, subset, run in basis for s in run]
-            for n, basis in runs.items()}, cols
+            for n, basis in runs.items()}, {
+        n: [c << b for c, b in zip(column, bases[n])] for n, column in cols.items()}
 
 
 def double_complex(arrangement) -> DoubleComplex:

@@ -23,10 +23,14 @@ by comparing every simplex with every maximal one found so far.
 one set, with its size bound checked before each simplex, as the engine
 built it before it went level by level and grouped by dimension.
 
-``NameComplex`` is how the engine stored a complex before it kept cells
-(ascending tuples of vertex positions): tuples of vertex names, normalized
-by ``_normalize``, closed by ``_closure`` and sorted in each dimension by
-``sort_key`` in ``_assemble``, with the same checks and error messages.
+``validate`` is the check that a complex built from an explicit simplex
+list had to pass, before every complex was the face closure of its
+generators: every facet of every simplex is there, and every vertex is a
+0-simplex.  ``NameComplex`` is how the engine stored a complex before it
+kept cells (ascending tuples of vertex positions): tuples of vertex names,
+normalized by ``_normalize``, closed by ``_closure`` and sorted in each
+dimension by ``sort_key`` in ``_assemble``, with the same checks and error
+messages.
 ``product`` is the staircase product built on those names.  The row-wise
 functions above read any object with ``simplices``, ``simplices_of_dim``
 and ``dim``, so they run on a ``NameComplex`` as well.
@@ -128,12 +132,12 @@ def from_maximal(vertices, maximal) -> SimplicialComplex:
     """The complex generated by ``maximal`` plus a 0-simplex per vertex."""
     verts = tuple(vertices)
     faces = closure_of(maximal) | {frozenset((v,)) for v in verts}
-    return SimplicialComplex(verts, [tuple(f) for f in faces])
+    return SimplicialComplex.from_maximal(verts, [tuple(f) for f in faces])
 
 
-def subcomplex(k: SimplicialComplex, simplices=(), maximal=()) -> Subcomplex:
-    """The subcomplex of k holding ``simplices`` and every face of ``maximal``."""
-    chosen = {tuple(sorted(set(s), key=k.vertices.index)) for s in simplices}
+def subcomplex(k: SimplicialComplex, maximal) -> Subcomplex:
+    """The subcomplex of k holding every face of ``maximal``."""
+    chosen = set()
     for s in maximal:
         ordered = sorted(set(s), key=k.vertices.index)
         for size in range(1, len(ordered) + 1):
@@ -203,13 +207,18 @@ def _check_face_closed(simplices: frozenset) -> None:
                     )
 
 
+def validate(k) -> None:
+    """Raise unless k is face-closed and each of its vertices is a 0-simplex:
+    the check a complex built from an explicit simplex list had to pass."""
+    simplices = k.simplices  # a SimplicialComplex builds this view on each call
+    _check_face_closed(simplices)
+    for v in k.vertices:
+        if (v,) not in simplices:
+            raise NotFaceClosed(f"vertex {v!r} has no singleton simplex", vertex=repr(v))
+
+
 class NameComplex:
     """A complex held as tuples of vertex names."""
-
-    def __init__(self, vertices, simplices):
-        verts = tuple(vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        self._assemble(verts, index, {_normalize(index, s) for s in simplices} - {()})
 
     @classmethod
     def from_maximal(cls, vertices, maximal) -> NameComplex:
@@ -233,10 +242,7 @@ class NameComplex:
         for s in simplices:
             by_dim.setdefault(len(s) - 1, []).append(s)
         self.by_dim = {d: sorted(ss, key=self.sort_key) for d, ss in sorted(by_dim.items())}
-        _check_face_closed(self.simplices)
-        for v in verts:
-            if (v,) not in self.simplices:
-                raise NotFaceClosed(f"vertex {v!r} has no singleton simplex", vertex=repr(v))
+        validate(self)
         return self
 
     def sort_key(self, simplex) -> tuple:
@@ -249,10 +255,9 @@ class NameComplex:
     def simplices_of_dim(self, d: int) -> list:
         return list(self.by_dim.get(d, []))
 
-    def subcomplex(self, simplices=(), maximal=()) -> frozenset:
+    def subcomplex(self, maximal=()) -> frozenset:
         """The simplices of the subcomplex, with the old checks."""
-        chosen = frozenset({_normalize(self.index, s) for s in simplices}
-                           | _closure(self.index, maximal))
+        chosen = frozenset(_closure(self.index, maximal))
         stray = chosen - self.simplices
         if stray:
             s = min(stray, key=repr)
@@ -266,7 +271,7 @@ class NameComplex:
 def product(a: NameComplex, b: NameComplex) -> NameComplex:
     """Staircase triangulation of |a| x |b| on named vertices (u, v)."""
     if not a.simplices or not b.simplices:
-        return NameComplex((), ())
+        return NameComplex.from_maximal((), ())
     verts = tuple((u, v) for u in a.vertices for v in b.vertices)
     cells = []
     for sa in maximal_simplices(a):

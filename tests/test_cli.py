@@ -138,6 +138,31 @@ def test_mvss_json(capsys):
     assert not payload["virtual_betti_condition"]["holds"]
 
 
+def test_mvss_json_lists_pages_up_to_stabilization(capsys, tmp_path):
+    # a 6 x 6 grid torus in 6 bands of one row: the pages stop changing at
+    # E_2, so the JSON lists max(--pages, 2) of them, not one per piece
+    n = 6
+    name = lambda i, j: f"{i % n},{j % n}"
+    tris = [[name(i, j), name(i + 1 - a, j + a), name(i + 1, j + 1)]
+            for i in range(n) for j in range(n) for a in (0, 1)]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "complexes": {"torus": {"vertices": [name(i, j) for i in range(n) for j in range(n)],
+                                "maximal_simplices": tris}},
+        "arrangements": {"bands": {"total": "torus", "pieces": [
+            {"name": f"B{b}", "maximal_simplices": tris[2 * n * b:2 * n * (b + 1)]}
+            for b in range(n)]}},
+    }))
+    for pages, listed in ((), 3), (("--pages", "1"), 2), (("--pages", "7"), 7):
+        code, out, _ = run(capsys, "mvss", "bands", "--json", "--scene", str(path), *pages)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["stabilization"]["stable_from"] == 2
+        assert [p["r"] for p in payload["pages"]] == list(range(1, listed + 1))
+        assert list(payload["row_alternating_sums"]) == [str(r) for r in range(1, listed + 1)]
+
+
 def test_weights_surface(capsys):
     code, out, _ = run(capsys, "weights", "surface-443")
     assert code == 0

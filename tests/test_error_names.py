@@ -4,10 +4,9 @@ Inside the engine a simplex is a tuple of vertex positions; every error
 turns it back into vertex names.  Each hostile input below gives the same
 ``{code, message, context}`` as when simplices were tuples of names: the
 literals are what that engine gave, and the in-process cases are also run
-through the name-based oracle.  The inputs a scene file can hold are run
-through ``python -m virtbetti.cli`` in a child process too; a scene file
-lists maximal simplices only, so it cannot hold a family that lacks a face
-or a vertex without its singleton.
+through the name-based oracle.  A complex is built from maximal simplices
+only, as a scene file lists them, so every construction case is run through
+``python -m virtbetti.cli`` in a child process too.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import simplicial_oracle
 import virtbetti
 from virtbetti.cover import Arrangement
 from virtbetti.errors import VirtBettiError
-from virtbetti.simplicial import SimplicialComplex
+from virtbetti.simplicial import SimplicialComplex, Subcomplex
 
 BIG = [f"x{i}" for i in range(20)]
 MID = BIG[:17]
@@ -35,18 +34,11 @@ CASES = {
                        "unknown vertex 'z'", {"vertex": "'z'"}),
     "duplicate-vertex": ((["a", "b", "a"], [["a", "b"]]), "unknown-vertex",
                          "duplicate vertex 'a' in vertex list", {"vertex": "'a'"}),
-    "lacks-face": ((["a", "b", "c"], [["a"], ["b"], ["c"], ["a", "b"], ["b", "c"],
-                                      ["a", "b", "c"]]),
-                   "not-face-closed", "simplex ('a', 'b', 'c') lacks face ('a', 'c')",
-                   {"missing_face": "('a', 'c')", "simplex": "('a', 'b', 'c')"}),
-    "no-singleton": ((["a", "b"], [["a"]]), "not-face-closed",
-                     "vertex 'b' has no singleton simplex", {"vertex": "'b'"}),
     "oversized-simplex": ((BIG, [BIG]), "too-many-simplices",
                           "face closure exceeds the supported size", {"limit": 100000}),
     "over-the-cap": ((MID, [MID]), "too-many-simplices",
                      "131071 simplices exceed the supported size", {"limit": 100000}),
 }
-EXPLICIT = {"lacks-face", "no-singleton"}  # built from all simplices, not maximal ones
 
 NOT_A_COVER = ("not-a-cover", "pieces do not cover the total complex", {
     "missing": ["('a', 'b', 'c')", "('a', 'c')", "('b', 'c')", "('c',)", "('c', 'd')"],
@@ -70,8 +62,7 @@ def expected(code, message, context) -> dict:
 def test_construction_errors_name_vertices(case):
     args, *want = CASES[case]
     for cls in (SimplicialComplex, simplicial_oracle.NameComplex):
-        build = cls if case in EXPLICIT else cls.from_maximal
-        assert error_of(lambda: build(*args)) == expected(*want)
+        assert error_of(lambda: cls.from_maximal(*args)) == expected(*want)
 
 
 def test_the_first_unknown_vertex_of_a_batch_is_named():
@@ -81,8 +72,7 @@ def test_the_first_unknown_vertex_of_a_batch_is_named():
     want = expected("unknown-vertex", "unknown vertex 'z'", {"vertex": "'z'"})
     for cls in (SimplicialComplex, simplicial_oracle.NameComplex):
         k = cls.from_maximal(*ABCD)
-        for build in (lambda: cls(ABCD[0], batch), lambda: cls.from_maximal(ABCD[0], batch),
-                      lambda: k.subcomplex(simplices=batch),
+        for build in (lambda: cls.from_maximal(ABCD[0], batch),
                       lambda: k.subcomplex(maximal=batch)):
             assert error_of(build) == want
     k = SimplicialComplex.from_maximal(*ABCD)
@@ -93,9 +83,11 @@ def test_the_first_unknown_vertex_of_a_batch_is_named():
 def test_stray_subcomplex_and_uncovered_complex_errors_name_vertices():
     path = (["a", "b", "c"], [["a", "b"], ["b", "c"]])
     k = SimplicialComplex.from_maximal(*path)
-    assert error_of(lambda: k.subcomplex(simplices=[["c", "a"]])) == expected(*STRAY)
+    assert error_of(lambda: k.subcomplex(maximal=[["c", "a"]])) == expected(*STRAY)
+    # built directly, a subcomplex is checked the same way
+    assert error_of(lambda: Subcomplex(k, frozenset({k.sort_key(("a", "c"))}))) == expected(*STRAY)
     ref = simplicial_oracle.NameComplex.from_maximal(*path)
-    assert error_of(lambda: ref.subcomplex(simplices=[["c", "a"]])) == expected(*STRAY)
+    assert error_of(lambda: ref.subcomplex(maximal=[["c", "a"]])) == expected(*STRAY)
     total = SimplicialComplex.from_maximal(*ABCD)
     piece = total.subcomplex(maximal=[["a", "b"]])
     assert error_of(lambda: Arrangement(total, (("X", piece),))) == expected(*NOT_A_COVER)
@@ -124,7 +116,7 @@ def run_cli(tmp_path, scene: dict, *argv: str) -> tuple[int, str]:
     return proc.returncode, proc.stderr
 
 
-@pytest.mark.parametrize("case", sorted(set(CASES) - EXPLICIT))
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_construction_errors_name_vertices(tmp_path, case):
     (vertices, maximal), *want = CASES[case]
     scene = {"complexes": {"k": {"vertices": vertices, "maximal_simplices": maximal}}}

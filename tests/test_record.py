@@ -25,7 +25,7 @@ def twin(cls, *fields, frozen=True):
 
 CIRCLE = models.circle(3)
 EMPTY_PAIR_ARGS = (CIRCLE, CIRCLE.subcomplex())
-OPEN_PAIR_ARGS = (CIRCLE, CIRCLE.subcomplex(simplices=[("v0",)]))
+OPEN_PAIR_ARGS = (CIRCLE, CIRCLE.subcomplex(maximal=[("v0",)]))
 PAIR_TWIN = twin(PairSpace, "total", "boundary",
                  ("_bases", dict, field(default_factory=dict, init=False, repr=False,
                                         compare=False)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+import tracemalloc
 
 import mv_oracle
 import pytest
@@ -331,7 +332,7 @@ def test_the_cell_budget_admits_meets_of_exactly_its_size():
     copies = (("A", cycle.full_subcomplex()), ("B", cycle.full_subcomplex()))
     assert len(Arrangement(cycle, copies).nerve) == 3
     with pytest.raises(TooManySimplices) as info:
-        Arrangement(cycle, copies + (("C", cycle.subcomplex([("v0",)])),)).nerve
+        Arrangement(cycle, copies + (("C", cycle.subcomplex(maximal=[("v0",)])),)).nerve
     assert info.value.context == {"limit": MAX_SIMPLICES}
 
 
@@ -479,6 +480,35 @@ def test_band_covers_converge_to_the_torus(arr):
 def test_sixty_four_bands_converge_to_the_torus():
     # one row of a 64 x 64 torus per band: a 128-entry nerve of 64 pieces
     assert_converges_to_the_torus(band_cover(64, 64, random.Random(1)))
+
+
+def grid_bands(n, k):
+    """The n x n diagonal grid torus on vertices (i, j) in row order, cut
+    into k closed bands of rows as the benchmark cuts it at shift 0: band b
+    holds the triangles whose first vertex lies in rows round(b * n / k) up
+    to round((b + 1) * n / k)."""
+    tris = [((i, j), ((i + 1 - a) % n, (j + a) % n), ((i + 1) % n, (j + 1) % n))
+            for i in range(n) for j in range(n) for a in (0, 1)]
+    total = SimplicialComplex.from_maximal([(i, j) for i in range(n) for j in range(n)], tris)
+    cuts = [round(b * n / k) for b in range(k + 1)]
+    return Arrangement(total, tuple(
+        (f"B{b}", total.subcomplex(maximal=[t for t in tris if cuts[b] <= t[0][0] < cuts[b + 1]]))
+        for b in range(k)))
+
+
+def test_the_mv_sequence_of_the_torus_in_8_bands_takes_under_80_mib():
+    # the columns of D are kept from their run's base: the peak is about
+    # 46 MiB; as ints as wide as their highest bit it was 189 MiB
+    arr = grid_bands(128, 8)
+    arr.nerve  # built first, as the columns and their reduction are what is weighed
+    tracemalloc.start()
+    try:
+        ss = MVSpectralSequence(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+    assert ss.page(2).dims == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
 
 
 def assert_converges_to_the_torus(arr):

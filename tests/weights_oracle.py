@@ -5,7 +5,7 @@ This is how ``virtbetti.weights.solve_weight_system`` found every profile
 before it searched depth first: each diagonal i is one of the compositions
 of b_i into i + 1 nonnegative parts, every combination of them is built as
 a ``WeightArray``, and the arrays whose row alternating sums equal beta are
-kept, sorted by their flattened entries.  It builds all
+kept, sorted by their flattened entries (``flat``).  It builds all
 prod_i C(b_i + i, i) arrays, so it suits only small b.
 """
 
@@ -26,6 +26,11 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def flat(w: WeightArray) -> tuple[int, ...]:
+    """Entries in lexicographic (i, j) order: the order solutions are listed in."""
+    return tuple(x for row in w.rows for x in row)
+
+
 def solve_weight_system(inp: WeightSystemInput) -> list[WeightArray]:
     """All nonnegative solutions of the diagonal/row system, sorted
     lexicographically by the (i, j)-flattened entries."""
@@ -36,5 +41,5 @@ def solve_weight_system(inp: WeightSystemInput) -> list[WeightArray]:
         arr = WeightArray(tuple(rows))
         if arr.row_alternating_sums() == list(inp.beta):
             solutions.append(arr)
-    solutions.sort(key=WeightArray.flat)
+    solutions.sort(key=flat)
     return solutions
