@@ -29,9 +29,8 @@ _HOMES = {
     "polynomial": ("IntPolynomial", "NEG_INFINITY", "parse_polynomial"),
     "simplicial": ("BettiVector", "PairSpace", "SimplicialComplex", "Subcomplex",
                    "product_complex"),
-    "scissor": ("Atom", "AtomRegistry", "Blowup", "ClosedDifference", "DisjointUnion",
-                "Empty", "Product", "check_blowup_relation", "degree_report",
-                "evaluate_beta", "evaluate_chi_c"),
+    "scissor": ("Atom", "Blowup", "ClosedDifference", "DisjointUnion", "Empty", "Product",
+                "check_blowup_relation", "degree_report", "evaluate_beta", "evaluate_chi_c"),
     "stratified": ("CompactModel", "DeclaredBeta", "OpenModel", "StratifiedSpec",
                    "StratumRecord", "beta_of_stratified", "beta_of_stratum",
                    "inclusion_exclusion", "refinement_check"),

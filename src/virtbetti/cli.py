@@ -125,7 +125,7 @@ def cmd_mvss(args) -> int:
     scene = _scene_from_args(args)
     ss = MVSpectralSequence(scene.arrangement(args.name))
     cert = ss.stabilization_certificate()
-    # the pages stop changing at E_{stable_from}: none past it is listed
+    # the pages stop changing at E_{stable_from}: none past max(--pages, stable_from) is listed
     pages = ss.pages(max(args.pages, cert.stable_from))
     # E_1^{p,q} is the sum of H^q over the (p+1)-fold meets, so its row
     # alternating sums are the inclusion-exclusion over the nerve

@@ -22,6 +22,7 @@ from .polynomial import IntPolynomial, parse_polynomial
 from .scene import Scene
 from .scissor import (
     Atom,
+    AtomRecord,
     Blowup,
     ClosedDifference,
     DisjointUnion,
@@ -112,18 +113,11 @@ def builtin_scene() -> Scene:
 
     # atoms
     atoms = scene.atoms
-    atoms.from_model("point", cx["point"])
-    atoms.from_model("two-points", cx["two-points"])
-    atoms.from_model("four-points", cx["four-points"])
-    atoms.from_model("circle", cx["circle"])
-    atoms.from_model("projective-line", cx["circle"], "circle")
-    atoms.from_model("sphere-0", cx["sphere-0"])
-    atoms.from_model("sphere-1", cx["circle"], "circle")
-    atoms.from_model("sphere-2", cx["sphere-2"])
-    atoms.from_model("sphere-3", cx["sphere-3"])
-    atoms.from_model("sphere-4", cx["sphere-4"])
-    atoms.from_model("torus", cx["torus"])
-    atoms.from_model("projective-plane", cx["projective-plane"])
+    for name in ("point", "two-points", "four-points", "circle", "sphere-0", "sphere-2",
+                 "sphere-3", "sphere-4", "torus", "projective-plane"):
+        atoms[name] = AtomRecord.from_model(name, cx[name])
+    for name in ("projective-line", "sphere-1"):  # the circle's model, under other names
+        atoms[name] = AtomRecord.from_model(name, cx["circle"], "circle")
 
     def open_stratum(name, dim, pair_name, **kw):
         return StratumRecord(name, dim, OpenModel(scene.pairs[pair_name], **kw))
@@ -136,7 +130,7 @@ def builtin_scene() -> Scene:
         beta = beta_of_stratum(
             StratumRecord(name, p.total.dim, OpenModel(p)), strict=True
         )
-        atoms.declare(name, beta, chi_c=p.euler_compact_supports(), provenance="recursive")
+        atoms[name] = AtomRecord(name, beta, p.euler_compact_supports(), "recursive")
 
     # expressions
     ex = scene.expressions
@@ -264,8 +258,8 @@ def builtin_scene() -> Scene:
 
 
 def _fx_chi_c(scene: Scene) -> Iterator[tuple]:
-    circle = scene.atoms.lookup("circle")
-    point = scene.atoms.lookup("point")
+    circle = scene.atoms["circle"]
+    point = scene.atoms["point"]
     yield ("chi_c(circle) = 0", circle.chi_c == 0)
     yield ("chi_c(point) = 1", point.chi_c == 1)
     expr = scene.expression("circle-minus-point")
@@ -428,11 +422,11 @@ def _fx_tangent_circles(scene: Scene) -> Iterator[tuple]:
 
 
 def _fx_blowups(scene: Scene) -> Iterator[tuple]:
-    reg = scene.atoms
-    s2 = reg.lookup("sphere-2").beta
-    pt = reg.lookup("point").beta
-    rp2 = reg.lookup("projective-plane").beta
-    s1 = reg.lookup("circle").beta
+    atoms = scene.atoms
+    s2 = atoms["sphere-2"].beta
+    pt = atoms["point"].beta
+    rp2 = atoms["projective-plane"].beta
+    s1 = atoms["circle"].beta
     v = check_blowup_relation(s2, pt, rp2, s1)
     yield ("sphere blown up at a point is the projective plane", v.holds, v.detail)
     zero = IntPolynomial.zero()

@@ -19,7 +19,7 @@ from typing import Any, Mapping
 from .cover import Arrangement
 from .errors import Record, SceneError, UnknownName, VirtBettiError, json_int, json_value, read_json
 from .polynomial import parse_polynomial
-from .scissor import NODES, OP_OF, Atom, AtomRegistry, Empty, ScissorExpr, children
+from .scissor import NODES, OP_OF, Atom, AtomRecord, Empty, ScissorExpr, children
 from .simplicial import PairSpace, SimplicialComplex, Subcomplex, maximal_simplices
 from .stratified import (
     CompactModel,
@@ -37,9 +37,10 @@ SCHEMA_VERSION = 1
 
 
 class Scene(Record):
-    """All named objects of one scene file; unlike other records, mutable."""
+    """All named objects of one scene file, each section a ``{name: object}``
+    dict that starts empty when not given; unlike other records, mutable."""
 
-    atoms: AtomRegistry
+    atoms: dict[str, AtomRecord]
     complexes: dict[str, SimplicialComplex]
     pairs: dict[str, PairSpace]
     expressions: dict[str, ScissorExpr]
@@ -52,7 +53,7 @@ class Scene(Record):
 
     def __init__(self, *args, **kwargs):
         for name in self._fields[len(args):]:  # a field not given starts empty
-            kwargs.setdefault(name, AtomRegistry() if name == "atoms" else {})
+            kwargs.setdefault(name, {})
         super().__init__(*args, **kwargs)
 
     def complex(self, name: str) -> SimplicialComplex:
@@ -89,13 +90,13 @@ def _get(mapping: Mapping[str, Any], name: str, kind: str):
 # -- loading -----------------------------------------------------------------
 
 
-def _expr_from_dict(data: Mapping, registry: AtomRegistry, path: str) -> ScissorExpr:
+def _expr_from_dict(data: Mapping, atoms: Mapping[str, AtomRecord], path: str) -> ScissorExpr:
     if "op" not in _json(data, path):
         raise SceneError(f"{path}: expression node needs an 'op' field")
     op = data["op"]
     if op == "atom":
         name = _json(data.get("name"), f"{path}.name", "string")
-        if name not in registry:
+        if name not in atoms:
             raise SceneError(f"{path}: unknown atom {name!r}", atom=name)
         return Atom(name)
     if op == "empty":
@@ -103,7 +104,7 @@ def _expr_from_dict(data: Mapping, registry: AtomRegistry, path: str) -> Scissor
     if _json(op, f"{path}.op", "string") not in NODES:
         raise SceneError(f"{path}: unknown expression op {op!r}", op=op)
     cls, keys, _ = NODES[op]
-    kids = [_expr_from_dict(data[key], registry, f"{path}.{key}") for key in keys]
+    kids = [_expr_from_dict(data[key], atoms, f"{path}.{key}") for key in keys]
     if op == "blowup" and data.get("label") is not None:
         _json(data["label"], f"{path}.label", "string")
     return cls(*kids, label=data.get("label")) if op == "blowup" else cls(*kids)
@@ -236,7 +237,7 @@ def scene_from_dict(data: Mapping) -> Scene:
         for name, spec, path in _entries(data, "atoms", "atom"):
             if "model" in spec:
                 model = _json(spec["model"], path + ", model", "string")
-                scene.atoms.from_model(name, scene.complex(model), model)
+                scene.atoms[name] = AtomRecord.from_model(name, scene.complex(model), model)
             else:
                 beta = parse_polynomial(spec["beta"])
                 chi = spec.get("chi_c")
@@ -246,8 +247,8 @@ def scene_from_dict(data: Mapping) -> Scene:
                 if provenance not in ("declared", "recursive"):  # checked, not coerced
                     raise SceneError(f'{path}: provenance must be "declared" or "recursive"',
                                      atom=name)
-                scene.atoms.declare(
-                    name, beta, chi_c=chi, provenance=provenance,
+                scene.atoms[name] = AtomRecord(
+                    name, beta, chi, provenance,
                     compact_nonsingular=_json(spec.get("compact_nonsingular", False),
                                               path + ", compact_nonsingular", "boolean"),
                 )
@@ -305,11 +306,11 @@ def scene_to_dict(scene: Scene) -> dict:
         for name, pair in sorted(scene.pairs.items())
     }
     atoms = {}
-    for record in scene.atoms.records():
+    for name, record in sorted(scene.atoms.items()):
         if record.provenance.startswith("model:"):
-            atoms[record.name] = {"model": record.provenance.split(":", 1)[1]}
+            atoms[name] = {"model": record.provenance.split(":", 1)[1]}
         else:
-            atoms[record.name] = {
+            atoms[name] = {
                 "beta": record.beta.to_text(),
                 "chi_c": record.chi_c,
                 "provenance": record.provenance,

@@ -2,11 +2,14 @@
 
 Expressions are trees over named atoms with disjoint-union, product,
 closed-difference and blowup nodes; ``NODES`` is their one grammar, read by
-evaluation, ``atoms_used`` and the scene format.  They are evaluated, never
-normalized: the computable invariants are the virtual Poincare polynomial
-(a ring homomorphism to Z[t]) and the compactly-supported Euler
-characteristic (its value at t = -1, recomputed independently over Z as a
-cross-check).
+evaluation and the scene format.  They are evaluated, never normalized:
+the computable invariants are the virtual Poincare polynomial (a ring
+homomorphism to Z[t]) and the compactly-supported Euler characteristic (its
+value at t = -1, recomputed independently over Z as a cross-check).
+
+Atoms are looked up by name in a plain ``{name: AtomRecord}`` mapping, as a
+scene's ``atoms`` section holds them; each is made by the ``AtomRecord``
+constructor or by ``AtomRecord.from_model``.
 
 Closedness of the removed part in a difference, and correctness of a
 blowup quadruple, are caller assertions recorded in atom provenance; they
@@ -16,6 +19,7 @@ are not verified geometrically.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from typing import Union
 
 from .errors import Record, UnknownAtom, Verdict
@@ -24,7 +28,6 @@ from .simplicial import SimplicialComplex
 
 __all__ = [
     "AtomRecord",
-    "AtomRegistry",
     "Atom",
     "DisjointUnion",
     "Product",
@@ -39,7 +42,6 @@ __all__ = [
     "evaluate_chi_c",
     "check_blowup_relation",
     "degree_report",
-    "atoms_used",
 ]
 
 PROVENANCE_KINDS = ("declared", "model", "recursive")
@@ -48,17 +50,16 @@ PROVENANCE_KINDS = ("declared", "model", "recursive")
 class AtomRecord(Record):
     """A named variety class with known invariants.
 
-    provenance is "declared" (user-supplied analytically) or "recursive"
-    (computed by the stratified engine), both registered by
-    ``AtomRegistry.declare``, or "model:<name>" (computed from a simplicial
-    model by ``AtomRegistry.from_model``).  chi_c is kept separately from
-    beta so that Euler characteristics can be recomputed without touching
-    polynomials.
+    provenance is "declared" (user-supplied analytically), "recursive"
+    (computed by the stratified engine) or "model:<name>" (computed from a
+    simplicial model by ``from_model``).  chi_c is kept separately from beta
+    so that Euler characteristics can be recomputed without touching
+    polynomials; left out, it is beta(-1).
     """
 
     name: str
     beta: IntPolynomial
-    chi_c: int
+    chi_c: int | None = None
     provenance: str = "declared"
     compact_nonsingular: bool = False
 
@@ -71,56 +72,19 @@ class AtomRecord(Record):
                 f"atom {self.name!r} is flagged compact nonsingular but its "
                 f"polynomial {self.beta} has a negative coefficient"
             )
+        if self.chi_c is None:
+            self.__dict__["chi_c"] = self.beta.evaluate(-1)
 
-
-class AtomRegistry:
-    """Name -> AtomRecord map; treat as immutable once populated."""
-
-    def __init__(self):
-        self._records: dict[str, AtomRecord] = {}
-
-    def register(self, record: AtomRecord) -> AtomRecord:
-        if record.name in self._records:
-            raise ValueError(f"atom {record.name!r} already registered")
-        self._records[record.name] = record
-        return record
-
-    def declare(self, name: str, beta: IntPolynomial, *, chi_c: int | None = None,
-                compact_nonsingular: bool = False, provenance: str = "declared") -> AtomRecord:
-        if chi_c is None:
-            chi_c = beta.evaluate(-1)
-        return self.register(AtomRecord(name, beta, chi_c, provenance, compact_nonsingular))
-
-    def from_model(self, name: str, model: SimplicialComplex,
+    @classmethod
+    def from_model(cls, name: str, model: SimplicialComplex,
                    model_name: str | None = None) -> AtomRecord:
-        """Register a compact nonsingular atom computed from a simplicial model.
+        """A compact nonsingular atom computed from a simplicial model.
 
         chi_c comes from the alternating simplex count, independently of the
         homology ranks behind beta.
         """
-        beta = model.poincare_polynomial()
-        chi = model.euler_characteristic()
-        return self.register(AtomRecord(
-            name, beta, chi, f"model:{model_name or name}", compact_nonsingular=True,
-        ))
-
-    def lookup(self, name: str) -> AtomRecord:
-        try:
-            return self._records[name]
-        except KeyError:
-            raise UnknownAtom(f"atom {name!r} is not registered", atom=name) from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._records
-
-    def names(self) -> list[str]:
-        return sorted(self._records)
-
-    def records(self) -> list[AtomRecord]:
-        return [self._records[n] for n in self.names()]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AtomRegistry) and self._records == other._records
+        return cls(name, model.poincare_polynomial(), model.euler_characteristic(),
+                   f"model:{model_name or name}", compact_nonsingular=True)
 
 
 class Atom(Record):
@@ -182,18 +146,7 @@ def children(node: ScissorExpr) -> tuple:
     return node._values()[:len(NODES[op][1])] if op else ()
 
 
-def atoms_used(expr: ScissorExpr) -> set[str]:
-    out: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if type(node) is Atom:
-            out.add(node.name)
-        stack.extend(children(node))
-    return out
-
-
-def _evaluate(expr: ScissorExpr, registry: AtomRegistry, value, zero):
+def _evaluate(expr: ScissorExpr, atoms: Mapping[str, AtomRecord], value, zero):
     """Fold the tree into a ring: atoms map through ``value``, Empty to
     ``zero`` and each inner node by its rule in ``NODES``."""
     def walk(node):
@@ -201,7 +154,10 @@ def _evaluate(expr: ScissorExpr, registry: AtomRegistry, value, zero):
         if op:
             return NODES[op][2](*map(walk, children(node)))
         if type(node) is Atom:
-            return value(registry.lookup(node.name))
+            record = atoms.get(node.name)
+            if record is None:
+                raise UnknownAtom(f"atom {node.name!r} is not registered", atom=node.name)
+            return value(record)
         if type(node) is Empty:
             return zero
         raise TypeError(f"not a scissor expression: {node!r}")
@@ -209,15 +165,15 @@ def _evaluate(expr: ScissorExpr, registry: AtomRegistry, value, zero):
     return walk(expr)
 
 
-def evaluate_beta(expr: ScissorExpr, registry: AtomRegistry) -> IntPolynomial:
+def evaluate_beta(expr: ScissorExpr, atoms: Mapping[str, AtomRecord]) -> IntPolynomial:
     """Virtual Poincare polynomial of the expression."""
-    return _evaluate(expr, registry, lambda atom: atom.beta, IntPolynomial.zero())
+    return _evaluate(expr, atoms, lambda atom: atom.beta, IntPolynomial.zero())
 
 
-def evaluate_chi_c(expr: ScissorExpr, registry: AtomRegistry) -> int:
+def evaluate_chi_c(expr: ScissorExpr, atoms: Mapping[str, AtomRecord]) -> int:
     """Compactly-supported Euler characteristic, computed over Z from each
     atom's own chi_c, independently of the polynomials."""
-    return _evaluate(expr, registry, lambda atom: atom.chi_c, 0)
+    return _evaluate(expr, atoms, lambda atom: atom.chi_c, 0)
 
 
 def check_blowup_relation(
@@ -237,13 +193,14 @@ def check_blowup_relation(
     )
 
 
-def degree_report(expr: ScissorExpr, registry: AtomRegistry, claimed_dim: int) -> Verdict:
+def degree_report(expr: ScissorExpr, atoms: Mapping[str, AtomRecord],
+                  claimed_dim: int) -> Verdict:
     """Check degree = claimed dimension with positive leading coefficient.
 
     A nonempty variety has nonzero class, degree equal to its dimension and
     positive top virtual Betti number; the verdict flags any violation.
     """
-    beta = evaluate_beta(expr, registry)
+    beta = evaluate_beta(expr, atoms)
     if beta.is_zero():
         return Verdict(False, "polynomial is zero: the class of a nonempty variety is never zero")
     if beta.degree != claimed_dim:

@@ -150,11 +150,9 @@ def walk(root):
 
 def beta_of_stratum(
     stratum: StratumRecord, *, strict: bool = False, warnings: list[str] | None = None,
-    stratification: str | None = None,
 ) -> IntPolynomial:
-    """Virtual Poincare polynomial of one stratum from its model.  Degree
-    warnings and errors name ``stratification``, the stratum's own, if given."""
-    return walk(_beta_of_stratum(stratum, stratification, strict, warnings, {}))
+    """Virtual Poincare polynomial of one stratum from its model."""
+    return walk(_beta_of_stratum(stratum, None, strict, warnings, {}))
 
 
 def _beta_of_stratum(stratum: StratumRecord, stratification: str | None, strict: bool,

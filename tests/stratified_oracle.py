@@ -29,8 +29,8 @@ from virtbetti.stratified import (
 )
 
 
-def beta_of_stratum(stratum, *, strict=False, warnings=None, stratification=None):
-    return _beta_of_stratum(stratum, stratification, strict, warnings, {})
+def beta_of_stratum(stratum, *, strict=False, warnings=None):
+    return _beta_of_stratum(stratum, None, strict, warnings, {})
 
 
 def _beta_of_stratum(stratum, stratification, strict, warnings, done):
@@ -103,11 +103,10 @@ def refinement_check(coarse, fine, mapping, *, strict=False):
     """The old walk; ``mapping`` must partition the fine strata (the
     engine's partition check, which comes first, is unchanged)."""
     for stratum in coarse.strata:
-        lhs = beta_of_stratum(stratum, strict=strict, stratification=coarse.name)
+        lhs = _beta_of_stratum(stratum, coarse.name, strict, None, {})
         rhs = IntPolynomial.zero()
         for name in mapping[stratum.name]:
-            rhs = rhs + beta_of_stratum(fine.stratum(name), strict=strict,
-                                        stratification=fine.name)
+            rhs = rhs + _beta_of_stratum(fine.stratum(name), fine.name, strict, None, {})
         if lhs != rhs:
             return Verdict(
                 False,

@@ -37,9 +37,9 @@ def report(n: int, text: str):
 
 def test_criterion_1_chi_c_fixtures(scene):
     reg = scene.atoms
-    assert reg.lookup("circle").chi_c == 0
+    assert reg["circle"].chi_c == 0
     assert evaluate_chi_c(scene.expression("circle-minus-point"), reg) == -1
-    assert reg.lookup("point").chi_c == 1
+    assert reg["point"].chi_c == 1
     assert scene.pair("line").euler_compact_supports() == -1
     report(1, "chi_c: circle 0, circle minus point -1, point 1")
 
@@ -85,8 +85,8 @@ def test_criterion_5_chi_c_equals_beta_at_minus_one(scene):
         chi = evaluate_chi_c(expr, scene.atoms)
         assert beta.evaluate(-1) == chi, name
         checked += 1
-    for record in scene.atoms.records():
-        assert record.beta.evaluate(-1) == record.chi_c, record.name
+    for name, record in sorted(scene.atoms.items()):
+        assert record.beta.evaluate(-1) == record.chi_c, name
         checked += 1
     for name in sorted(scene.complexes):
         k = scene.complexes[name]
@@ -209,13 +209,13 @@ def test_criterion_10d_blowup_fixtures(scene):
     reg = scene.atoms
     quadruples = [
         # (base, center, blowup, exceptional)
-        (reg.lookup("sphere-2").beta, reg.lookup("point").beta,
-         reg.lookup("projective-plane").beta, reg.lookup("circle").beta),
-        (reg.lookup("circle").beta + reg.lookup("circle").beta,
-         reg.lookup("circle").beta, reg.lookup("circle").beta, IntPolynomial.zero()),
-        (reg.lookup("plane").beta, reg.lookup("point").beta,
+        (reg["sphere-2"].beta, reg["point"].beta,
+         reg["projective-plane"].beta, reg["circle"].beta),
+        (reg["circle"].beta + reg["circle"].beta,
+         reg["circle"].beta, reg["circle"].beta, IntPolynomial.zero()),
+        (reg["plane"].beta, reg["point"].beta,
          evaluate_beta(scene.expression("blowup-plane"), reg),
-         reg.lookup("projective-line").beta),
+         reg["projective-line"].beta),
     ]
     for x, c, bl, e in quadruples:
         assert check_blowup_relation(x, c, bl, e).holds

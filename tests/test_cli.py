@@ -389,12 +389,12 @@ def test_deterministic_across_processes():
 
 def test_builtin_scene_expressions_use_only_model_or_recursive_atoms():
     # the fixtures check computed invariants: none may rest on a declared atom
-    from virtbetti.scissor import atoms_used
+    from test_scene import _atom_names
 
     scene = builtin_scene()
     for name, expr in scene.expressions.items():
-        for atom in atoms_used(expr):
-            provenance = scene.atoms.lookup(atom).provenance
+        for atom in _atom_names(expr):
+            provenance = scene.atoms[atom].provenance
             assert provenance == "recursive" or provenance.startswith("model:"), (name, atom)
 
 

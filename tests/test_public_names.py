@@ -60,7 +60,7 @@ EXPORTS = {
     "polynomial": ["IntPolynomial", "NEG_INFINITY", "parse_polynomial"],
     "simplicial": ["BettiVector", "PairSpace", "SimplicialComplex", "Subcomplex",
                    "product_complex"],
-    "scissor": ["Atom", "AtomRegistry", "Blowup", "ClosedDifference", "DisjointUnion", "Empty",
+    "scissor": ["Atom", "Blowup", "ClosedDifference", "DisjointUnion", "Empty",
                 "Product", "check_blowup_relation", "degree_report", "evaluate_beta",
                 "evaluate_chi_c"],
     "stratified": ["CompactModel", "DeclaredBeta", "OpenModel", "StratifiedSpec",

@@ -13,7 +13,7 @@ from virtbetti import models
 from virtbetti.errors import Verdict
 from virtbetti.gf2 import GF2Matrix
 from virtbetti.scene import Scene
-from virtbetti.scissor import Atom, AtomRegistry, DisjointUnion, Product
+from virtbetti.scissor import Atom, DisjointUnion, Product
 from virtbetti.simplicial import PairSpace
 from virtbetti.triangle import WeightArray
 
@@ -126,14 +126,13 @@ def test_post_init_still_rejects_bad_input():
 
 
 def test_scene_is_mutable_and_unhashable_like_its_dataclass_twin():
-    oracle = twin(Scene, ("atoms", AtomRegistry, field(default_factory=AtomRegistry)),
-                  *[(name, dict, field(default_factory=dict)) for name in Scene._fields[1:]],
+    oracle = twin(Scene, *[(name, dict, field(default_factory=dict)) for name in Scene._fields],
                   frozen=False)
     assert Scene.__hash__ is None and oracle.__hash__ is None
-    registry = AtomRegistry()
-    for scene, other in [(Scene(registry), oracle(registry)),
-                         (Scene(atoms=registry), oracle(atoms=registry)),
-                         (Scene(registry, {"c": CIRCLE}), oracle(registry, {"c": CIRCLE}))]:
+    atoms = {}
+    for scene, other in [(Scene(atoms), oracle(atoms)),
+                         (Scene(atoms=atoms), oracle(atoms=atoms)),
+                         (Scene(atoms, {"c": CIRCLE}), oracle(atoms, {"c": CIRCLE}))]:
         assert repr(scene) == repr(other)
         scene.complexes = {"d": CIRCLE}
         other.complexes = {"d": CIRCLE}

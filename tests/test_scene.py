@@ -24,7 +24,6 @@ from virtbetti.scissor import (
     DisjointUnion,
     Empty,
     Product,
-    atoms_used,
     evaluate_beta,
     evaluate_chi_c,
 )
@@ -82,7 +81,7 @@ def test_minimal_scene_loads_and_computes():
     assert tuple(scene.complex("circle").betti_mod2()) == (1, 1)
     assert evaluate_beta(scene.expression("line"), scene.atoms).to_text() == "t"
     assert beta_of_stratified(scene.stratification("circle-two"), strict=True).to_text() == "1 + t"
-    assert scene.atoms.lookup("exotic").provenance == "declared"
+    assert scene.atoms["exotic"].provenance == "declared"
 
 
 def test_schema_version_is_checked():
@@ -184,9 +183,8 @@ def test_round_trip_random_expressions():
     again = scene_from_dict(json.loads(json.dumps(scene_to_dict(scene))))
     assert again.expressions == scene.expressions
     for e in exprs:
-        assert evaluate_beta(e, reg) == _fold(e, lambda a: reg.lookup(a).beta, IntPolynomial.zero())
-        assert evaluate_chi_c(e, reg) == _fold(e, lambda a: reg.lookup(a).chi_c, 0)
-        assert atoms_used(e) == _atom_names(e)
+        assert evaluate_beta(e, reg) == _fold(e, lambda a: reg[a].beta, IntPolynomial.zero())
+        assert evaluate_chi_c(e, reg) == _fold(e, lambda a: reg[a].chi_c, 0)
 
 
 def test_readme_example_scene_loads():
@@ -347,7 +345,7 @@ def test_polynomial_text_is_type_and_size_checked(path, value):
 
 def test_exponent_at_the_simplex_cap_still_loads():
     scene = scene_from_dict(_with(("atoms", "exotic", "beta"), "t^100000"))
-    assert scene.atoms.lookup("exotic").beta.degree == 100_000
+    assert scene.atoms["exotic"].beta.degree == 100_000
 
 
 @pytest.mark.parametrize("chi_c", ["a", 1.5, True, [4]])
@@ -370,12 +368,12 @@ def test_atom_provenance_is_declared_or_recursive(provenance, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["code"] == "scene-error"
     for ok in ("declared", "recursive"):
         scene = scene_from_dict(_with(("atoms", "exotic", "provenance"), ok))
-        assert scene.atoms.lookup("exotic").provenance == ok
+        assert scene.atoms["exotic"].provenance == ok
         assert scene_to_dict(scene)["atoms"]["exotic"]["provenance"] == ok
         # a recursive atom's flag used to be dropped, and dumped as false
         spec = {"beta": "1 + 3*t^2", "chi_c": 4, "provenance": ok, "compact_nonsingular": True}
         scene = scene_from_dict(_with(("atoms", "exotic"), spec))
-        assert scene.atoms.lookup("exotic").compact_nonsingular is True
+        assert scene.atoms["exotic"].compact_nonsingular is True
         assert scene_to_dict(scene)["atoms"]["exotic"] == spec
         assert scene_from_dict(scene_to_dict(scene)) == scene
 
@@ -463,9 +461,9 @@ def test_deep_schema_version_is_a_scene_error():
 
 def test_atom_chi_c_may_be_left_out():
     bad = _with(("atoms", "exotic", "chi_c"), None)
-    assert scene_from_dict(bad).atoms.lookup("exotic").chi_c == 4  # beta(-1) of 1 + 3t^2
+    assert scene_from_dict(bad).atoms["exotic"].chi_c == 4  # beta(-1) of 1 + 3t^2
     del bad["atoms"]["exotic"]["chi_c"]
-    assert scene_from_dict(bad).atoms.lookup("exotic").chi_c == 4
+    assert scene_from_dict(bad).atoms["exotic"].chi_c == 4
 
 
 def _deep_union(depth):

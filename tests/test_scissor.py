@@ -10,13 +10,12 @@ from virtbetti.errors import UnknownAtom
 from virtbetti.polynomial import IntPolynomial, parse_polynomial
 from virtbetti.scissor import (
     Atom,
-    AtomRegistry,
+    AtomRecord,
     Blowup,
     ClosedDifference,
     DisjointUnion,
     Empty,
     Product,
-    atoms_used,
     check_blowup_relation,
     degree_report,
     evaluate_beta,
@@ -49,24 +48,22 @@ def test_unknown_atom_is_reported(scene):
     assert err.value.context["atom"] == "no-such-space"
 
 
-def test_atom_registry_rejects_negative_compact_nonsingular():
-    reg = AtomRegistry()
+def test_atom_record_rejects_negative_compact_nonsingular():
     with pytest.raises(ValueError):
-        reg.declare("bad", P("-1 + t"), compact_nonsingular=True)
+        AtomRecord("bad", P("-1 + t"), compact_nonsingular=True)
 
 
 def test_declared_atom_provenance():
-    reg = AtomRegistry()
-    rec = reg.declare("exotic", P("1 + 3*t^2"))
+    rec = AtomRecord("exotic", P("1 + 3*t^2"))
     assert rec.provenance == "declared"
     assert rec.chi_c == 4
 
 
 def random_expressions(reg, count, seed=20240902, labels=False):
-    """Random trees over the registry's atoms; with ``labels``, about half
-    the blowup nodes carry a label."""
+    """Random trees over the atoms named in ``reg``; with ``labels``, about
+    half the blowup nodes carry a label."""
     rng = random.Random(seed)
-    names = reg.names()
+    names = sorted(reg)
 
     def build(depth):
         if depth == 0 or rng.random() < 0.3:
@@ -109,8 +106,8 @@ def test_scissor_coherence_on_modelled_triples(scene):
         ("sphere-3", "point", "space-3"),
     ]
     for total, closed, open_part in cases:
-        assert reg.lookup(total).beta == (
-            reg.lookup(open_part).beta + reg.lookup(closed).beta
+        assert reg[total].beta == (
+            reg[open_part].beta + reg[closed].beta
         )
 
 
@@ -151,7 +148,3 @@ def test_degree_report(scene):
     wrong_dim = degree_report(scene.expression("ellipses"), reg, 2)
     assert not wrong_dim.holds
 
-
-def test_atoms_used(scene):
-    used = atoms_used(scene.expression("ellipses"))
-    assert used == {"circle", "four-points"}

@@ -357,11 +357,9 @@ def test_the_walk_matches_the_recursive_oracle(specs, data):
                 _outcome(lambda w: stratified_oracle.beta_of_stratified(
                     spec, strict=strict, warnings=w))
             for stratum in spec.strata:
-                for name in (None, spec.name):
-                    assert _outcome(lambda w: beta_of_stratum(
-                        stratum, strict=strict, warnings=w, stratification=name)) == \
-                        _outcome(lambda w: stratified_oracle.beta_of_stratum(
-                            stratum, strict=strict, warnings=w, stratification=name))
+                assert _outcome(lambda w: beta_of_stratum(stratum, strict=strict, warnings=w)) == \
+                    _outcome(lambda w: stratified_oracle.beta_of_stratum(
+                        stratum, strict=strict, warnings=w))
         coarse, fine = data.draw(st.sampled_from(specs)), data.draw(st.sampled_from(specs))
         if data.draw(st.booleans()) or not coarse.strata:
             fine = coarse  # the identity refinement, which holds unless a check fails
