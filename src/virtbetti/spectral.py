@@ -10,18 +10,21 @@ filtration by column produces the pages.
 
 D is built once, as one list of columns per total degree, reduced once by
 the elimination kernel ``gf2.pivot_rows``, and dropped: a spectral
-sequence keeps only the persistence pairs.  Basis vectors of degree n are
-listed by ascending filtration p, so the low bit of a column is its entry
-of least filtration.  The degrees go in ascending n, and each degree's
-columns go to the kernel by descending position: one filtration block at
-a time, highest p first, each from its end.  Each nonzero reduced column
-x is filed under its low bit low(x), narrow, and pairs its basis vector with
-low(x); the pair's gap is p(low(x)) - p(x).  The number of pairs between
-two levels does not depend on the order inside a level.  A pair with gap
-r is one rank of the differential d_r, so it lives on E_0..E_r and is gone
-from E_{r+1} on; an unpaired vector lives forever.  Hence
+sequence keeps only the persistence pairs and the size of each entry
+C^{p,q}.  Basis vectors of degree n are listed in runs, one per subset and
+cell size, by ascending filtration p, so the low bit of a column is its
+entry of least filtration; each run carries its base, the position of
+degree n + 1 that bit 0 of its columns stands for.  The degrees go in ascending n, and
+each degree's columns go to the kernel by descending position: one
+filtration block at a time, highest p first, each run from its end.  Each
+nonzero reduced column x is filed under its low bit low(x), narrow, and
+pairs its basis vector with low(x); the pair's gap is p(low(x)) - p(x).
+The number of pairs between two blocks does not depend on the order inside
+a block.  A pair with gap r is one rank of the differential d_r, so both
+its vectors live on E_0..E_r and are gone from E_{r+1} on; an unpaired
+vector lives forever.  Hence
 
-    dim E_r^{p,q} = #{vectors at (p, q) unpaired or paired with gap >= r}
+    dim E_r^{p,q} = dim C^{p,q} - #{pairs with gap < r starting or ending at (p, q)}
     rank d_r^{p,q} = #{pairs starting at (p, q) with gap exactly r}
 
 (Edelsbrunner-Letscher-Zomorodian 2002; Basu-Parida 2017).  Clearing
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, combinations, count, groupby, islice, repeat
-from math import inf
+from operator import itemgetter
 from typing import Mapping
 
 from .cover import Arrangement
@@ -97,17 +100,17 @@ class StabilizationCertificate(Record):
     detail: str
 
 
-def _total_complex(arrangement: Arrangement) -> tuple[dict, dict, dict, dict]:
+def _total_complex(arrangement: Arrangement) -> tuple[dict, dict]:
     """The basis and the columns of the total differential D, by degree n = p + q.
 
-    runs[n] is the basis of degree n as runs (p, subset, cells), by ascending
-    p, and inside a level in the reverse of nerve and cell order, since
-    ``_pair`` feeds each level from its end; levels[n] is {p: vectors}.
-    cols[n][j] is D of vector j, narrow: bit i stands for the vector at
-    position bases[n][j] + i of degree n + 1.  Each run (subset, cell size)
-    has one base, the number of vectors of degree n + 1 laid out before it:
-    every target of its columns is laid out later, by the subset's next cell
-    size or by a larger subset, so a column spans only what follows its run.
+    runs[n] is the basis of degree n as runs (p, subset, cells, base), by
+    ascending p, and inside a block in the reverse of nerve and cell order,
+    since ``_pair`` feeds each block from its end.  cols[n][j] is D of
+    vector j, narrow: bit i of a column of a run stands for the vector at
+    position base + i of degree n + 1.  A run's base is the number of
+    vectors of degree n + 1 laid out before it: every target of its columns
+    is laid out later, by the subset's next cell size or by a larger subset,
+    so a column spans only what follows its run.
     D sends (subset, s) to every (subset + one piece, s) and (subset, s + one
     vertex); so each entry (subset, t) sets its bit in the column of every
     entry with one index of subset or one vertex of t dropped, all placed
@@ -122,9 +125,7 @@ def _total_complex(arrangement: Arrangement) -> tuple[dict, dict, dict, dict]:
     ordered = {subset: sorted(meet, key=rank.__getitem__) for subset, meet in nerve.items()}
     del rank
     runs: dict[int, list] = {}
-    levels: dict[int, Counter] = {}
     cols: dict[int, list[int]] = {}
-    bases: dict[int, list[int]] = {}
     position: dict[tuple, dict] = {}  # {subset: {cell: its position in its degree}}
     base: dict[tuple, int] = {}  # {(subset, cell size): the base of its run}
     for _, group in groupby(nerve, key=len):  # the nerve is ordered by size
@@ -135,11 +136,9 @@ def _total_complex(arrangement: Arrangement) -> tuple[dict, dict, dict, dict]:
             smaller = [subset[:i] + subset[i + 1:] for i in range(p + 1)] if p else ()
             for k, run in groupby(ordered.pop(subset), key=len):
                 run, n = list(run), p + k - 1
-                runs.setdefault(n, []).append((p, subset, run))
-                levels.setdefault(n, Counter())[p] += len(run)
                 column, below = cols.setdefault(n, []), cols.get(n - 1)
                 base[subset, k] = len(cols.get(n + 1, ()))
-                bases.setdefault(n, []).extend(repeat(base[subset, k], len(run)))
+                runs.setdefault(n, []).append((p, subset, run, base[subset, k]))
                 start = len(column)
                 at.update(zip(run, count(start)))
                 column += [0] * len(run)
@@ -153,7 +152,7 @@ def _total_complex(arrangement: Arrangement) -> tuple[dict, dict, dict, dict]:
                         bit = 1 << (i + own)
                         for facet in combinations(t, k - 1):
                             below[at[facet]] |= bit
-    return runs, levels, cols, bases
+    return runs, cols
 
 
 class MVSpectralSequence:
@@ -163,15 +162,14 @@ class MVSpectralSequence:
         self.arrangement = arrangement
         self._m = len(arrangement.pieces)
         self._page_cache: dict[int, SpectralPage] = {}
-        _, levels, cols, bases = _total_complex(arrangement)
-        self._pair(levels, cols, bases)
+        self._pair(*_total_complex(arrangement))
 
     def dim_total(self, n: int) -> int:
         return sum(self.cpq_dim(p, n - p) for p in range(min(n, self._m - 1) + 1))
 
     def cpq_dim(self, p: int, q: int) -> int:
         """Dimension of C^{p,q} in the double complex."""
-        return sum(self._lifetimes.get((p, q), {}).values())
+        return self._sizes[p, q]
 
     def intersection_complex(self, subset: tuple[int, ...]) -> frozenset:
         """Named simplices of the pieces' intersection; empty outside the nerve."""
@@ -180,43 +178,44 @@ class MVSpectralSequence:
 
     # -- pages ---------------------------------------------------------------
 
-    def _pair(self, levels: Mapping[int, Counter], cols: dict, bases: dict):
+    def _pair(self, runs: Mapping[int, list], cols: dict):
         """Reduce the total differential once, with clearing, and count its
         persistence pairs as (p, q, gap): the pivots a filtration block adds,
         counted by the filtration of their low, one count per gap.  Each
         degree's columns leave ``cols`` once reduced, and go to the kernel
-        narrow, from their bases; each vector's lifetime follows from the
-        pairs (gap inf if unpaired)."""
+        narrow, run by run from the run's base; the size of each entry
+        C^{p,q} is counted from the runs on the way."""
         pairs: Counter = Counter()
+        sizes: Counter = Counter()
         lows: dict[int, int] = {}
-        for n in sorted(levels):
-            column, base = cols.pop(n), bases.pop(n)
+        for n in sorted(runs):
+            column = cols.pop(n)
             for low in lows:
                 column[low] = 0
-            above = levels.get(n + 1, {})
-            upper = list(chain.from_iterable(map(repeat, above, above.values())))
+            upper = list(chain.from_iterable(
+                repeat(p, len(cells)) for p, _, cells, _ in runs.get(n + 1, ())))
             lows, end = {}, len(column)
-            for p, size in reversed(levels[n].items()):
-                found, end = len(lows), end - size
-                pivot_rows(zip(reversed(base[end:end + size]), reversed(column[end:end + size])),
-                           lows)
+            for p, block in groupby(reversed(runs[n]), key=itemgetter(0)):
+                found = len(lows)
+                for _, _, cells, base in block:
+                    sizes[p, n - p] += len(cells)
+                    start, end = end, end - len(cells)
+                    pivot_rows(zip(repeat(base), reversed(column[end:start])), lows)
                 gaps = Counter(map(upper.__getitem__, islice(lows, found, None)))
                 for target, number in gaps.items():
                     pairs[p, n - p, target - p] += number
         self._pair_counts = pairs
-        self._lifetimes = {(p, n - p): Counter({inf: size})
-                           for n, level in levels.items() for p, size in level.items()}
-        for (p, q, gap), count in pairs.items():
-            for key in ((p, q), (p + gap, q + 1 - gap)):
-                self._lifetimes[key][gap] += count
-                self._lifetimes[key][inf] -= count
+        self._sizes = sizes
 
     def entry_dim(self, r: int, p: int, q: int) -> int:
-        """Vectors at (p, q) that are unpaired or whose pair has gap >= r."""
+        """dim C^{p,q} less the vectors at (p, q) whose pair has gap < r.  A
+        pair of gap g starts at (p, q) only if its end's row q + 1 - g is
+        not negative, and ends there only if g <= p: no larger gap is read."""
         if r < 1 or p < 0 or q < 0:
             raise ValueError("page index must be >= 1 and (p, q) nonnegative")
-        lives = self._lifetimes.get((p, q), {})
-        return sum(count for gap, count in lives.items() if gap >= r)
+        pairs = self._pair_counts
+        return self._sizes[p, q] - sum(pairs[p, q, gap] + pairs[p - gap, q + gap - 1, gap]
+                                       for gap in range(min(r, max(p, q + 1) + 1)))
 
     def d_rank(self, r: int, p: int, q: int) -> int:
         """Rank of the induced differential E_r^{p,q} -> E_r^{p+r, q-r+1}:
@@ -225,7 +224,7 @@ class MVSpectralSequence:
 
     def page(self, r: int) -> SpectralPage:
         if r not in self._page_cache:
-            dims = {key: self.entry_dim(r, *key) for key in sorted(self._lifetimes)}
+            dims = {key: self.entry_dim(r, *key) for key in sorted(self._sizes)}
             self._page_cache[r] = SpectralPage(r, {key: d for key, d in dims.items() if d})
         return self._page_cache[r]
 
@@ -271,8 +270,8 @@ class MVSpectralSequence:
 
     def filtration_profile(self) -> WeightArray:
         """w(i, j) = dim of the infinity page at column i - j, row j."""
-        inf = self.infinity_page()
-        return WeightArray(tuple(tuple(inf.dim(i - j, j) for j in range(i + 1))
+        limit = self.infinity_page()
+        return WeightArray(tuple(tuple(limit.dim(i - j, j) for j in range(i + 1))
                                  for i in range(self.arrangement.total.dim + 1)))
 
 

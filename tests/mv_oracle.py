@@ -14,13 +14,17 @@ is the bit mask of the basis vectors whose filtration is at least p, read
 off each basis entry, so the pages do not depend on the order of the basis
 either; quotienting by F_p clears its bits.  Their spans and kernels come
 from ``gf2_oracle``, not from the engine's ``gf2``.  ``engine_complex``
-reads the engine's basis, one entry per vector, and its columns.
+reads the engine's basis, one entry per vector, and its columns, each
+widened by the base of its vector's run.
 
 It also keeps the arrangement's old all-subsets routes: the table of every
 subset's intersection, empty or not, and the virtual polynomial that
 intersects the pieces of each subset afresh; and ``pair_counts``, the
 persistence pairing as ``MVSpectralSequence`` counted it before clearing:
-every column of every degree reduced, the degrees in the basis's order.
+every column of every degree reduced, the degrees in the basis's order;
+and ``lifetimes``, the gap of every vector's pair, from which
+``MVSpectralSequence`` read its pages before it kept only the pairs and
+the size of each entry.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from itertools import combinations, groupby, islice
+from math import inf
 from operator import itemgetter
 from typing import Sequence
 
@@ -54,11 +59,14 @@ class DoubleComplex:
 
 def engine_complex(arrangement) -> tuple[dict[int, list], dict[int, list[int]]]:
     """The engine's basis of D, entries (p, subset, cell) by degree, and its
-    columns, each shifted up by its base to full width."""
-    runs, _, cols, bases = _total_complex(arrangement)
-    return {n: [(p, subset, s) for p, subset, run in basis for s in run]
-            for n, basis in runs.items()}, {
-        n: [c << b for c, b in zip(column, bases[n])] for n, column in cols.items()}
+    columns, each shifted up by its run's base to full width."""
+    runs, cols = _total_complex(arrangement)
+    basis, wide = {}, {}
+    for n, level in runs.items():
+        basis[n] = [(p, subset, s) for p, subset, cells, _ in level for s in cells]
+        bases = [base for _, _, cells, base in level for _ in cells]
+        wide[n] = [c << b for c, b in zip(cols[n], bases)]
+    return basis, wide
 
 
 def double_complex(arrangement) -> DoubleComplex:
@@ -81,6 +89,25 @@ def pair_counts(basis, cols) -> Counter:
             pivot_rows(((0, col) for _, col in block), pivots)
             pairs.update((p, n - p, upper[low] - p) for low in islice(pivots, found, None))
     return pairs
+
+
+def lifetimes(basis, pairs: Counter) -> dict[tuple[int, int], Counter]:
+    """{(p, q): {gap: vectors}}: how long each vector at (p, q) lives, from
+    the pair counts {(p, q, gap): pairs}, gap inf if it is unpaired."""
+    lives = {}
+    for n, entries in basis.items():
+        for p, _, _ in entries:
+            lives.setdefault((p, n - p), Counter())[inf] += 1
+    for (p, q, gap), count in pairs.items():
+        for key in ((p, q), (p + gap, q + 1 - gap)):
+            lives[key][gap] += count
+            lives[key][inf] -= count
+    return lives
+
+
+def lifetime_entry_dim(lives, r: int, p: int, q: int) -> int:
+    """Vectors at (p, q) that are unpaired or whose pair has gap >= r."""
+    return sum(count for gap, count in lives.get((p, q), {}).items() if gap >= r)
 
 
 def apply(cols: Sequence[int], x: int) -> int:

@@ -29,8 +29,8 @@ from virtbetti.stratified import (
 )
 
 
-def beta_of_stratum(stratum, *, strict=False, warnings=None):
-    return _beta_of_stratum(stratum, None, strict, warnings, {})
+def beta_of_stratum(stratum, *, strict=False):
+    return _beta_of_stratum(stratum, None, strict, None, {})
 
 
 def _beta_of_stratum(stratum, stratification, strict, warnings, done):
@@ -99,21 +99,21 @@ def _beta_of_stratified(spec, strict, warnings, done):
     return total
 
 
-def refinement_check(coarse, fine, mapping, *, strict=False):
+def refinement_check(coarse, fine, mapping):
     """The old walk; ``mapping`` must partition the fine strata (the
     engine's partition check, which comes first, is unchanged)."""
     for stratum in coarse.strata:
-        lhs = _beta_of_stratum(stratum, coarse.name, strict, None, {})
+        lhs = _beta_of_stratum(stratum, coarse.name, False, None, {})
         rhs = IntPolynomial.zero()
         for name in mapping[stratum.name]:
-            rhs = rhs + _beta_of_stratum(fine.stratum(name), fine.name, strict, None, {})
+            rhs = rhs + _beta_of_stratum(fine.stratum(name), fine.name, False, None, {})
         if lhs != rhs:
             return Verdict(
                 False,
                 f"stratum {stratum.name!r}: {lhs} differs from refinement sum {rhs}",
             )
-    total = beta_of_stratified(coarse, strict=strict)
-    beta_of_stratified(fine, strict=strict)
+    total = beta_of_stratified(coarse)
+    beta_of_stratified(fine)
     return Verdict(True, f"refinement compatible; total {total}")
 
 

@@ -45,6 +45,17 @@ def test_betti_unknown_name_exit_2(capsys):
     assert "no-such-complex" in payload["message"]
 
 
+def test_vbetti_unknown_name_lists_what_it_knows(capsys):
+    code, _, err = run(capsys, "vbetti", "nope")
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["code"] == "unknown-name"
+    assert payload["message"] == "'nope' is not an expression, stratification or arrangement"
+    scene = builtin_scene()  # a name in two sections is listed once
+    assert payload["context"] == {"name": "nope", "known": sorted(
+        {*scene.expressions, *scene.stratifications, *scene.arrangements})}
+
+
 def test_vbetti_ellipses(capsys):
     code, out, _ = run(capsys, "vbetti", "ellipses")
     assert code == 0

@@ -30,6 +30,9 @@ GOLDEN = {
     ("vbetti", "surface-443", "--json"): "c4c92c7b79338ec31706badcc77f96eb",
     ("vbetti", "tangent-circles", "--json"): "5e770ae3ff866d6e0960b002e74bb0a1",
     ("vbetti", "two-circles", "--json"): "b342357b693f8b8ced11eccd4db40b56",
+    # chi_c from the atoms (-1), and from a stratification as beta(-1) (8)
+    ("vbetti", "circle-minus-point", "--json", "--chi-c"): "0e43637e67adfee468195b2ce5ed9437",
+    ("vbetti", "surface-443", "--json", "--chi-c"): "d259e180c8af26dee95e59aaad9c7bc2",
     ("betti", "projective-plane", "--json"): "90959bd8c882d8097b7f69cdee69d48d",
     ("betti", "surface-443", "--json"): "be7e549d23d4a56ebb0b8551980d7105",
     ("betti", "torus", "--json"): "d2480f5469189631da09c70e78a8e7ef",

@@ -103,6 +103,19 @@ def test_unknown_expression_op():
         scene_from_dict(bad)
 
 
+def test_expression_without_an_op_is_a_scene_error():
+    with pytest.raises(SceneError) as info:
+        scene_from_dict({"schema_version": 1, "expressions": {"e": {}}})
+    assert info.value.message == "expression 'e': expression node needs an 'op' field"
+
+
+def test_a_pair_on_an_unregistered_complex_does_not_dump():
+    scene = Scene(pairs={"p": scene_from_dict(MINIMAL).pair("line")})
+    with pytest.raises(SceneError) as info:
+        scene_to_dict(scene)
+    assert info.value.message == "pair 'p': object is not registered under a scene name"
+
+
 def test_face_closure_is_computed_on_load():
     scene = scene_from_dict(MINIMAL)
     assert ("a",) in scene.complex("circle").simplices

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from virtbetti.errors import UnknownAtom
+from virtbetti.errors import UnknownAtom, Verdict
 from virtbetti.polynomial import IntPolynomial, parse_polynomial
 from virtbetti.scissor import (
     Atom,
@@ -147,4 +147,7 @@ def test_degree_report(scene):
     assert "zero" in empty.detail
     wrong_dim = degree_report(scene.expression("ellipses"), reg, 2)
     assert not wrong_dim.holds
+    # a point less two points: degree 0 as claimed, but the class is -1
+    negative = degree_report(ClosedDifference(Atom("point"), Atom("two-points")), reg, 0)
+    assert negative == Verdict(False, "leading coefficient -1 is not positive")
 

@@ -90,7 +90,7 @@ def test_differentials_square_to_zero_small_covers():
 def test_sequence_keeps_no_basis_or_columns(scene):
     # the basis and D are built, paired and dropped in the constructor
     ss = MVSpectralSequence(scene.arrangement("surface-443"))
-    assert set(vars(ss)) == {"arrangement", "_m", "_page_cache", "_pair_counts", "_lifetimes"}
+    assert set(vars(ss)) == {"arrangement", "_m", "_page_cache", "_pair_counts", "_sizes"}
 
 
 def test_surface_pages_match_expected_tables(surface_ss):
@@ -460,6 +460,21 @@ def test_cleared_pairing_matches_the_uncleared_oracle(arr):
     ss = MVSpectralSequence(arr)
     assert ss._pair_counts == mv_oracle.pair_counts(*mv_oracle.engine_complex(arr))
     assert list(arr.nerve.items()) == [(s, meet) for s, meet in mv_oracle.intersections(arr).items() if meet]
+
+
+@given(st.one_of(covered_complexes(), band_covers()))
+@settings(max_examples=200, deadline=None)
+def test_entry_dims_match_the_pair_lifetimes(arr):
+    # each page entry is the size of C^{p,q} less the pairs of gap < r at
+    # (p, q); the oracle counts down each vector's lifetime instead
+    ss = MVSpectralSequence(arr)
+    basis, _ = mv_oracle.engine_complex(arr)
+    lives = mv_oracle.lifetimes(basis, ss._pair_counts)
+    m = len(arr.pieces)
+    for r in range(1, m + 3):
+        for p in range(m + 1):
+            for q in range(arr.total.dim + 2):
+                assert ss.entry_dim(r, p, q) == mv_oracle.lifetime_entry_dim(lives, r, p, q)
 
 
 @given(st.one_of(covered_complexes(), band_covers()))
