@@ -15,8 +15,13 @@ __all__ = ["IntPolynomial", "NEG_INFINITY", "parse_polynomial"]
 
 NEG_INFINITY = float("-inf")
 
-_TERM_RE = re.compile(r"([+-]?)([0-9]+)?(?:\*?t(?:\^([0-9]+))?)?")
-_SPLIT_NUMBER_RE = re.compile(r"[0-9] +[0-9]")
+# the grammar that ``parse_polynomial`` states: no text matches it two ways,
+# and no two runs of spaces meet, so a failed match backtracks in linear time
+_T_PART = r"(?:\* *)?t(?: *\^ *[0-9]+)?"
+_BODY = rf"(?:[0-9]+(?: *{_T_PART})?|{_T_PART})"
+_GRAMMAR = re.compile(rf" *(?:[+-] *)?{_BODY}(?: *[+-] *{_BODY})* *")
+# one term of a text that matched the grammar, its spaces removed
+_TERM_RE = re.compile(r"([+-]?)(?=[0-9*t])([0-9]*)\*?(t?)(?:\^([0-9]+))?")
 
 
 class IntPolynomial:
@@ -135,48 +140,26 @@ class IntPolynomial:
 def parse_polynomial(text: str) -> IntPolynomial:
     """Inverse of IntPolynomial.to_text; accepts e.g. ``-2 + 2*t`` or ``t^3``.
 
-    Digits are ASCII and spaces, which may not split a number, are the only
-    characters skipped.  Raises
-    ValueError for anything but a string, for any other text outside that
-    form, and for an exponent above ``simplicial.MAX_SIMPLICES`` before any
-    coefficient is stored: no complex under that cap has homology so high,
-    and the dense coefficients of a nine-digit power of t would take
-    gigabytes.
+    The text is an optional sign and a term, then any number of further
+    terms, each with a sign.  A term is ASCII digits, or ``t``, or both with
+    an optional ``*`` between them, and optionally ``^`` and ASCII digits
+    after ``t``.  Spaces may stand between any two of these tokens, but not
+    inside a number.  Raises ValueError for anything but a string, for any
+    text outside that grammar, and for an exponent above
+    ``simplicial.MAX_SIMPLICES`` before any coefficient is stored: no complex
+    under that cap has homology so high, and the dense coefficients of a
+    nine-digit power of t would take gigabytes.
     """
     from .simplicial import MAX_SIMPLICES  # Z[t] arithmetic alone compiles no homology
 
     if not isinstance(text, str):
         raise ValueError(f"polynomial text must be a string, not {type(text).__name__}")
-    if _SPLIT_NUMBER_RE.search(text):  # "1 2" is not 12
-        raise ValueError(f"cannot parse {text!r}: a space splits a number")
-    stripped = text.replace(" ", "")
-    if not stripped:
-        raise ValueError("empty polynomial text")
-    # split into sign-prefixed terms
-    terms: list[str] = []
-    current = ""
-    for ch in stripped:
-        if ch in "+-" and current and current[-1] not in "+-":
-            terms.append(current)
-            current = ch
-        else:
-            current += ch
-    terms.append(current)
+    if not _GRAMMAR.fullmatch(text):
+        raise ValueError(f"cannot parse polynomial {text!r}")
     coeffs: dict[int, int] = {}
-    for term in terms:
-        match = _TERM_RE.fullmatch(term)
-        if not match or (match.group(2) is None and "t" not in term):
-            raise ValueError(f"cannot parse polynomial term {term!r} in {text!r}")
-        sign = -1 if match.group(1) == "-" else 1
-        coeff = int(match.group(2)) if match.group(2) is not None else 1
-        if "t" not in term:
-            degree = 0
-        elif match.group(3) is not None:
-            degree = int(match.group(3))
-            if degree > MAX_SIMPLICES:
-                raise ValueError(f"exponent {degree} exceeds {MAX_SIMPLICES} in {text!r}")
-        else:
-            degree = 1
-        coeffs[degree] = coeffs.get(degree, 0) + sign * coeff
-    top = max(coeffs)
-    return IntPolynomial(tuple(coeffs.get(d, 0) for d in range(top + 1)))
+    for sign, digits, t, power in _TERM_RE.findall(text.replace(" ", "")):
+        degree = int(power or 1) if t else 0
+        if degree > MAX_SIMPLICES:
+            raise ValueError(f"exponent {degree} exceeds {MAX_SIMPLICES} in {text!r}")
+        coeffs[degree] = coeffs.get(degree, 0) + int(sign + (digits or "1"))
+    return IntPolynomial(coeffs.get(d, 0) for d in range(max(coeffs) + 1))

@@ -11,6 +11,10 @@ Atoms are looked up by name in a plain ``{name: AtomRecord}`` mapping, as a
 scene's ``atoms`` section holds them; each is made by the ``AtomRecord``
 constructor or by ``AtomRecord.from_model``.
 
+``degree_verdict`` is the one check that a polynomial can be the class of a
+nonempty variety of a given dimension; ``degree_report`` and the stratified
+engine both apply it.
+
 Closedness of the removed part in a difference, and correctness of a
 blowup quadruple, are caller assertions recorded in atom provenance; they
 are not verified geometrically.
@@ -42,6 +46,7 @@ __all__ = [
     "evaluate_chi_c",
     "check_blowup_relation",
     "degree_report",
+    "degree_verdict",
 ]
 
 PROVENANCE_KINDS = ("declared", "model", "recursive")
@@ -193,27 +198,23 @@ def check_blowup_relation(
     )
 
 
-def degree_report(expr: ScissorExpr, atoms: Mapping[str, AtomRecord],
-                  claimed_dim: int) -> Verdict:
-    """Check degree = claimed dimension with positive leading coefficient.
+def degree_verdict(beta: IntPolynomial, dim: int) -> Verdict:
+    """Does ``beta`` have degree ``dim`` and a positive leading coefficient?
 
-    A nonempty variety has nonzero class, degree equal to its dimension and
-    positive top virtual Betti number; the verdict flags any violation.
+    A nonempty variety of dimension d has a nonzero class, of degree d, with
+    a positive top virtual Betti number; the verdict names the first rule
+    that fails.
     """
-    beta = evaluate_beta(expr, atoms)
     if beta.is_zero():
         return Verdict(False, "polynomial is zero: the class of a nonempty variety is never zero")
-    if beta.degree != claimed_dim:
-        return Verdict(
-            False,
-            f"degree {beta.degree} does not match claimed dimension {claimed_dim}",
-        )
+    if beta.degree != dim:
+        return Verdict(False, f"degree {beta.degree} does not match claimed dimension {dim}")
     if beta.leading_coefficient <= 0:
-        return Verdict(
-            False,
-            f"leading coefficient {beta.leading_coefficient} is not positive",
-        )
-    return Verdict(
-        True,
-        f"degree {claimed_dim} with leading coefficient {beta.leading_coefficient} > 0",
-    )
+        return Verdict(False, f"leading coefficient {beta.leading_coefficient} is not positive")
+    return Verdict(True, f"degree {dim} with leading coefficient {beta.leading_coefficient} > 0")
+
+
+def degree_report(expr: ScissorExpr, atoms: Mapping[str, AtomRecord],
+                  claimed_dim: int) -> Verdict:
+    """``degree_verdict`` of the expression's polynomial."""
+    return degree_verdict(evaluate_beta(expr, atoms), claimed_dim)

@@ -11,9 +11,11 @@ dimension-0 strata contribute their point counts.  ``walk`` follows a
 chain of such stratifications from a list, so its length is bounded by
 memory, not by the interpreter's stack.
 
-Degree checks (degree = declared dimension, positive leading coefficient)
-are warnings by default and errors in strict mode; ``refinement_check``
-compares polynomials only.
+Each stratum and each stratification total is checked by
+``scissor.degree_verdict`` (degree = declared dimension, positive leading
+coefficient), as a warning by default and an error in strict mode; a zero
+stratum of negative dimension passes.  ``refinement_check`` compares
+polynomials only.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
     Verdict,
 )
 from .polynomial import IntPolynomial
+from .scissor import degree_verdict
 from .simplicial import PairSpace, SimplicialComplex
 
 __all__ = [
@@ -128,7 +131,14 @@ class StratifiedSpec(Record):
         raise KeyError(name)
 
 
-def _note_mismatch(message: str, strict: bool, warnings: list[str] | None, **context):
+def _check_degree(subject: str, beta: IntPolynomial, dim: int, strict: bool,
+                  warnings: list[str] | None, **context):
+    """Apply ``scissor.degree_verdict``: a failure is an error in strict mode
+    and a warning otherwise."""
+    verdict = degree_verdict(beta, dim)
+    if verdict:
+        return
+    message = f"{subject} {beta} fails: {verdict.detail}"
     if strict:
         raise DimensionMismatch(message, **context)
     if warnings is not None:
@@ -186,19 +196,8 @@ def _beta_of_stratum(stratum: StratumRecord, stratification: str | None, strict:
     else:
         raise TypeError(f"unknown stratum model {model!r}")
 
-    if beta.is_zero():
-        if stratum.dim >= 0:
-            _note_mismatch(
-                f"{where}: polynomial is zero but dimension {stratum.dim} was declared",
-                strict, warnings, **context,
-            )
-    elif beta.degree != stratum.dim or beta.leading_coefficient <= 0:
-        _note_mismatch(
-            f"{where}: polynomial {beta} has degree "
-            f"{beta.degree} and leading coefficient {beta.leading_coefficient}, "
-            f"declared dimension is {stratum.dim}",
-            strict, warnings, **context,
-        )
+    if stratum.dim >= 0 or not beta.is_zero():  # an empty stratum, of dim < 0, is zero
+        _check_degree(f"{where}: polynomial", beta, stratum.dim, strict, warnings, **context)
     return beta
 
 
@@ -221,13 +220,9 @@ def _beta_of_stratified(spec: StratifiedSpec, strict: bool, warnings: list[str] 
     for stratum in spec.strata:
         total = total + (yield _beta_of_stratum(stratum, spec.name, strict, warnings, done))
     if spec.strata:
-        top = max(s.dim for s in spec.strata)
-        if total.degree != top or total.leading_coefficient <= 0:
-            _note_mismatch(
-                f"stratification {spec.name!r}: total polynomial {total} does not "
-                f"have degree {top} with positive leading coefficient",
-                strict, warnings, stratification=spec.name,
-            )
+        _check_degree(f"stratification {spec.name!r}: total polynomial", total,
+                      max(s.dim for s in spec.strata), strict, warnings,
+                      stratification=spec.name)
     done[id(spec)] = total
     return total
 

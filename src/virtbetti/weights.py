@@ -25,6 +25,7 @@ importing this search.  The checks of a profile against b and beta
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Mapping, Sequence
 
@@ -115,6 +116,7 @@ def solve_weight_system(inp: WeightSystemInput) -> list[WeightArray]:
         i, j = (i, j + 1) if j < i else (i + 1, 0)
 
 
+_COMPARISONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
 _KEY_RE = re.compile(r"w([0-9]+)_([0-9]+)|w([0-9])([0-9])")
 
 
@@ -132,13 +134,17 @@ class LinearConstraint(Record):
     note: str = ""
 
     def __post_init__(self):
-        if self.op not in ("<=", ">=", "=="):
+        if not isinstance(self.op, str) or self.op not in _COMPARISONS:  # [">="] is unhashable
             raise MalformedConstraint(f"unknown comparison {self.op!r}", op=self.op)
+        named = set()
         for (i, j), _ in self.coeffs:
             if not 0 <= j <= i:
                 raise MalformedConstraint(
                     f"index w({i},{j}) outside the triangle", i=i, j=j
                 )
+            if (i, j) in named:  # w21 and w2_1 name one entry
+                raise MalformedConstraint(f"entry w({i},{j}) is named twice", i=i, j=j)
+            named.add((i, j))
         object.__setattr__(self, "coeffs", tuple(sorted(self.coeffs)))
 
     @classmethod
@@ -177,14 +183,8 @@ class LinearConstraint(Record):
         }
 
     def evaluate(self, w: WeightArray) -> bool:
-        total = 0
-        for (i, j), coeff in self.coeffs:
-            total += coeff * w.value(i, j)
-        if self.op == "<=":
-            return total <= self.rhs
-        if self.op == ">=":
-            return total >= self.rhs
-        return total == self.rhs
+        total = sum(coeff * w.value(i, j) for (i, j), coeff in self.coeffs)
+        return _COMPARISONS[self.op](total, self.rhs)
 
     def describe(self) -> str:
         terms = []

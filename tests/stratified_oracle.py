@@ -7,7 +7,8 @@ each other once per link, as do ``_resolve_stratification`` and
 ``_strat_model_from_dict``, so the chain's length is bounded by the
 interpreter's recursion limit.  ``refinement_check`` is the old one too:
 each stratum is evaluated with a memo of its own, and the two totals are
-evaluated a second time through ``beta_of_stratified``.
+evaluated a second time through ``beta_of_stratified``.  The degree rule is
+written out here as well, with the reasons of ``scissor.degree_verdict``.
 
 ``scene_from_dict`` loads everything but the stratifications with the
 engine, then resolves them here, inside the engine's error mapping.
@@ -15,7 +16,14 @@ engine, then resolves them here, inside the engine's error mapping.
 
 from __future__ import annotations
 
-from virtbetti.errors import MissingBoundaryData, SceneError, Verdict, VirtBettiError, json_int
+from virtbetti.errors import (
+    DimensionMismatch,
+    MissingBoundaryData,
+    SceneError,
+    Verdict,
+    VirtBettiError,
+    json_int,
+)
 from virtbetti.polynomial import IntPolynomial, parse_polynomial
 from virtbetti.scene import _json
 from virtbetti.scene import scene_from_dict as engine_scene_from_dict
@@ -25,8 +33,24 @@ from virtbetti.stratified import (
     OpenModel,
     StratifiedSpec,
     StratumRecord,
-    _note_mismatch,
 )
+
+
+def _note_mismatch(subject, beta, dim, strict, warnings, **context):
+    """The degree rule, written out here rather than read from ``scissor``."""
+    if beta.is_zero():
+        reason = "polynomial is zero: the class of a nonempty variety is never zero"
+    elif beta.degree != dim:
+        reason = f"degree {beta.degree} does not match claimed dimension {dim}"
+    elif beta.leading_coefficient <= 0:
+        reason = f"leading coefficient {beta.leading_coefficient} is not positive"
+    else:
+        return
+    message = f"{subject} {beta} fails: {reason}"
+    if strict:
+        raise DimensionMismatch(message, **context)
+    if warnings is not None:
+        warnings.append(message)
 
 
 def beta_of_stratum(stratum, *, strict=False):
@@ -61,19 +85,8 @@ def _beta_of_stratum(stratum, stratification, strict, warnings, done):
         beta = model.beta
     else:
         raise TypeError(f"unknown stratum model {model!r}")
-    if beta.is_zero():
-        if stratum.dim >= 0:
-            _note_mismatch(
-                f"{where}: polynomial is zero but dimension {stratum.dim} was declared",
-                strict, warnings, **context,
-            )
-    elif beta.degree != stratum.dim or beta.leading_coefficient <= 0:
-        _note_mismatch(
-            f"{where}: polynomial {beta} has degree "
-            f"{beta.degree} and leading coefficient {beta.leading_coefficient}, "
-            f"declared dimension is {stratum.dim}",
-            strict, warnings, **context,
-        )
+    if not (beta.is_zero() and stratum.dim < 0):
+        _note_mismatch(f"{where}: polynomial", beta, stratum.dim, strict, warnings, **context)
     return beta
 
 
@@ -89,12 +102,8 @@ def _beta_of_stratified(spec, strict, warnings, done):
         total = total + _beta_of_stratum(stratum, spec.name, strict, warnings, done)
     if spec.strata:
         top = max(s.dim for s in spec.strata)
-        if total.degree != top or total.leading_coefficient <= 0:
-            _note_mismatch(
-                f"stratification {spec.name!r}: total polynomial {total} does not "
-                f"have degree {top} with positive leading coefficient",
-                strict, warnings, stratification=spec.name,
-            )
+        _note_mismatch(f"stratification {spec.name!r}: total polynomial", total, top,
+                       strict, warnings, stratification=spec.name)
     done[id(spec)] = total
     return total
 

@@ -108,6 +108,24 @@ def test_mvss_refuses_fewer_than_one_page(capsys, pages, json_flag):
     assert f"argument --pages: must be at least 1, not {int(pages)}" in captured.err
 
 
+def test_mvss_refuses_a_page_count_that_is_not_an_int(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["mvss", "surface-443", "--pages", "x"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "argument --pages: invalid int value: 'x'" in captured.err
+
+
+def test_mvss_exits_3_when_the_limit_disagrees_with_direct_homology(capsys, monkeypatch):
+    from virtbetti.simplicial import BettiVector, SimplicialComplex
+
+    monkeypatch.setattr(SimplicialComplex, "betti_mod2", lambda self: BettiVector((1, 1, 7)))
+    code, out, err = run(capsys, "mvss", "surface-443")
+    assert code == 3
+    assert json.loads(err)["code"] == "convergence-mismatch"
+
+
 def test_mvss_single_piece(capsys):
     code, out, _ = run(capsys, "mvss", "circle-alone")
     assert code == 0
@@ -259,6 +277,20 @@ def test_malformed_constraints_file_is_a_structured_error(capsys, tmp_path):
         error = json.loads(err)
         assert error["code"] == "scene-error"
         assert error["context"] == {"path": str(path)}
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_a_constraint_that_names_one_entry_twice_is_refused(capsys, tmp_path, mode):
+    # applied, w21 + 2*w21 would be one constraint and the JSON would print another
+    constraints = tmp_path / "c.json"
+    constraints.write_text(json.dumps([{"lhs": {"w21": 1, "w2_1": 2}, "op": ">=", "rhs": 3}]))
+    code, out, err = run(capsys, "weights", "surface-443", "--constraints", str(constraints),
+                         *mode)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"code": "malformed-constraint",
+                               "message": "entry w(2,1) is named twice",
+                               "context": {"i": 2, "j": 1}}
 
 
 @pytest.mark.parametrize("constraints, code", [

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import time
+
+import polynomial_oracle
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from virtbetti.polynomial import (
@@ -91,6 +94,54 @@ def test_eval_is_a_ring_homomorphism(a, b, x):
 @given(polys)
 def test_text_round_trip(p):
     assert parse_polynomial(p.to_text()) == p
+
+
+# the grammar's tokens and the characters a hand-written text may slip in
+ALPHABET = [*"0123456789t*^+-", " ", "\n", "\t", "x", "T", ".", "\u0663"]
+
+
+@st.composite
+def spaced_texts(draw):
+    """``to_text()`` of a polynomial with spaces inserted at random, some of
+    them inside a number."""
+    text = draw(polys).to_text()
+    for cut in sorted(draw(st.lists(st.integers(0, len(text)), max_size=6)), reverse=True):
+        text = text[:cut] + " " + text[cut:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(st.sampled_from(ALPHABET), max_size=16),
+                 st.text(st.sampled_from("12t*^+- "), max_size=12),  # dense in near misses
+                 spaced_texts()))
+@example("*t")  # read as t: a quirk of the old reader that the grammar keeps
+@example("1+*t")
+@example("+ 007*t^02")
+@example("+-t")  # refused: one sign to a term
+@example("1 +- 2")
+def test_parse_matches_the_sign_splitting_oracle(text):
+    assert _outcome(parse_polynomial, text) == _outcome(polynomial_oracle.parse_polynomial, text)
+
+
+@pytest.mark.parametrize("bad", [
+    "1" * 999_999 + "x",
+    " " * 999_999 + "x",
+    "t" + " " * 999_998 + "x",
+    "t+" * 499_999 + "x",
+    "2*t^3 - " * 124_999 + "2*t^",
+], ids=["digits", "leading-spaces", "spaces", "terms", "spaced-terms"])
+def test_a_long_malformed_text_is_refused_in_linear_time(bad):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_polynomial(bad)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

@@ -14,9 +14,14 @@ from hypothesis import strategies as st
 
 from virtbetti import models
 from virtbetti.cover import Arrangement
-from virtbetti.errors import NotACover, TooManySimplices
+from virtbetti.errors import ConvergenceMismatch, NotACover, TooManySimplices
 from virtbetti.polynomial import IntPolynomial
-from virtbetti.simplicial import MAX_SIMPLICES, SimplicialComplex, maximal_simplices
+from virtbetti.simplicial import (
+    MAX_SIMPLICES,
+    BettiVector,
+    SimplicialComplex,
+    maximal_simplices,
+)
 from virtbetti.spectral import MVSpectralSequence, SpectralPage, row_alternating_sums
 from virtbetti.triangle import WeightArray
 
@@ -554,3 +559,18 @@ def test_page_table_lines():
         "        -----------",
         "        p=0 p=1 p=2",
     ]
+
+
+@pytest.mark.parametrize("r, p, q", [(0, 0, 0), (1, -1, 0), (1, 0, -1)])
+def test_entry_dim_refuses_a_page_below_one_or_a_negative_entry(surface_ss, r, p, q):
+    with pytest.raises(ValueError, match="page index must be >= 1"):
+        surface_ss.entry_dim(r, p, q)
+
+
+def test_the_limit_is_checked_against_direct_homology(scene, monkeypatch):
+    # a wrong direct answer stands in for a wrong limit: the check must fire
+    ss = MVSpectralSequence(scene.arrangement("surface-443"))
+    monkeypatch.setattr(SimplicialComplex, "betti_mod2", lambda self: BettiVector((1, 1, 7)))
+    with pytest.raises(ConvergenceMismatch) as info:
+        ss.converged_betti()
+    assert info.value.context == {"converged": [1, 1, 8], "direct": [1, 1, 7]}

@@ -97,6 +97,20 @@ def test_degree_warnings_name_the_stratification_and_the_stratum(scene):
     assert info.value.context == {"stratum": "arc", "stratification": "right"}
 
 
+def test_an_empty_stratum_passes_and_a_zero_total_fails():
+    # a stratum of dimension -1 is empty, so its zero class passes the degree
+    # check; a stratification whose total is zero still fails it
+    empty = StratumRecord("none", -1, DeclaredBeta(IntPolynomial.zero()))
+    assert beta_of_stratum(empty, strict=True) == IntPolynomial.zero()
+    warnings: list[str] = []
+    assert beta_of_stratified(StratifiedSpec("nothing", (empty,)), warnings=warnings).is_zero()
+    assert warnings == ["stratification 'nothing': total polynomial 0 fails: polynomial is "
+                        "zero: the class of a nonempty variety is never zero"]
+    with pytest.raises(DimensionMismatch) as info:
+        beta_of_stratified(StratifiedSpec("nothing", (empty,)), strict=True)
+    assert info.value.context == {"stratification": "nothing"}
+
+
 def test_figure_eight_stratification(scene):
     assert beta_of_stratified(scene.stratification("figure-eight-x"), strict=True) == P("t")
 
@@ -254,6 +268,15 @@ def test_refinement_not_a_partition(scene):
             scene.stratification("figure-eight-x"),
             scene.stratification("figure-eight-x-fine"),
             {"smooth": ["arc3", "extra-point", "arc3"], "node": ["node-fine"]},
+        )
+
+
+def test_refinement_mapping_a_stratum_the_coarse_side_lacks_is_a_key_error(scene):
+    with pytest.raises(KeyError, match="nowhere"):
+        refinement_check(
+            scene.stratification("circle-as-one"),
+            scene.stratification("circle-as-two"),
+            {"circle": ["arc", "pt"], "nowhere": []},
         )
 
 

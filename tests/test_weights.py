@@ -282,11 +282,22 @@ def test_constraint_filter_no_constraints_is_identity():
     assert list(result.survivors) == sols
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: WeightSystemInput((), ()), "empty weight system"),
+    (lambda: WeightSystemInput((1, -1), (1, 0)), "Betti numbers must be nonnegative"),
+    (lambda: WeightArray(((1,), (0, -1))), "weight entries must be nonnegative"),
+], ids=["empty", "negative-b", "negative-entry"])
+def test_weight_types_refuse_empty_and_negative_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_malformed_constraints_are_rejected():
     with pytest.raises(MalformedConstraint):
         LinearConstraint((((0, 1), 1),), ">=", 0)  # j > i
-    with pytest.raises(MalformedConstraint):
-        LinearConstraint((((1, 0), 1),), "!?", 0)
+    for op in ("!?", [">="]):
+        with pytest.raises(MalformedConstraint):
+            LinearConstraint((((1, 0), 1),), op, 0)
     with pytest.raises(MalformedConstraint):
         LinearConstraint.from_dict({"lhs": {"nope": 1}, "op": ">=", "rhs": 0})
     with pytest.raises(MalformedConstraint):
@@ -311,6 +322,18 @@ def test_malformed_constraints_are_rejected():
         deep = [deep]
     with pytest.raises(MalformedConstraint, match="^constraint nests too deeply$"):
         LinearConstraint.from_dict({"lhs": {"w21": 1}, "op": ">=", "rhs": deep})
+
+
+@pytest.mark.parametrize("lhs", [{"w21": 1, "w2_1": 2}, {"w02_01": 1, "w21": 1}])
+def test_a_constraint_that_names_one_entry_twice_is_refused(lhs):
+    # summed, the two would be applied as one coefficient that to_dict cannot
+    # print: the JSON would report a different constraint than the one applied
+    with pytest.raises(MalformedConstraint) as info:
+        LinearConstraint.from_dict({"lhs": lhs, "op": ">=", "rhs": 3})
+    assert info.value.message == "entry w(2,1) is named twice"
+    assert info.value.context == {"i": 2, "j": 1}
+    with pytest.raises(MalformedConstraint, match="named twice"):
+        LinearConstraint((((2, 1), 1), ((1, 0), 1), ((2, 1), 2)), "<=", 3)
 
 
 def test_constraint_dict_round_trip():
