@@ -72,18 +72,16 @@ def cmd_betti(args) -> int:
     return EXIT_OK
 
 
-def _vbetti_target(scene: Scene, name: str, strict: bool):
+def _vbetti_target(scene: Scene, name: str, warnings: list[str] | None):
     """Resolve a vbetti target (expression, stratification or arrangement)
-    to (beta, chi_c, warnings); chi_c is beta(-1) unless an expression's
-    atoms give it independently."""
-    warnings: list[str] = []
+    to (beta, chi_c); chi_c is beta(-1) unless an expression's atoms give it
+    independently.  A stratification's degree failures go to ``warnings``,
+    or are raised if it is None."""
     if name in scene.expressions:
         expr = scene.expressions[name]
-        return evaluate_beta(expr, scene.atoms), evaluate_chi_c(expr, scene.atoms), warnings
+        return evaluate_beta(expr, scene.atoms), evaluate_chi_c(expr, scene.atoms)
     if name in scene.stratifications:
-        beta = beta_of_stratified(
-            scene.stratifications[name], strict=strict, warnings=warnings
-        )
+        beta = beta_of_stratified(scene.stratifications[name], warnings=warnings)
     elif name in scene.arrangements:
         beta = scene.arrangements[name].virtual_betti()
     else:
@@ -94,12 +92,13 @@ def _vbetti_target(scene: Scene, name: str, strict: bool):
                 set(scene.expressions) | set(scene.stratifications) | set(scene.arrangements)
             ),
         )
-    return beta, beta.evaluate(-1), warnings
+    return beta, beta.evaluate(-1)
 
 
 def cmd_vbetti(args) -> int:
     scene = _scene_from_args(args)
-    beta, chi, warnings = _vbetti_target(scene, args.name, args.strict)
+    warnings: list[str] = []
+    beta, chi = _vbetti_target(scene, args.name, None if args.strict else warnings)
     if not args.quiet:
         for w in warnings:
             sys.stderr.write(f"warning: {w}\n")

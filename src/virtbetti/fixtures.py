@@ -127,9 +127,7 @@ def builtin_scene() -> Scene:
     for name, pr in (("line", "line"), ("plane", "plane"),
                      ("space-3", "space-3"), ("space-4", "space-4")):
         p = scene.pairs[pr]
-        beta = beta_of_stratum(
-            StratumRecord(name, p.total.dim, OpenModel(p)), strict=True
-        )
+        beta = beta_of_stratum(StratumRecord(name, p.total.dim, OpenModel(p)))
         atoms[name] = AtomRecord(name, beta, p.euler_compact_supports(), "recursive")
 
     # expressions
@@ -285,7 +283,7 @@ def _fx_figure_eights(scene: Scene) -> Iterator[tuple]:
     by = evaluate_beta(scene.expression("figure-eight-y"), scene.atoms)
     yield ("beta_1(X) = 1 from the blowup presentation", bx.coefficient(1) == 1, bx.to_text())
     yield ("beta_1(Y) = 2 from the union of circles", by.coefficient(1) == 2, by.to_text())
-    strat = beta_of_stratified(scene.stratification("figure-eight-x"), strict=True)
+    strat = beta_of_stratified(scene.stratification("figure-eight-x"))
     yield ("stratified engine agrees on X", strat == bx, f"{strat} vs {bx}")
     yield ("homeomorphic curves get different invariants", bx != by,
            f"{bx.to_text()} vs {by.to_text()}")
@@ -297,7 +295,7 @@ def _fx_spheres(scene: Scene) -> Iterator[tuple]:
         want = IntPolynomial.monomial(1, n + 1) - IntPolynomial.monomial(1, n)
         yield (f"beta_{n}(S^{n + 1} minus S^{n}) = -1",
                diff == want and diff.coefficient(n) == -1, diff.to_text())
-        strat = beta_of_stratified(scene.stratification(f"sphere-diff-{n}"), strict=True)
+        strat = beta_of_stratified(scene.stratification(f"sphere-diff-{n}"))
         yield (f"stratified engine agrees for n = {n}", strat == diff, f"{strat} vs {diff}")
         affine = evaluate_beta(scene.expression(f"affine-{n + 1}"), scene.atoms)
         yield (f"beta_{n}(R^{n + 1}) = 0",
@@ -330,7 +328,7 @@ def _fx_surface_virtual(scene: Scene) -> Iterator[tuple]:
     want = parse_polynomial("4 - t + 3*t^2")
     incl = scene.arrangement("surface-443").virtual_betti()
     yield ("inclusion-exclusion gives 4 - t + 3*t^2", incl == want, incl.to_text())
-    strat = beta_of_stratified(scene.stratification("surface-443"), strict=True)
+    strat = beta_of_stratified(scene.stratification("surface-443"))
     yield ("stratified engine (17 sheets / 12 arcs / 4 points) agrees",
            strat == want, strat.to_text())
     chi = scene.complex("surface-443").euler_characteristic()
@@ -455,13 +453,11 @@ def _fx_refinement(scene: Scene) -> Iterator[tuple]:
         {"smooth": ["arc3", "extra-point"], "node": ["node-fine"]},
     )
     yield ("figure-eight stratifications agree", v2.holds, v2.detail)
-    a = beta_of_stratum(StratumRecord("r2-a", 2, OpenModel(scene.pairs["plane"])), strict=True)
-    b = beta_of_stratum(StratumRecord("r2-b", 2, OpenModel(scene.pairs["plane-oct"])), strict=True)
+    a = beta_of_stratum(StratumRecord("r2-a", 2, OpenModel(scene.pairs["plane"])))
+    b = beta_of_stratum(StratumRecord("r2-b", 2, OpenModel(scene.pairs["plane-oct"])))
     yield ("two triangulations of the same compactification pair agree", a == b, f"{a} vs {b}")
-    c1 = beta_of_stratum(StratumRecord("r1-a", 1, OpenModel(scene.pairs["line"])), strict=True)
-    c2 = beta_of_stratum(
-        StratumRecord("r1-b", 1, OpenModel(scene.pairs["circle5-minus-point"])), strict=True
-    )
+    c1 = beta_of_stratum(StratumRecord("r1-a", 1, OpenModel(scene.pairs["line"])))
+    c2 = beta_of_stratum(StratumRecord("r1-b", 1, OpenModel(scene.pairs["circle5-minus-point"])))
     yield ("line from 3-vertex and 5-vertex circles agrees",
            c1 == c2 == parse_polynomial("t"), f"{c1} vs {c2}")
 

@@ -16,9 +16,11 @@ __all__ = ["IntPolynomial", "NEG_INFINITY", "parse_polynomial"]
 NEG_INFINITY = float("-inf")
 
 # the grammar that ``parse_polynomial`` states: no text matches it two ways,
-# and no two runs of spaces meet, so a failed match backtracks in linear time
-_T_PART = r"(?:\* *)?t(?: *\^ *[0-9]+)?"
-_BODY = rf"(?:[0-9]+(?: *{_T_PART})?|{_T_PART})"
+# and no two runs of spaces meet, so a failed match backtracks in linear time.
+# A number has at most 4,300 digits, CPython's default limit on int(str)
+_NUMBER = "[0-9]{1,4300}"
+_T_PART = rf"(?:\* *)?t(?: *\^ *{_NUMBER})?"
+_BODY = rf"(?:{_NUMBER}(?: *{_T_PART})?|{_T_PART})"
 _GRAMMAR = re.compile(rf" *(?:[+-] *)?{_BODY}(?: *[+-] *{_BODY})* *")
 # one term of a text that matched the grammar, its spaces removed
 _TERM_RE = re.compile(r"([+-]?)(?=[0-9*t])([0-9]*)\*?(t?)(?:\^([0-9]+))?")
@@ -144,7 +146,8 @@ def parse_polynomial(text: str) -> IntPolynomial:
     terms, each with a sign.  A term is ASCII digits, or ``t``, or both with
     an optional ``*`` between them, and optionally ``^`` and ASCII digits
     after ``t``.  Spaces may stand between any two of these tokens, but not
-    inside a number.  Raises ValueError for anything but a string, for any
+    inside a number, and a number has at most 4,300 digits, CPython's
+    default limit for ``int`` of a string.  Raises ValueError for anything but a string, for any
     text outside that grammar, and for an exponent above
     ``simplicial.MAX_SIMPLICES`` before any coefficient is stored: no complex
     under that cap has homology so high, and the dense coefficients of a

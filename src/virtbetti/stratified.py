@@ -13,13 +13,15 @@ memory, not by the interpreter's stack.
 
 Each stratum and each stratification total is checked by
 ``scissor.degree_verdict`` (degree = declared dimension, positive leading
-coefficient), as a warning by default and an error in strict mode; a zero
-stratum of negative dimension passes.  ``refinement_check`` compares
-polynomials only.
+coefficient); a zero stratum of negative dimension passes.  A failure is
+appended to the caller's ``warnings`` list if one is given and raised as
+``DimensionMismatch`` otherwise.  ``refinement_check`` compares polynomials
+only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -124,25 +126,18 @@ class StratifiedSpec(Record):
                         stratification=self.name,
                     )
 
-    def stratum(self, name: str) -> StratumRecord:
-        for s in self.strata:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
-
-def _check_degree(subject: str, beta: IntPolynomial, dim: int, strict: bool,
+def _check_degree(subject: str, beta: IntPolynomial, dim: int,
                   warnings: list[str] | None, **context):
-    """Apply ``scissor.degree_verdict``: a failure is an error in strict mode
-    and a warning otherwise."""
+    """Apply ``scissor.degree_verdict``: a failure is appended to
+    ``warnings``, or raised if there is no such list."""
     verdict = degree_verdict(beta, dim)
     if verdict:
         return
     message = f"{subject} {beta} fails: {verdict.detail}"
-    if strict:
+    if warnings is None:
         raise DimensionMismatch(message, **context)
-    if warnings is not None:
-        warnings.append(message)
+    warnings.append(message)
 
 
 def walk(root):
@@ -159,12 +154,13 @@ def walk(root):
     return value
 
 
-def beta_of_stratum(stratum: StratumRecord, *, strict: bool = False) -> IntPolynomial:
-    """Virtual Poincare polynomial of one stratum from its model."""
-    return walk(_beta_of_stratum(stratum, None, strict, None, {}))
+def beta_of_stratum(stratum: StratumRecord) -> IntPolynomial:
+    """Virtual Poincare polynomial of one stratum from its model; a degree
+    failure raises ``DimensionMismatch``."""
+    return walk(_beta_of_stratum(stratum, None, None, {}))
 
 
-def _beta_of_stratum(stratum: StratumRecord, stratification: str | None, strict: bool,
+def _beta_of_stratum(stratum: StratumRecord, stratification: str | None,
                      warnings: list[str] | None, done: dict[int, IntPolynomial]):
     """A walk (see ``walk``) to the stratum's polynomial."""
     # strata of different stratifications may share a name: name both
@@ -181,7 +177,7 @@ def _beta_of_stratum(stratum: StratumRecord, stratification: str | None, strict:
         if boundary.is_empty():
             boundary_beta = IntPolynomial.zero()
         elif model.boundary_strata is not None:
-            boundary_beta = yield _beta_of_stratified(model.boundary_strata, strict, warnings, done)
+            boundary_beta = yield _beta_of_stratified(model.boundary_strata, warnings, done)
         elif model.boundary_nonsingular:
             boundary_beta = boundary.as_complex().poincare_polynomial()
         else:
@@ -197,19 +193,19 @@ def _beta_of_stratum(stratum: StratumRecord, stratification: str | None, strict:
         raise TypeError(f"unknown stratum model {model!r}")
 
     if stratum.dim >= 0 or not beta.is_zero():  # an empty stratum, of dim < 0, is zero
-        _check_degree(f"{where}: polynomial", beta, stratum.dim, strict, warnings, **context)
+        _check_degree(f"{where}: polynomial", beta, stratum.dim, warnings, **context)
     return beta
 
 
-def beta_of_stratified(
-    spec: StratifiedSpec, *, strict: bool = False, warnings: list[str] | None = None
-) -> IntPolynomial:
-    """Sum of the strata's polynomials, with a degree check against the
-    largest declared stratum dimension."""
-    return walk(_beta_of_stratified(spec, strict, warnings, {}))
+def beta_of_stratified(spec: StratifiedSpec, *, warnings: list[str] | None = None
+                       ) -> IntPolynomial:
+    """Sum of the strata's polynomials.  Each stratum, and the total against
+    the largest stratum dimension, gets a degree check: a failure is appended
+    to ``warnings``, or raised as ``DimensionMismatch`` by a bare call."""
+    return walk(_beta_of_stratified(spec, warnings, {}))
 
 
-def _beta_of_stratified(spec: StratifiedSpec, strict: bool, warnings: list[str] | None,
+def _beta_of_stratified(spec: StratifiedSpec, warnings: list[str] | None,
                         done: dict[int, IntPolynomial]):
     """A walk to the stratification's polynomial.  ``done`` holds each one
     walked so far, by id: two strata may share one ``boundary_strata``, and a
@@ -218,10 +214,10 @@ def _beta_of_stratified(spec: StratifiedSpec, strict: bool, warnings: list[str] 
         return done[id(spec)]
     total = IntPolynomial.zero()
     for stratum in spec.strata:
-        total = total + (yield _beta_of_stratum(stratum, spec.name, strict, warnings, done))
+        total = total + (yield _beta_of_stratum(stratum, spec.name, warnings, done))
     if spec.strata:
         _check_degree(f"stratification {spec.name!r}: total polynomial", total,
-                      max(s.dim for s in spec.strata), strict, warnings,
+                      max(s.dim for s in spec.strata), warnings,
                       stratification=spec.name)
     done[id(spec)] = total
     return total
@@ -263,32 +259,34 @@ def refinement_check(
 ) -> Verdict:
     """Check that a refinement is compatible stratum by stratum.
 
-    ``mapping`` sends each coarse stratum to the fine strata refining it and
-    must partition the fine strata; the verdict holds iff every coarse
-    stratum's polynomial equals the sum over its fine strata.  Only the
-    polynomials are compared: no degree check is run.
+    ``mapping`` sends each coarse stratum to the fine strata refining it:
+    its keys must be the coarse strata and its values must partition the
+    fine strata, or ``NotAPartition`` names, sorted, the fine strata
+    missing, duplicated or unknown and the coarse strata missing or
+    unknown.  The verdict holds iff every coarse stratum's polynomial equals
+    the sum over its fine strata.  Only the polynomials are compared: a
+    degree failure is neither a warning nor an error here.
     """
     mapping = {src: list(targets) for src, targets in mapping.items()}  # read each value once
-    fine_names = [s.name for s in fine.strata]
-    assigned: list[str] = []
-    for src in mapping:
-        coarse.stratum(src)  # KeyError -> genuine misuse
-        assigned.extend(mapping[src])
-    missing = set(fine_names) - set(assigned)
-    duplicated = {n for n in assigned if assigned.count(n) > 1}
-    unknown = set(assigned) - set(fine_names)
-    if missing or duplicated or unknown or set(mapping) != {s.name for s in coarse.strata}:
-        raise NotAPartition(
-            "mapping does not partition the fine strata",
-            missing=sorted(missing),
-            duplicated=sorted(duplicated),
-            unknown=sorted(unknown),
-        )
+    by_name = {s.name: s for s in fine.strata}
+    coarse_names = {s.name for s in coarse.strata}
+    assigned = Counter(name for targets in mapping.values() for name in targets)
+    faults = {
+        "missing": by_name.keys() - assigned.keys(),
+        "duplicated": {name for name, count in assigned.items() if count > 1},
+        "unknown": assigned.keys() - by_name.keys(),
+        "coarse_missing": coarse_names - mapping.keys(),
+        "coarse_unknown": mapping.keys() - coarse_names,
+    }
+    if any(faults.values()):
+        raise NotAPartition("mapping does not partition the fine strata",
+                            **{key: sorted(names) for key, names in faults.items()})
     done: dict[int, IntPolynomial] = {}  # one memo for the strata of both sides
+    ignored: list[str] = []  # degree failures, which this check does not judge
     total = IntPolynomial.zero()
     for stratum in coarse.strata:
-        lhs = walk(_beta_of_stratum(stratum, coarse.name, False, None, done))
-        rhs = sum((walk(_beta_of_stratum(fine.stratum(name), fine.name, False, None, done))
+        lhs = walk(_beta_of_stratum(stratum, coarse.name, ignored, done))
+        rhs = sum((walk(_beta_of_stratum(by_name[name], fine.name, ignored, done))
                    for name in mapping[stratum.name]), IntPolynomial.zero())
         if lhs != rhs:
             return Verdict(

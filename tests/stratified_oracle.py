@@ -109,13 +109,15 @@ def _beta_of_stratified(spec, strict, warnings, done):
 
 
 def refinement_check(coarse, fine, mapping):
-    """The old walk; ``mapping`` must partition the fine strata (the
-    engine's partition check, which comes first, is unchanged)."""
+    """The old walk, which finds each fine stratum by a scan; ``mapping``
+    must partition the fine strata (the engine's partition check comes
+    first)."""
     for stratum in coarse.strata:
         lhs = _beta_of_stratum(stratum, coarse.name, False, None, {})
         rhs = IntPolynomial.zero()
         for name in mapping[stratum.name]:
-            rhs = rhs + _beta_of_stratum(fine.stratum(name), fine.name, False, None, {})
+            part = next(s for s in fine.strata if s.name == name)  # a scan per name
+            rhs = rhs + _beta_of_stratum(part, fine.name, False, None, {})
         if lhs != rhs:
             return Verdict(
                 False,

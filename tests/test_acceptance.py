@@ -61,7 +61,7 @@ def test_criterion_3_figure_eights(scene):
     assert bx.coefficient(1) == 1
     assert by.coefficient(1) == 2
     # independent route for X through its stratification
-    strat = beta_of_stratified(scene.stratification("figure-eight-x"), strict=True)
+    strat = beta_of_stratified(scene.stratification("figure-eight-x"))
     assert strat == bx
     report(3, "figure eights: beta_1(X) = 1, beta_1(Y) = 2")
 
@@ -70,7 +70,7 @@ def test_criterion_4_punctured_spheres(scene):
     for n in range(0, 4):
         diff = evaluate_beta(scene.expression(f"sphere-diff-{n}"), scene.atoms)
         assert diff.coefficient(n) == -1
-        strat = beta_of_stratified(scene.stratification(f"sphere-diff-{n}"), strict=True)
+        strat = beta_of_stratified(scene.stratification(f"sphere-diff-{n}"))
         assert strat == diff
         affine = evaluate_beta(scene.expression(f"affine-{n + 1}"), scene.atoms)
         assert affine.coefficient(n) == 0
@@ -101,7 +101,7 @@ def test_criterion_6_surface_three_routes(scene):
     assert tuple(b) == (1, 1, 8)
     incl = scene.arrangement("surface-443").virtual_betti()
     assert incl == P("4 - t + 3*t^2")
-    strat = beta_of_stratified(scene.stratification("surface-443"), strict=True)
+    strat = beta_of_stratified(scene.stratification("surface-443"))
     assert strat == P("4 - t + 3*t^2")
     report(6, "surface: b = (1,1,8); inclusion-exclusion and the 17/12/4 "
               "stratification both give 4 - t + 3*t^2")

@@ -699,6 +699,7 @@ DEEP_EXPRESSION = (
 HOSTILE_FILES = {
     "atom-beta-int": (_atom_scene(beta=3), None),
     "atom-beta-nine-digit-exponent": (_atom_scene(beta="t^999999999"), None),
+    "atom-beta-5000-digits": (_atom_scene(beta="1" * 5000), None),
     "declared-beta-int": (_declared_scene(3), None),
     "declared-beta-nine-digit-exponent": (_declared_scene("1 + t^999999999"), None),
     "chi-c-string": (_atom_scene(chi_c="a"), None),
@@ -745,6 +746,7 @@ def test_hostile_scene_and_constraints_files_exit_3_in_a_child(tmp_path, case):
     error = json.loads(proc.stderr)
     assert set(error) == {"code", "message", "context"}
     assert error["code"] == "scene-error"
+    assert "sys." not in error["message"]  # int() is never given more digits than it takes
 
 
 def test_a_huge_refused_constraint_value_is_quoted_by_a_bounded_prefix(tmp_path):

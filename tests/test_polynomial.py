@@ -214,6 +214,15 @@ def test_parse_rejects_non_strings(bad):
         parse_polynomial(bad)
 
 
+def test_a_number_has_at_most_4300_digits():
+    # CPython's default limit for int of a string: a longer number, as a
+    # coefficient or as an exponent, is outside the grammar
+    assert parse_polynomial("7" * 4300 + " + t") == P((int("7" * 4300), 1))
+    for bad in ("7" * 4301, "1 + " + "7" * 4301 + "*t", "t^" + "1" * 4301):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_polynomial(bad)
+
+
 def test_parse_caps_the_exponent_before_building_coefficients():
     from virtbetti.simplicial import MAX_SIMPLICES
 

@@ -80,7 +80,7 @@ def test_minimal_scene_loads_and_computes():
     scene = scene_from_dict(MINIMAL)
     assert tuple(scene.complex("circle").betti_mod2()) == (1, 1)
     assert evaluate_beta(scene.expression("line"), scene.atoms).to_text() == "t"
-    assert beta_of_stratified(scene.stratification("circle-two"), strict=True).to_text() == "1 + t"
+    assert beta_of_stratified(scene.stratification("circle-two")).to_text() == "1 + t"
     assert scene.atoms["exotic"].provenance == "declared"
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 import stratified_oracle
 from hypothesis import given, settings
@@ -35,24 +37,24 @@ P = parse_polynomial
 
 def test_open_stratum_line(scene):
     s = StratumRecord("line", 1, OpenModel(scene.pair("line")))
-    assert beta_of_stratum(s, strict=True) == P("t")
+    assert beta_of_stratum(s) == P("t")
 
 
 def test_compact_stratum_torus():
     s = StratumRecord("torus", 2, CompactModel(models.torus_minimal()))
-    assert beta_of_stratum(s, strict=True) == P("1 + 2*t + t^2")
+    assert beta_of_stratum(s) == P("1 + 2*t + t^2")
 
 
 def test_open_stratum_punctured_spheres(scene):
     for n in range(0, 4):
         s = StratumRecord("c", n + 1, OpenModel(scene.pair(f"sphere-pair-{n}")))
         want = IntPolynomial.monomial(1, n + 1) - IntPolynomial.monomial(1, n)
-        assert beta_of_stratum(s, strict=True) == want
+        assert beta_of_stratum(s) == want
 
 
 def test_declared_beta_stratum():
     s = StratumRecord("declared", 2, DeclaredBeta(P("t^2")))
-    assert beta_of_stratum(s, strict=True) == P("t^2")
+    assert beta_of_stratum(s) == P("t^2")
 
 
 def test_missing_boundary_data(scene):
@@ -73,12 +75,24 @@ def test_missing_boundary_data(scene):
 
 
 def test_dimension_mismatch_is_warning_then_error(scene):
+    # with a list, each failure is appended in walk order; without one, the
+    # first failure (the stratum's, before the total's) is raised
     s = StratumRecord("mislabelled", 3, OpenModel(scene.pair("line")))
+    spec = StratifiedSpec("one", (s,))
+    failure = "polynomial t fails: degree 1 does not match claimed dimension 3"
     warnings: list[str] = []
-    beta = beta_of_stratified(StratifiedSpec("one", (s,)), warnings=warnings)
-    assert beta == P("t") and len(warnings) == 2  # the stratum's and the total's
+    assert beta_of_stratified(spec, warnings=warnings) == P("t")
+    assert warnings == [f"stratification 'one', stratum 'mislabelled': {failure}",
+                        f"stratification 'one': total {failure}"]
+    with pytest.raises(DimensionMismatch) as info:
+        beta_of_stratified(spec)
+    assert info.value.to_dict() == {
+        "code": "dimension-mismatch",
+        "message": f"stratification 'one', stratum 'mislabelled': {failure}",
+        "context": {"stratum": "mislabelled", "stratification": "one"},
+    }
     with pytest.raises(DimensionMismatch):
-        beta_of_stratum(s, strict=True)
+        beta_of_stratum(s)
 
 
 def test_degree_warnings_name_the_stratification_and_the_stratum(scene):
@@ -93,7 +107,7 @@ def test_degree_warnings_name_the_stratification_and_the_stratum(scene):
     assert len(arc) == 2 and arc[0] != arc[1]
     assert arc[0].startswith("stratification 'left', stratum 'arc': polynomial t ")
     with pytest.raises(DimensionMismatch) as info:
-        beta_of_stratified(specs[1], strict=True)
+        beta_of_stratified(specs[1])
     assert info.value.context == {"stratum": "arc", "stratification": "right"}
 
 
@@ -101,39 +115,39 @@ def test_an_empty_stratum_passes_and_a_zero_total_fails():
     # a stratum of dimension -1 is empty, so its zero class passes the degree
     # check; a stratification whose total is zero still fails it
     empty = StratumRecord("none", -1, DeclaredBeta(IntPolynomial.zero()))
-    assert beta_of_stratum(empty, strict=True) == IntPolynomial.zero()
+    assert beta_of_stratum(empty) == IntPolynomial.zero()
     warnings: list[str] = []
     assert beta_of_stratified(StratifiedSpec("nothing", (empty,)), warnings=warnings).is_zero()
     assert warnings == ["stratification 'nothing': total polynomial 0 fails: polynomial is "
                         "zero: the class of a nonempty variety is never zero"]
     with pytest.raises(DimensionMismatch) as info:
-        beta_of_stratified(StratifiedSpec("nothing", (empty,)), strict=True)
+        beta_of_stratified(StratifiedSpec("nothing", (empty,)))
     assert info.value.context == {"stratification": "nothing"}
 
 
 def test_figure_eight_stratification(scene):
-    assert beta_of_stratified(scene.stratification("figure-eight-x"), strict=True) == P("t")
+    assert beta_of_stratified(scene.stratification("figure-eight-x")) == P("t")
 
 
 def test_one_stratum_spec_is_poincare():
     spec = StratifiedSpec("t", (StratumRecord("torus", 2, CompactModel(models.torus_minimal())),))
-    assert beta_of_stratified(spec, strict=True) == P("1 + 2*t + t^2")
+    assert beta_of_stratified(spec) == P("1 + 2*t + t^2")
 
 
 def test_surface_stratification(scene):
-    assert beta_of_stratified(scene.stratification("surface-443"), strict=True) == P("4 - t + 3*t^2")
+    assert beta_of_stratified(scene.stratification("surface-443")) == P("4 - t + 3*t^2")
 
 
 def test_stratification_independence(scene):
-    coarse = beta_of_stratified(scene.stratification("figure-eight-x"), strict=True)
-    fine = beta_of_stratified(scene.stratification("figure-eight-x-fine"), strict=True)
+    coarse = beta_of_stratified(scene.stratification("figure-eight-x"))
+    fine = beta_of_stratified(scene.stratification("figure-eight-x-fine"))
     assert coarse == fine
 
 
 def test_compactification_independence(scene):
     # the same open variety through two different compactification models
-    a = beta_of_stratum(StratumRecord("a", 2, OpenModel(scene.pair("plane"))), strict=True)
-    b = beta_of_stratum(StratumRecord("b", 2, OpenModel(scene.pair("plane-oct"))), strict=True)
+    a = beta_of_stratum(StratumRecord("a", 2, OpenModel(scene.pair("plane"))))
+    b = beta_of_stratum(StratumRecord("b", 2, OpenModel(scene.pair("plane-oct"))))
     assert a == b == P("t^2")
 
 
@@ -146,9 +160,7 @@ def test_additivity_on_fixture_pairs(scene):
     for total_name, open_name, boundary_beta in cases:
         total = scene.complex(total_name).poincare_polynomial()
         open_part = beta_of_stratum(
-            StratumRecord("u", total.degree, OpenModel(scene.pair(open_name))),
-            strict=True,
-        )
+            StratumRecord("u", total.degree, OpenModel(scene.pair(open_name))))
         assert total == open_part + boundary_beta
 
 
@@ -263,27 +275,49 @@ def test_refinement_wrong_mapping_fails(scene):
 
 
 def test_refinement_not_a_partition(scene):
-    with pytest.raises(NotAPartition):
+    with pytest.raises(NotAPartition) as info:
         refinement_check(
             scene.stratification("figure-eight-x"),
             scene.stratification("figure-eight-x-fine"),
-            {"smooth": ["arc3", "extra-point", "arc3"], "node": ["node-fine"]},
+            {"smooth": ["arc3", "extra-point", "arc3"], "node": ["node-fine", "elsewhere"]},
         )
+    assert info.value.context == {"missing": [], "duplicated": ["arc3"], "unknown": ["elsewhere"],
+                                  "coarse_missing": [], "coarse_unknown": []}
 
 
-def test_refinement_mapping_a_stratum_the_coarse_side_lacks_is_a_key_error(scene):
-    with pytest.raises(KeyError, match="nowhere"):
+def test_refinement_faults_on_the_coarse_side_are_not_a_partition(scene):
+    # a mapping key the coarse side lacks, and a coarse stratum left out
+    with pytest.raises(NotAPartition) as info:
         refinement_check(
-            scene.stratification("circle-as-one"),
-            scene.stratification("circle-as-two"),
-            {"circle": ["arc", "pt"], "nowhere": []},
+            scene.stratification("figure-eight-x"),
+            scene.stratification("figure-eight-x-fine"),
+            {"smooth": ["arc3", "extra-point", "node-fine"], "nowhere": [], "elsewhere": []},
         )
+    assert info.value.to_dict() == {
+        "code": "not-a-partition",
+        "message": "mapping does not partition the fine strata",
+        "context": {"missing": [], "duplicated": [], "unknown": [],
+                    "coarse_missing": ["node"], "coarse_unknown": ["elsewhere", "nowhere"]},
+    }
+
+
+def test_refinement_into_many_points_takes_linear_time():
+    # one table of the fine strata and one count of the assigned names; a
+    # scan of the fine strata per assigned name made this quadratic
+    n = 20_000
+    point = DeclaredBeta(P("1"))
+    coarse = StratifiedSpec("c", (StratumRecord("points", 0, DeclaredBeta(IntPolynomial((n,)))),))
+    fine = StratifiedSpec("f", tuple(StratumRecord(f"p{i}", 0, point) for i in range(n)))
+    start = time.perf_counter()
+    v = refinement_check(coarse, fine, {"points": [s.name for s in fine.strata]})
+    assert time.perf_counter() - start < 1
+    assert v.holds and v.detail == f"refinement compatible; total {n}"
 
 
 def test_degree_law_on_stratified_fixtures(scene):
     for name in ("figure-eight-x", "circle-as-one", "circle-as-two", "surface-443"):
         spec = scene.stratification(name)
-        beta = beta_of_stratified(spec, strict=True)
+        beta = beta_of_stratified(spec)
         assert beta.degree == max(s.dim for s in spec.strata)
         assert beta.leading_coefficient > 0
 
@@ -292,7 +326,7 @@ def test_dimension_zero_strata_count_points(scene):
     spec = StratifiedSpec(
         "points", (StratumRecord("four", 0, CompactModel(models.points(4))),)
     )
-    assert beta_of_stratified(spec, strict=True) == P("4")
+    assert beta_of_stratified(spec) == P("4")
 
 
 def test_refinement_evaluates_each_stratum_once(scene, monkeypatch):
@@ -362,14 +396,15 @@ def _outcome(evaluate):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(stratification_dags(), st.data())
 def test_the_walk_matches_the_recursive_oracle(specs, data):
-    for strict in (False, True):
-        for spec in specs:
-            assert _outcome(lambda w: beta_of_stratified(spec, strict=strict, warnings=w)) == \
-                _outcome(lambda w: stratified_oracle.beta_of_stratified(
-                    spec, strict=strict, warnings=w))
-            for stratum in spec.strata:
-                assert _outcome(lambda w: beta_of_stratum(stratum, strict=strict)) == \
-                    _outcome(lambda w: stratified_oracle.beta_of_stratum(stratum, strict=strict))
+    for spec in specs:
+        # a warnings list collects the degree failures; without one the first raises
+        assert _outcome(lambda w: beta_of_stratified(spec, warnings=w)) == \
+            _outcome(lambda w: stratified_oracle.beta_of_stratified(spec, warnings=w))
+        assert _outcome(lambda w: beta_of_stratified(spec)) == \
+            _outcome(lambda w: stratified_oracle.beta_of_stratified(spec, strict=True))
+        for stratum in spec.strata:
+            assert _outcome(lambda w: beta_of_stratum(stratum)) == \
+                _outcome(lambda w: stratified_oracle.beta_of_stratum(stratum, strict=True))
     coarse, fine = data.draw(st.sampled_from(specs)), data.draw(st.sampled_from(specs))
     if data.draw(st.booleans()) or not coarse.strata:
         fine = coarse  # the identity refinement, which holds unless an evaluation fails
